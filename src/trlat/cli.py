@@ -395,3 +395,7 @@ def main() -> None:
         import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(0)
+
+
+if __name__ == "__main__":
+    main()

@@ -20,8 +20,22 @@ class SearchBoundExceeded(ValueError):
 
 
 def env_search_bound(default: int) -> int:
+    """TL_SEARCH_BOUND if set and non-empty, else the default.
+
+    Anything but a non-negative integer is rejected, since a negative bound
+    would refuse every search and a typo would otherwise surface as a bare
+    int() parse error.
+    """
     raw = os.environ.get("TL_SEARCH_BOUND")
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"TL_SEARCH_BOUND must be a non-negative integer, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -106,25 +120,14 @@ class TransferSystem:
     @property
     def key(self) -> str:
         """Row-major bit string; the deduplication and sort key."""
-        n = self.lattice.n
-        return "".join("1" if self.rows[k] >> h & 1 else "0"
-                       for k in range(n) for h in range(n))
+        return _rows_key(self.rows, self.lattice.n)
 
     def refines(self, other: "TransferSystem") -> bool:
         return all(r & ~s == 0 for r, s in zip(self.rows, other.rows))
 
     def relabel(self, perm: tuple[int, ...]) -> "TransferSystem":
         """Push the system forward along a subgroup-index permutation."""
-        rows = [0] * self.lattice.n
-        for k in range(self.lattice.n):
-            bits = self.rows[k]
-            h = 0
-            while bits:
-                if bits & 1:
-                    rows[perm[k]] |= 1 << perm[h]
-                bits >>= 1
-                h += 1
-        return TransferSystem(self.lattice, tuple(rows))
+        return TransferSystem(self.lattice, _relabel_rows(self.rows, perm))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TransferSystem) and self.rows == other.rows
@@ -138,6 +141,26 @@ class TransferSystem:
         named = [f"({self.lattice.names[k]}->{self.lattice.names[h]})"
                  for k, h in self.pairs()]
         return f"TransferSystem({self.lattice.group.name}: {' '.join(named) or 'diagonal'})"
+
+
+def _rows_key(rows: tuple[int, ...], n: int) -> str:
+    """Row-major bit string of rows over n subgroups: TransferSystem.key."""
+    fmt = f"0{n}b"
+    return "".join([format(r, fmt)[::-1] for r in rows])
+
+
+def _relabel_rows(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Rows pushed forward along a subgroup-index permutation."""
+    images = [1 << p for p in perm]
+    out = [0] * len(rows)
+    for p, bits in zip(perm, rows):
+        image = 0
+        while bits:
+            low = bits & -bits
+            image |= images[low.bit_length() - 1]
+            bits ^= low
+        out[p] = image
+    return tuple(out)
 
 
 # -- validation ---------------------------------------------------------------
@@ -250,15 +273,6 @@ def generate(L: SubgroupLattice, relation) -> TransferSystem:
     return T
 
 
-def _extend(T: TransferSystem, pair: tuple[int, int]) -> TransferSystem:
-    """generate(T's pairs + pair), reusing the fact that T is already closed."""
-    L = T.lattice
-    rows = list(T.rows)
-    _add_pair_closure(L, rows, [pair])
-    _transitive_close(rows)
-    return TransferSystem(L, tuple(rows))
-
-
 # -- lattice operations on Tr(G) ---------------------------------------------
 
 def _require_same_lattice(T1: TransferSystem, T2: TransferSystem) -> None:
@@ -270,7 +284,9 @@ def meet(T1: TransferSystem, T2: TransferSystem) -> TransferSystem:
     """Pairwise intersection; always a transfer system."""
     _require_same_lattice(T1, T2)
     rows = tuple(a & b for a, b in zip(T1.rows, T2.rows))
-    assert not _violations(T1.lattice, rows)
+    bad = _violations(T1.lattice, rows)
+    if bad:  # meets of transfer systems are transfer systems; this never fires
+        raise AssertionError("meet produced an invalid system: " + bad[0].describe(T1.lattice))
     return TransferSystem(T1.lattice, rows)
 
 
@@ -314,30 +330,58 @@ def irreducible_pairs(T: TransferSystem) -> list[tuple[int, int]]:
 def enumerate_all(L: SubgroupLattice, bound: int | None = None) -> list[TransferSystem]:
     """Every transfer system over L, sorted by deduplication key.
 
-    Seeds with the diagonal system and repeatedly extends each known system
-    by one missing inclusion pair, inserting the generated result until a
-    fixpoint; every system is generated by its own pairs, so this reaches
-    all of Tr(G).  Refuses if the number of inclusion-pair orbits exceeds
-    the search bound (default 24, overridable via TL_SEARCH_BOUND).
+    Seeds with the diagonal system and extends each known system T by each
+    inclusion-pair orbit it misses, until a fixpoint; every system is
+    generated by its own pairs, so this reaches all of Tr(G).  T holds a
+    whole conjugation orbit of pairs or none of it, and adding any pair of
+    an orbit closes to the same system, so one mask per orbit serves: the
+    rows its first pair adds under conjugation and then restriction.
+
+    The transitive closure of T plus the mask pivots only on the rows i
+    that gain edges: with J the new targets of i, every row that reaches i
+    (i itself included) gains all that some j in J reaches.  This is exact
+    because a transitive relation plus edges from one source i is closed by
+    exactly the pairs (x, y) with x reaching i and some j in J reaching y;
+    so after the last source the rows are the closure generate computes.
+
+    Refuses if the number of inclusion-pair orbits exceeds the search bound
+    (default 24, overridable via TL_SEARCH_BOUND).
     """
     limit = bound if bound is not None else env_search_bound(24)
     if len(L.pair_orbits) > limit:
         raise SearchBoundExceeded(
             f"{L.group.name} has {len(L.pair_orbits)} inclusion-pair orbits, "
             f"above the search bound {limit}")
-    diag = TransferSystem.diagonal(L)
-    seen = {diag.rows: diag}
-    queue = [diag]
-    while queue:
-        T = queue.pop()
-        for k, h in L.proper_pairs:
-            if T.contains(k, h):
+    n = L.n
+    extensions = []  # (representative pair, nonzero (row, bits) of its mask)
+    for orbit in L.pair_orbits:
+        mask = [0] * n
+        _add_pair_closure(L, mask, orbit[:1])
+        extensions.append((orbit[0], [(i, m) for i, m in enumerate(mask) if m]))
+    diag = TransferSystem.diagonal(L).rows
+    seen = {diag}
+    stack = [diag]
+    while stack:
+        T = stack.pop()
+        for (k, h), mask in extensions:
+            if T[k] >> h & 1:
                 continue
-            N = _extend(T, (k, h))
-            if N.rows not in seen:
-                seen[N.rows] = N
-                queue.append(N)
-    return sorted(seen.values(), key=lambda t: t.key)
+            rows = list(T)
+            for i, m in mask:
+                new = m & ~rows[i]
+                reach = 0
+                while new:
+                    low = new & -new
+                    new ^= low
+                    reach |= rows[low.bit_length() - 1]
+                if reach:
+                    bit = 1 << i
+                    rows = [r | reach if r & bit else r for r in rows]
+            N = tuple(rows)
+            if N not in seen:
+                seen.add(N)
+                stack.append(N)
+    return [TransferSystem(L, rows) for rows in sorted(seen, key=lambda r: _rows_key(r, n))]
 
 
 def aut_orbits(systems, automorphism_perms):
@@ -349,6 +393,7 @@ def aut_orbits(systems, automorphism_perms):
     if not systems:
         return [], []
     L = systems[0].lattice
+    n = L.n
     sub_perms = sorted({L.subgroup_perm(sigma) for sigma in automorphism_perms})
     index = {T.rows: i for i, T in enumerate(systems)}
     seen = set()
@@ -356,11 +401,12 @@ def aut_orbits(systems, automorphism_perms):
     for T in systems:
         if T.rows in seen:
             continue
-        orbit_rows = {T.relabel(p).rows for p in sub_perms}
-        if not orbit_rows <= set(index):
+        orbit_rows = {_relabel_rows(T.rows, p) for p in sub_perms}
+        if not all(r in index for r in orbit_rows):
             raise ValueError("system list is not closed under the automorphism action")
         seen |= orbit_rows
-        orbits.append(sorted((systems[index[r]] for r in orbit_rows), key=lambda t: t.key))
+        orbits.append([systems[index[r]]
+                       for r in sorted(orbit_rows, key=lambda r: _rows_key(r, n))])
     sizes: dict[int, int] = {}
     for orbit in orbits:
         sizes[len(orbit)] = sizes.get(len(orbit), 0) + 1

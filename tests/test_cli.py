@@ -2,6 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import trlat
 
 from trlat.cli import run
 from trlat import serialize
@@ -96,10 +102,28 @@ def test_ts_enumerate_bound_refusal():
     assert code == 1
 
 
-def test_env_bound_override(monkeypatch):
+def test_env_bound_override(monkeypatch, capsys):
     monkeypatch.setenv("TL_SEARCH_BOUND", "3")
     code, _ = invoke("ts", "enumerate", "--group", "Q8")
     assert code == 1
+    for bad in ("abc", "-1"):
+        monkeypatch.setenv("TL_SEARCH_BOUND", bad)
+        capsys.readouterr()
+        code, out = invoke("ts", "enumerate", "--group", "Q8")
+        assert code == 1 and out == ""
+        assert f"TL_SEARCH_BOUND must be a non-negative integer, got {bad!r}" \
+            in capsys.readouterr().err
+
+
+def test_module_entry_point():
+    """`python -m trlat.cli` runs the CLI."""
+    env = dict(os.environ)
+    src = str(Path(trlat.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "trlat.cli", "group", "info", "--group", "Q8"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["subgroup_count"] == 6
 
 
 def test_image_linisom_c6():

@@ -204,10 +204,24 @@ def test_lattice_mismatch_rejected():
 @pytest.mark.parametrize("name,count", [
     ("C1", 1), ("C2", 2), ("C3", 2), ("C4", 5), ("C9", 5), ("C8", 14), ("C27", 14),
     ("C6", 10), ("C15", 10), ("K4", 19), ("Sym3", 9), ("Q8", 68), ("D10", 9),
-    ("D6", 9),
+    ("D6", 9), ("C32", 132), ("C81", 42),
 ])
 def test_tr_counts(name, count):
     assert len(enumerate_all(L_(name))) == count
+
+
+@pytest.mark.parametrize("name", ["Sym3", "D10", "K4", "Q8", "C12"])
+def test_enumeration_matches_orbit_union_oracle(name):
+    """Tr(G) is exactly the set of unions of pair orbits that validate accepts."""
+    L = L_(name)
+    orbits = L.pair_orbits
+    assert len(orbits) <= 12
+    oracle = set()
+    for chosen in range(1 << len(orbits)):
+        pairs = [p for b, orbit in enumerate(orbits) if chosen >> b & 1 for p in orbit]
+        if not validate(L, pairs):
+            oracle.add(TransferSystem.from_pairs(L, pairs))
+    assert oracle == set(enumerate_all(L))
 
 
 def test_rank_two_formula():
@@ -217,19 +231,21 @@ def test_rank_two_formula():
 
 
 def test_enumeration_sorted_unique_closed():
-    L = L_("Q8")
-    systems = enumerate_all(L)
-    keys = [T.key for T in systems]
-    assert keys == sorted(keys) and len(set(keys)) == len(keys)
-    pool = set(systems)
-    rng = random.Random(5)
-    for _ in range(40):
-        a, b = rng.sample(systems, 2)
-        assert meet(a, b) in pool and join(a, b) in pool
-    perms = {L.subgroup_perm(s) for s in automorphisms(L.group)}
-    for T in rng.sample(systems, 10):
-        for p in perms:
-            assert T.relabel(p) in pool
+    # Sym3 has pair orbits of size 3, so it exercises the orbit representatives
+    for name in ("Q8", "Sym3"):
+        L = L_(name)
+        systems = enumerate_all(L)
+        keys = [T.key for T in systems]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        pool = set(systems)
+        rng = random.Random(5)
+        for _ in range(40):
+            a, b = rng.sample(systems, 2)
+            assert meet(a, b) in pool and join(a, b) in pool
+        perms = {L.subgroup_perm(s) for s in automorphisms(L.group)}
+        for T in rng.sample(systems, min(10, len(systems))):
+            for p in perms:
+                assert T.relabel(p) in pool
 
 
 def test_enumeration_bound_refusal():
@@ -245,6 +261,10 @@ def test_env_bound_override(monkeypatch):
     monkeypatch.setenv("TL_SEARCH_BOUND", "40")
     L = L_("Q8")
     assert len(enumerate_all(L)) == 68
+    for bad in ("abc", "-1"):
+        monkeypatch.setenv("TL_SEARCH_BOUND", bad)
+        with pytest.raises(ValueError, match="TL_SEARCH_BOUND must be a non-negative"):
+            enumerate_all(L)
 
 
 # -- orbit partitions -----------------------------------------------------------
