@@ -3,14 +3,13 @@
 from .groups import (FiniteGroup, GroupValidationError, abelian_group, builtin_group,
                      cyclic_group, dihedral_group, klein_group, make_group,
                      quaternion_group, symmetric_group)
-from .lattice import SubgroupLattice, automorphisms, pair_orbit_partition, subgroup_lattice
+from .lattice import SubgroupLattice, automorphisms, subgroup_lattice
 from .transfer import (RelationSet, SearchBoundExceeded, TransferSystem,
                        TransferSystemError, Violation, aut_orbits,
                        closed_form_normal_source, closed_form_normal_target,
                        enumerate_all, generate, irreducible_pairs, is_saturated,
                        join, meet, validate, validate_matrix)
-from .bridge import HSetSpec, OrbitMapSpec, admits, morphism_in_category, orbit_set, \
-    system_from_orbits
+from .bridge import HSetSpec, OrbitMapSpec, admits, morphism_in_category
 from .universes import (CyclicUniverseIndexSet, all_index_sets, induce_lambda,
                         induced_character, lambda_character, lambda_kernel_order,
                         restrict_lambda)

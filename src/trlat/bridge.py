@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .lattice import SubgroupLattice
-from .transfer import TransferSystem, Violation, validate
+from .transfer import TransferSystem
 
 
 @dataclass(frozen=True)
@@ -54,21 +53,3 @@ def morphism_in_category(T: TransferSystem, f: OrbitMapSpec) -> bool:
         if not T.contains(k, target):
             return False
     return True
-
-
-def orbit_set(T: TransferSystem) -> set[tuple[int, int]]:
-    """The nontrivial related pairs of T."""
-    return set(T.pairs())
-
-
-def system_from_orbits(L: SubgroupLattice, pairs) -> TransferSystem:
-    """Rebuild a transfer system from its pair set, validating every axiom.
-
-    This does not close up: a pair set that is not already a transfer system
-    is reported, not repaired.
-    """
-    bad: list[Violation] = validate(L, pairs)
-    if bad:
-        raise ValueError("pair set is not a transfer system: "
-                         + "; ".join(v.describe(L) for v in bad))
-    return TransferSystem.from_pairs(L, pairs)

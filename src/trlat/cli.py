@@ -11,8 +11,8 @@ import time
 from . import acceptance, serialize
 from .groups import GroupValidationError, abelian_group, builtin_group, group_spec, make_group
 from .lattice import automorphisms, subgroup_lattice
-from .transfer import (SearchBoundExceeded, TransferSystem, TransferSystemError,
-                       aut_orbits, enumerate_all, generate, is_saturated, validate)
+from .transfer import (SearchBoundExceeded, TransferSystem, TransferSystemError, aut_orbits,
+                       enumerate_all, generate, is_saturated, non_negative_int, validate)
 from .chains import maximal_chain
 from .realize import (CATALOG_GROUPS, NotRealizable, linisom_fixture,
                       linisom_image_cyclic, linisom_image_fixture,
@@ -38,6 +38,13 @@ def parse_group(token: str):
         return builtin_group(token)
     except GroupValidationError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _bound(text: str) -> int:
+    try:
+        return non_negative_int(text, "bound")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_pairs(L, text: str) -> list[tuple[int, int]]:
@@ -325,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum = tsub.add_parser("enumerate", help="list every transfer system")
     enum.add_argument("--group", required=True)
     enum.add_argument("--orbits", action="store_true")
-    enum.add_argument("--bound", type=int, default=None)
+    enum.add_argument("--bound", type=_bound, default=None)
     enum.set_defaults(fn=cmd_ts_enumerate)
 
     image = sub.add_parser("image", help="realizable transfer systems")

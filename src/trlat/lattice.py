@@ -156,11 +156,6 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     return lattice
 
 
-def pair_orbit_partition(L: SubgroupLattice) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Orbits of the diagonal conjugation action on proper inclusion pairs."""
-    return L.pair_orbits
-
-
 def _generating_sequence(G: FiniteGroup) -> list[int]:
     gens: list[int] = []
     span = frozenset([G.identity])

@@ -22,7 +22,6 @@ from .groups import cyclic_group, make_group
 from .lattice import SubgroupLattice, subgroup_lattice
 from .transfer import (SearchBoundExceeded, TransferSystem, env_search_bound,
                        generate, is_saturated, irreducible_pairs)
-from .bridge import system_from_orbits
 from .universes import (CyclicUniverseIndexSet, all_index_sets, index_set_count,
                         lambda_kernel_order)
 
@@ -139,7 +138,7 @@ def linisom_fixture(name: str) -> tuple[LinIsomFixtureRow, ...]:
     L = _require_catalog_group(name)
     rows = []
     for row in _fixture_data()["groups"][name]["linisom"]:
-        system = system_from_orbits(L, _resolve_pairs(L, row["pairs"]))
+        system = TransferSystem.from_pairs(L, _resolve_pairs(L, row["pairs"]))
         if not is_saturated(system):
             raise AssertionError(f"fixture row {row['universe']} for {name} "
                                  "is not saturated")
@@ -151,7 +150,7 @@ def linisom_fixture(name: str) -> tuple[LinIsomFixtureRow, ...]:
 def unrealized_fixture(name: str) -> tuple[TransferSystem, ...]:
     """Orbit representatives of systems hit by neither realizability map."""
     L = _require_catalog_group(name)
-    return tuple(system_from_orbits(L, _resolve_pairs(L, pairs))
+    return tuple(TransferSystem.from_pairs(L, _resolve_pairs(L, pairs))
                  for pairs in _fixture_data()["groups"][name]["unrealized_orbit_reps"])
 
 
@@ -245,7 +244,7 @@ def linisom_cyclic(n: int, index_set) -> TransferSystem:
         reduced = I.reduction(e)
         if {(x + d) % e for x in reduced} == reduced:
             pairs.append((k, h))
-    T = system_from_orbits(L, pairs)
+    T = TransferSystem.from_pairs(L, pairs)
     assert is_saturated(T)
     return T
 
@@ -294,7 +293,7 @@ def linisom_image_cyclic(n: int, bound: int | None = None) -> list[TransferSyste
     for sig in signatures:
         pairs = [(_subgroup_of_order(L, d), _subgroup_of_order(L, e))
                  for idx, (d, e) in enumerate(order_pairs) if sig >> idx & 1]
-        values.add(system_from_orbits(L, pairs))
+        values.add(TransferSystem.from_pairs(L, pairs))
     return sorted(values, key=lambda t: t.key)
 
 

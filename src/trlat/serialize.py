@@ -6,7 +6,7 @@ import json
 import jsonschema
 from .groups import FiniteGroup, group_spec, make_group
 from .lattice import SubgroupLattice, subgroup_lattice
-from .transfer import TransferSystem
+from .transfer import TransferSystem, cover_relations
 
 SCHEMA_VERSION = 1
 
@@ -129,8 +129,18 @@ CHAIN_SCHEMA = {
 }
 
 
+_VALIDATORS: dict[int, tuple] = {}  # id(schema) -> (schema, validator); holding it pins the id
+
+
 def validate_document(doc: dict, schema: dict) -> None:
-    jsonschema.validate(doc, schema)
+    """Raise the error `jsonschema.validate` would, checking each schema only once."""
+    if id(schema) not in _VALIDATORS:
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        _VALIDATORS[id(schema)] = (schema, cls(schema))
+    error = jsonschema.exceptions.best_match(_VALIDATORS[id(schema)][1].iter_errors(doc))
+    if error is not None:
+        raise error
 
 
 def group_to_json(G: FiniteGroup) -> dict:
@@ -195,24 +205,12 @@ def chain_to_json(chain) -> dict:
 
 # -- DOT export ----------------------------------------------------------------
 
-def cover_relations(systems: list[TransferSystem]) -> list[tuple[int, int]]:
-    """Indices (i, j) where systems[i] is covered by systems[j]."""
-    below = [[i for i in range(len(systems))
-              if i != j and systems[i].refines(systems[j])] for j in range(len(systems))]
-    covers = []
-    for j, lower in enumerate(below):
-        for i in lower:
-            if not any(systems[i].refines(systems[m]) and m != i for m in lower):
-                covers.append((i, j))
-    return covers
-
-
 def dot_poset(systems: list[TransferSystem], highlight: list[TransferSystem] | None = None,
               graph_name: str = "Tr") -> str:
-    """Hasse diagram in DOT: exactly the cover relations, nodes keyed by dedup string.
+    """Hasse diagram in DOT of all of Tr(G) or of a maximal chain (see cover_relations).
 
-    Nodes of equal relation size share a rank; a highlight list (e.g. a
-    chain) is drawn bold.  No other layout hints are emitted.
+    Nodes are keyed by dedup string and ranked with those of equal relation
+    size; a highlight list (e.g. a chain) is drawn bold; no other layout hints.
     """
     systems = sorted(systems, key=lambda t: t.key)
     marked = {T.key for T in (highlight or [])}

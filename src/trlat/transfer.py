@@ -19,23 +19,22 @@ class SearchBoundExceeded(ValueError):
     """Raised when an enumeration would exceed the configured search bound."""
 
 
-def env_search_bound(default: int) -> int:
-    """TL_SEARCH_BOUND if set and non-empty, else the default.
-
-    Anything but a non-negative integer is rejected, since a negative bound
-    would refuse every search and a typo would otherwise surface as a bare
-    int() parse error.
-    """
-    raw = os.environ.get("TL_SEARCH_BOUND")
-    if not raw:
-        return default
+def non_negative_int(raw: str, what: str) -> int:
+    """A search bound from text; else a ValueError naming `what`, since a
+    negative bound would refuse every search."""
     try:
         value = int(raw)
     except ValueError:
         value = -1
     if value < 0:
-        raise ValueError(f"TL_SEARCH_BOUND must be a non-negative integer, got {raw!r}")
+        raise ValueError(f"{what} must be a non-negative integer, got {raw!r}")
     return value
+
+
+def env_search_bound(default: int) -> int:
+    """TL_SEARCH_BOUND if set and non-empty, else the default."""
+    raw = os.environ.get("TL_SEARCH_BOUND")
+    return non_negative_int(raw, "TL_SEARCH_BOUND") if raw else default
 
 
 @dataclass(frozen=True)
@@ -243,14 +242,37 @@ def _add_pair_closure(L: SubgroupLattice, rows: list[int], pairs) -> None:
                 rows[L.intersect[l][k]] |= 1 << l
 
 
-def _transitive_close(rows: list[int]) -> None:
-    n = len(rows)
-    for m in range(n):
-        bit = 1 << m
-        rm = rows[m]
-        for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= rm
+def _close(rows, edges):
+    """Transitive closure of reflexive, transitive rows plus (source, targets) edges.
+
+    Source by source: with J the new targets of i, every row reaching i
+    (i itself included) gains all that J reaches.  This is exact because a
+    transitive relation plus edges from one source i is closed by exactly
+    the pairs (x, y) with x reaching i and some j in J reaching y.
+    """
+    for i, targets in edges:
+        new = targets & ~rows[i]
+        reach = 0
+        while new:
+            low = new & -new
+            new ^= low
+            reach |= rows[low.bit_length() - 1]
+        if reach:
+            bit = 1 << i
+            rows = [r | reach if r & bit else r for r in rows]
+    return rows
+
+
+def _orbit_masks(L: SubgroupLattice):
+    """Per pair orbit, its first pair and the nonzero (row, bits) that pair adds
+    under conjugation, then restriction: every pair of an orbit closes to the
+    same system, and a system holds a whole orbit or none of it."""
+    out = []
+    for orbit in L.pair_orbits:
+        mask = [0] * L.n
+        _add_pair_closure(L, mask, orbit[:1])
+        out.append((orbit[0], [(i, m) for i, m in enumerate(mask) if m]))
+    return out
 
 
 def generate(L: SubgroupLattice, relation) -> TransferSystem:
@@ -262,10 +284,9 @@ def generate(L: SubgroupLattice, relation) -> TransferSystem:
     """
     if isinstance(relation, RelationSet):
         relation = relation.pairs
-    rows = [1 << k for k in range(L.n)]
-    _add_pair_closure(L, rows, relation)
-    _transitive_close(rows)
-    T = TransferSystem(L, tuple(rows))
+    mask = [0] * L.n
+    _add_pair_closure(L, mask, relation)
+    T = TransferSystem(L, tuple(_close(TransferSystem.diagonal(L).rows, enumerate(mask))))
     bad = _violations(L, T.rows)
     if bad:  # the closure construction guarantees this never fires
         raise AssertionError("closure produced an invalid system: "
@@ -293,9 +314,7 @@ def meet(T1: TransferSystem, T2: TransferSystem) -> TransferSystem:
 def join(T1: TransferSystem, T2: TransferSystem) -> TransferSystem:
     """Smallest transfer system containing both."""
     _require_same_lattice(T1, T2)
-    rows = [a | b for a, b in zip(T1.rows, T2.rows)]
-    _transitive_close(rows)
-    T = TransferSystem(T1.lattice, tuple(rows))
+    T = TransferSystem(T1.lattice, tuple(_close(T1.rows, enumerate(T2.rows))))
     bad = _violations(T1.lattice, T.rows)
     if bad:
         raise AssertionError("join produced an invalid system: " + bad[0].describe(T1.lattice))
@@ -330,19 +349,9 @@ def irreducible_pairs(T: TransferSystem) -> list[tuple[int, int]]:
 def enumerate_all(L: SubgroupLattice, bound: int | None = None) -> list[TransferSystem]:
     """Every transfer system over L, sorted by deduplication key.
 
-    Seeds with the diagonal system and extends each known system T by each
-    inclusion-pair orbit it misses, until a fixpoint; every system is
-    generated by its own pairs, so this reaches all of Tr(G).  T holds a
-    whole conjugation orbit of pairs or none of it, and adding any pair of
-    an orbit closes to the same system, so one mask per orbit serves: the
-    rows its first pair adds under conjugation and then restriction.
-
-    The transitive closure of T plus the mask pivots only on the rows i
-    that gain edges: with J the new targets of i, every row that reaches i
-    (i itself included) gains all that some j in J reaches.  This is exact
-    because a transitive relation plus edges from one source i is closed by
-    exactly the pairs (x, y) with x reaching i and some j in J reaching y;
-    so after the last source the rows are the closure generate computes.
+    Extends the diagonal system, and each system found, by every pair orbit
+    it misses (its `_orbit_masks` mask, then `_close`) until a fixpoint; every
+    system is generated by its own pairs, so this reaches all of Tr(G).
 
     Refuses if the number of inclusion-pair orbits exceeds the search bound
     (default 24, overridable via TL_SEARCH_BOUND).
@@ -352,49 +361,61 @@ def enumerate_all(L: SubgroupLattice, bound: int | None = None) -> list[Transfer
         raise SearchBoundExceeded(
             f"{L.group.name} has {len(L.pair_orbits)} inclusion-pair orbits, "
             f"above the search bound {limit}")
-    n = L.n
-    extensions = []  # (representative pair, nonzero (row, bits) of its mask)
-    for orbit in L.pair_orbits:
-        mask = [0] * n
-        _add_pair_closure(L, mask, orbit[:1])
-        extensions.append((orbit[0], [(i, m) for i, m in enumerate(mask) if m]))
+    masks = _orbit_masks(L)
     diag = TransferSystem.diagonal(L).rows
     seen = {diag}
     stack = [diag]
     while stack:
         T = stack.pop()
-        for (k, h), mask in extensions:
+        for (k, h), mask in masks:
             if T[k] >> h & 1:
                 continue
-            rows = list(T)
-            for i, m in mask:
-                new = m & ~rows[i]
-                reach = 0
-                while new:
-                    low = new & -new
-                    new ^= low
-                    reach |= rows[low.bit_length() - 1]
-                if reach:
-                    bit = 1 << i
-                    rows = [r | reach if r & bit else r for r in rows]
-            N = tuple(rows)
+            N = tuple(_close(T, mask))
             if N not in seen:
                 seen.add(N)
                 stack.append(N)
-    return [TransferSystem(L, rows) for rows in sorted(seen, key=lambda r: _rows_key(r, n))]
+    return [TransferSystem(L, rows) for rows in sorted(seen, key=lambda r: _rows_key(r, L.n))]
+
+
+def cover_relations(systems: list[TransferSystem]) -> list[tuple[int, int]]:
+    """Indices (i, j) where systems[i] is covered by systems[j], sorted by (j, i).
+
+    A cover of T is T joined with a pair orbit it lacks, so the covers of T
+    in Tr(G) are the minimal ones among `_close(T, mask)` over the orbits T
+    misses: S is minimal iff each missed orbit S holds closes T to S.  Pairs
+    whose upper end is not in the list are dropped.  For all of Tr(G), and
+    for a maximal chain (each step adds one whole orbit, so is a cover),
+    this is exactly the list's Hasse diagram; for other lists it need not be.
+    """
+    masks = _orbit_masks(systems[0].lattice) if systems else []
+    index = {T.rows: j for j, T in enumerate(systems)}
+    covers = []
+    for i, T in enumerate(systems):
+        succ = {(k, h): tuple(_close(T.rows, mask))
+                for (k, h), mask in masks if not T.rows[k] >> h & 1}
+        for S in set(succ.values()):
+            if S in index and all(N == S for (k, h), N in succ.items() if S[k] >> h & 1):
+                covers.append((i, index[S]))
+    return sorted(covers, key=lambda c: (c[1], c[0]))
 
 
 def aut_orbits(systems, automorphism_perms):
     """Orbit partition of systems under relabeling by group automorphisms.
 
     Returns (orbits, profile): orbits as lists of systems, profile as
-    (orbit size, count) sorted by size descending.
+    (orbit size, count) sorted by size descending.  Inner automorphisms
+    (subgroup permutations L.conjugate[g]) fix every conjugation-closed
+    system, so one representative per coset of Inn(G) relabels.
     """
     if not systems:
         return [], []
     L = systems[0].lattice
     n = L.n
-    sub_perms = sorted({L.subgroup_perm(sigma) for sigma in automorphism_perms})
+    sub_perms, covered = [], set()
+    for p in sorted({L.subgroup_perm(sigma) for sigma in automorphism_perms}):
+        if p not in covered:
+            sub_perms.append(p)
+            covered |= {tuple(p[s] for s in c) for c in L.conjugate}
     index = {T.rows: i for i, T in enumerate(systems)}
     seen = set()
     orbits = []

@@ -2,11 +2,10 @@
 
 import pytest
 
-from trlat.bridge import (HSetSpec, OrbitMapSpec, admits, morphism_in_category,
-                          orbit_set, system_from_orbits)
+from trlat.bridge import HSetSpec, OrbitMapSpec, admits, morphism_in_category
 from trlat.groups import cyclic_group, make_group
 from trlat.lattice import subgroup_lattice
-from trlat.transfer import TransferSystem, enumerate_all, generate
+from trlat.transfer import TransferSystem, TransferSystemError, enumerate_all, generate
 
 
 def L_(name):
@@ -101,29 +100,29 @@ def test_ill_defined_component_rejected():
 def test_round_trip_over_tr_k4():
     L = L_("K4")
     for T in enumerate_all(L):
-        assert system_from_orbits(L, sorted(orbit_set(T))) == T
+        assert TransferSystem.from_pairs(L, T.pairs()) == T
 
 
 def test_diagonal_round_trip():
     L = L_("Q8")
     d = TransferSystem.diagonal(L)
-    assert orbit_set(d) == set()
-    assert system_from_orbits(L, []) == d
+    assert d.pairs() == []
+    assert TransferSystem.from_pairs(L, []) == d
 
 
 def test_maximum_c6_pair_count():
     # divisor chain pairs of 6: (1,2), (1,3), (1,6), (2,6), (3,6)
     L = subgroup_lattice(cyclic_group(6))
     top = TransferSystem.maximum(L)
-    pairs = orbit_set(top)
+    pairs = set(top.pairs())
     assert len(pairs) == 5
-    assert system_from_orbits(L, sorted(pairs)) == top
+    assert TransferSystem.from_pairs(L, sorted(pairs)) == top
 
 
 def test_system_from_orbits_reports_violations():
     L = L_("C4")
-    with pytest.raises(ValueError, match="restriction"):
-        system_from_orbits(L, [(0, 2)])
+    with pytest.raises(TransferSystemError, match="restriction"):
+        TransferSystem.from_pairs(L, [(0, 2)])
 
 
 def test_admitted_orbits_reconstruct_uniquely():
@@ -131,4 +130,4 @@ def test_admitted_orbits_reconstruct_uniquely():
     for T in enumerate_all(L):
         admitted = {(k, h) for k, h in L.proper_pairs
                     if admits(T, HSetSpec(ambient=h, stabilizers=(k,)))}
-        assert system_from_orbits(L, sorted(admitted)) == T
+        assert TransferSystem.from_pairs(L, sorted(admitted)) == T

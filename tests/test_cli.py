@@ -97,9 +97,13 @@ def test_ts_enumerate_q8_with_orbits():
     assert doc["results"]["orbit_profile"] == [[6, 1], [3, 17], [1, 11]]
 
 
-def test_ts_enumerate_bound_refusal():
+def test_ts_enumerate_bound_refusal(capsys):
     code, _ = invoke("ts", "enumerate", "--group", "Sym4")
     assert code == 1
+    capsys.readouterr()
+    code, out = invoke("ts", "enumerate", "--group", "Q8", "--bound", "-1")
+    assert code == 2 and out == ""
+    assert "--bound: bound must be a non-negative integer, got '-1'" in capsys.readouterr().err
 
 
 def test_env_bound_override(monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from trlat.groups import (abelian_group, cyclic_group, dihedral_group, klein_group,
                           make_group, quaternion_group, symmetric_group)
-from trlat.lattice import automorphisms, pair_orbit_partition, subgroup_lattice
+from trlat.lattice import automorphisms, subgroup_lattice
 
 
 def brute_force_subgroups(G):
@@ -93,14 +93,14 @@ def test_cocyclicity():
 
 def test_pair_orbits_abelian_singletons():
     L = subgroup_lattice(klein_group())
-    orbits = pair_orbit_partition(L)
+    orbits = L.pair_orbits
     assert len(orbits) == 7
     assert all(len(orbit) == 1 for orbit in orbits)
 
 
 def test_pair_orbits_q8():
     L = subgroup_lattice(quaternion_group())
-    orbits = pair_orbit_partition(L)
+    orbits = L.pair_orbits
     assert len(orbits) == 12 == len(L.proper_pairs)
     assert all(len(orbit) == 1 for orbit in orbits)
 

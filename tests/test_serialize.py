@@ -89,7 +89,7 @@ def parse_dot_edges(text):
 
 
 def test_dot_is_exactly_the_transitive_reduction():
-    for name in ("C4", "C6", "K4"):
+    for name in ("C4", "C6", "K4", "Sym3", "Q8"):
         L = L_(name)
         systems = enumerate_all(L)
         text = serialize.dot_poset(systems)
@@ -114,10 +114,10 @@ def test_dot_pentagon_shape():
 def test_dot_chain_overlay_marks_path():
     L = L_("C4")
     chain = maximal_chain(L)
-    text = serialize.dot_chain(chain, enumerate_all(L))
-    bold_edges = [line for line in text.splitlines()
-                  if "->" in line and "style=bold" in line]
-    assert len(bold_edges) == len(chain) - 1
+    for text in (serialize.dot_chain(chain, enumerate_all(L)), serialize.dot_chain(chain)):
+        bold_edges = [line for line in text.splitlines()
+                      if "->" in line and "style=bold" in line]
+        assert len(bold_edges) == len(chain) - 1
 
 
 def test_report_schema_round_trip():

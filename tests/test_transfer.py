@@ -177,21 +177,21 @@ def test_join_forces_transitivity():
 
 
 def test_meet_join_are_lattice_ops():
-    L = L_("K4")
-    systems = enumerate_all(L)
-    rng = random.Random(3)
-    pool = set(systems)
-    for _ in range(60):
-        a, b = rng.sample(systems, 2)
-        m, j = meet(a, b), join(a, b)
-        assert m in pool and j in pool
-        assert m.refines(a) and m.refines(b)
-        assert a.refines(j) and b.refines(j)
-        for c in rng.sample(systems, 6):
-            if c.refines(a) and c.refines(b):
-                assert c.refines(m)
-            if a.refines(c) and b.refines(c):
-                assert j.refines(c)
+    for name in ("K4", "Sym3", "Q8"):
+        systems = enumerate_all(L_(name))
+        rng = random.Random(3)
+        pool = set(systems)
+        for _ in range(60):
+            a, b = rng.sample(systems, 2)
+            m, j = meet(a, b), join(a, b)
+            assert m in pool and j in pool
+            assert m.refines(a) and m.refines(b)
+            assert a.refines(j) and b.refines(j)
+            for c in rng.sample(systems, 6):
+                if c.refines(a) and c.refines(b):
+                    assert c.refines(m)
+                if a.refines(c) and b.refines(c):
+                    assert j.refines(c)
 
 
 def test_lattice_mismatch_rejected():
@@ -280,6 +280,23 @@ def test_k4_orbit_count():
     L = L_("K4")
     orbits, _ = aut_orbits(enumerate_all(L), automorphisms(L.group))
     assert len(orbits) == 9
+
+
+@pytest.mark.parametrize("name,profile", [("Sym3", [(1, 9)]), ("D10", None), ("Q8", None)])
+def test_orbits_match_brute_force_relabeling(name, profile):
+    """Relabel every system's pairs under every automorphism, inner ones included."""
+    L = L_(name)
+    systems = enumerate_all(L)
+    orbits, got_profile = aut_orbits(systems, automorphisms(L.group))
+    images = [tuple(L.index_of[frozenset(sigma[x] for x in s)] for s in L.subgroups)
+              for sigma in automorphisms(L.group)]
+    expected = {frozenset(frozenset((img[k], img[h]) for k, h in T.pairs()) for img in images)
+                for T in systems}
+    assert {frozenset(frozenset(T.pairs()) for T in orbit) for orbit in orbits} == expected
+    sizes = sorted((len(o) for o in expected), reverse=True)
+    assert got_profile == sorted({(z, sizes.count(z)) for z in sizes}, reverse=True)
+    if profile is not None:
+        assert got_profile == profile
 
 
 def test_diagonal_is_a_fixed_point():
