@@ -9,13 +9,13 @@ from __future__ import annotations
 import random
 from .groups import abelian_group, cyclic_group, make_group
 from .lattice import automorphisms, subgroup_lattice
-from .transfer import (TransferSystem, aut_orbits, closed_form_normal_source,
-                       closed_form_normal_target, enumerate_all, generate,
-                       is_saturated, meet, validate)
+from .transfer import (TransferSystem, _conjugation_gap, aut_orbits,
+                       closed_form_normal_source, closed_form_normal_target,
+                       enumerate_all, generate, is_saturated, meet, validate)
 from .chains import maximal_chain
-from .realize import (linisom_cyclic, linisom_image_cyclic, linisom_image_fixture,
-                      realize_saturated_cpn, steiner_cyclic, steiner_image,
-                      unrealized_fixture)
+from .realize import (_cyclic_lattice, linisom_cyclic, linisom_image_cyclic,
+                      linisom_image_fixture, realize_saturated_cpn, steiner_cyclic,
+                      steiner_image, unrealized_fixture)
 from .universes import (CHARACTER_TOL, induce_lambda, induced_character,
                         lambda_character)
 
@@ -132,13 +132,9 @@ def criterion_cpq_classification() -> tuple[bool, str]:
     for p, q, missing_orders in ((2, 3, [(1, 2), (1, 3)]), (2, 5, [(1, 5)]),
                                  (3, 5, [(1, 5)]), (5, 7, [])):
         n = p * q
-        L = subgroup_lattice(cyclic_group(n))
+        L, of_order = _cyclic_lattice(n)
         saturated = {T for T in enumerate_all(L) if is_saturated(T)}
-        excluded = set()
-        for d, e in missing_orders:
-            src = next(s for s in range(L.n) if L.order_of(s) == d)
-            tgt = next(s for s in range(L.n) if L.order_of(s) == e)
-            excluded.add(generate(L, [(src, tgt)]))
+        excluded = {generate(L, [(of_order[d], of_order[e])]) for d, e in missing_orders}
         image = set(linisom_image_cyclic(n))
         eq = image == saturated - excluded
         ok = ok and eq
@@ -226,18 +222,13 @@ def _matching_closed_form(L, R):
         return None
     sources = {k for k, _ in R}
     targets = {h for _, h in R}
-
-    def conj_closed(family):
-        return all(L.conjugate[g][s] in family for s in family
-                   for g in range(L.group.order))
-
     if len(sources) == 1:
         (k,) = sources
-        if L.normal[k] and conj_closed(targets):
+        if L.normal[k] and _conjugation_gap(L, targets) is None:
             return closed_form_normal_source(L, k, targets)
     if len(targets) == 1:
         (h,) = targets
-        if L.normal[h] and conj_closed(sources):
+        if L.normal[h] and _conjugation_gap(L, sources) is None:
             return closed_form_normal_target(L, sources, h)
     return None
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 from .lattice import SubgroupLattice
-from .transfer import TransferSystem, Violation, _violations
+from .transfer import TransferSystem, _checked
 
 
 Chooser = Callable[[SubgroupLattice, list[int]], int]
@@ -91,12 +91,7 @@ def maximal_chain(L: SubgroupLattice, chooser: Chooser | None = None,
     for orbit in ordered:
         for k, h in orbit:
             rows[k] |= 1 << h
-        T = TransferSystem(L, tuple(rows))
-        bad: list[Violation] = _violations(L, T.rows)
-        if bad:
-            raise AssertionError("chain step is not a transfer system: "
-                                 + bad[0].describe(L))
-        systems.append(T)
+        systems.append(_checked(L, tuple(rows), "chain step is not a transfer system"))
 
     if systems[-1] != TransferSystem.maximum(L):
         raise AssertionError("chain did not reach the maximum system")

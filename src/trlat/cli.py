@@ -18,6 +18,7 @@ from .realize import (CATALOG_GROUPS, NotRealizable, linisom_fixture,
                       linisom_image_cyclic, linisom_image_fixture,
                       minimal_steiner_universe, realize_saturated_cpn,
                       realize_saturated_cpq, steiner_image)
+from .universes import index_set_count
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
@@ -176,26 +177,25 @@ def cmd_image(ns, argv, out) -> int:
     start = time.perf_counter()
     G = parse_group(ns.group)
     L = subgroup_lattice(G)
-    cyclic = G.name.startswith("C") and G.name[1:].isdigit()
-    if not G.is_abelian and G.name not in CATALOG_GROUPS:
+    builtin = G.spec["name"] if G.kind == "builtin" else None
+    universes = None
+    if ns.which == "steiner" and G.is_abelian:
+        systems = steiner_image(L)
+    elif ns.which == "steiner" and builtin in CATALOG_GROUPS:
+        systems = steiner_image(builtin)
+    elif ns.which == "linisom" and G.kind == "cyclic":
+        systems = linisom_image_cyclic(G.order)
+        universes = index_set_count(G.order)
+    elif ns.which == "linisom" and builtin in CATALOG_GROUPS:
+        systems = linisom_image_fixture(builtin)
+        universes = len(linisom_fixture(builtin))
+    elif G.is_abelian:
+        raise UsageError(f"no isometries-map data for {G.name}; "
+                         "supported: cyclic groups and " + ", ".join(CATALOG_GROUPS))
+    else:
         raise UsageError(f"no realizability data for {G.name}; supported: abelian "
                          "groups (steiner), cyclic groups (linisom), and "
                          + ", ".join(CATALOG_GROUPS))
-    if ns.which == "steiner":
-        systems = steiner_image(G.name if G.name in CATALOG_GROUPS and not G.is_abelian
-                                else L)
-    elif cyclic:
-        systems = linisom_image_cyclic(G.order)
-    elif G.name in CATALOG_GROUPS:
-        systems = linisom_image_fixture(G.name)
-    else:
-        raise UsageError(f"no isometries-map data for {G.name}; "
-                         "supported: cyclic groups and " + ", ".join(CATALOG_GROUPS))
-    universes = None
-    if ns.which == "linisom" and G.name in CATALOG_GROUPS and not cyclic:
-        universes = len(linisom_fixture(G.name))
-    elif ns.which == "linisom" and cyclic:
-        universes = 1 << (G.order // 2)
     results = {"map": ns.which, "count": len(systems),
                "systems": [_named_pairs(T) for T in systems]}
     if universes is not None:

@@ -19,7 +19,14 @@ class FiniteGroup:
     threads.  Construction validates the table: totality, a two-sided
     identity, two-sided inverses, and associativity (checked by triple loop;
     all supported groups have order <= 24).
+
+    `spec` records how a named constructor built the group, as the
+    make_group spec that rebuilds it; a group built from a bare table has
+    none, whatever its `name`.  Every choice that depends on which group
+    this is reads `kind`, never the name.
     """
+
+    spec: dict | None = None
 
     def __init__(self, table: Sequence[Sequence[int]], names: Sequence[str] | None = None,
                  name: str = "G"):
@@ -127,6 +134,10 @@ class FiniteGroup:
         # closing under products from the identity also captures inverses
         return frozenset(members)
 
+    @property
+    def kind(self) -> str:
+        return self.spec["kind"] if self.spec else "table"
+
     def name_of(self, x: int) -> str:
         return self.element_names[x]
 
@@ -135,6 +146,11 @@ class FiniteGroup:
 
 
 # -- constructions ----------------------------------------------------------
+
+def _built(G: FiniteGroup, **spec) -> FiniteGroup:
+    G.spec = spec
+    return G
+
 
 def _table_from_op(items: list, op: Callable) -> list[list[int]]:
     index = {x: i for i, x in enumerate(items)}
@@ -148,7 +164,7 @@ def cyclic_group(n: int) -> FiniteGroup:
         raise GroupValidationError(f"cyclic order must be >= 1, got {n}")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     names = ["e"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
-    return FiniteGroup(table, names, name=f"C{n}")
+    return _built(FiniteGroup(table, names, name=f"C{n}"), kind="cyclic", n=n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -157,6 +173,8 @@ def abelian_group(factors: tuple[int, ...]) -> FiniteGroup:
     factors = tuple(int(f) for f in factors)
     if not factors or any(f < 2 for f in factors):
         raise GroupValidationError(f"invariant factors must all be >= 2, got {list(factors)}")
+    if len(factors) == 1:
+        return cyclic_group(factors[0])
     items = list(itertools.product(*(range(f) for f in factors)))
 
     def op(a, b):
@@ -165,7 +183,8 @@ def abelian_group(factors: tuple[int, ...]) -> FiniteGroup:
     names = ["e" if all(x == 0 for x in a) else "(" + ",".join(map(str, a)) + ")"
              for a in items]
     name = "x".join(f"C{f}" for f in factors)
-    return FiniteGroup(_table_from_op(items, op), names, name=name)
+    return _built(FiniteGroup(_table_from_op(items, op), names, name=name),
+                  kind="abelian", factors=list(factors))
 
 
 def _perm_compose(a: tuple, b: tuple) -> tuple:
@@ -193,7 +212,8 @@ def symmetric_group(n: int) -> FiniteGroup:
     """Sym_n on points 1..n, elements named in cycle notation."""
     items = sorted(itertools.permutations(range(n)))
     names = [_cycle_name(p) for p in items]
-    return FiniteGroup(_table_from_op(items, _perm_compose), names, name=f"Sym{n}")
+    G = FiniteGroup(_table_from_op(items, _perm_compose), names, name=f"Sym{n}")
+    return _built(G, kind="builtin", name=f"Sym{n}") if n in (3, 4) else G
 
 
 @functools.lru_cache(maxsize=None)
@@ -214,7 +234,8 @@ def quaternion_group() -> FiniteGroup:
         return (s * a[0] * b[0], u)
 
     names = [("" if s == 1 else "-") + u for (s, u) in items]
-    return FiniteGroup(_table_from_op(items, op), names, name="Q8")
+    return _built(FiniteGroup(_table_from_op(items, op), names, name="Q8"),
+                  kind="builtin", name="Q8")
 
 
 @functools.lru_cache(maxsize=None)
@@ -238,7 +259,8 @@ def dihedral_group(two_p: int) -> FiniteGroup:
         s = "s" if b else ""
         return (r + s) or "e"
 
-    return FiniteGroup(_table_from_op(items, op), [nm(x) for x in items], name=f"D{two_p}")
+    return _built(FiniteGroup(_table_from_op(items, op), [nm(x) for x in items],
+                              name=f"D{two_p}"), kind="builtin", name=f"D{two_p}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -246,7 +268,8 @@ def klein_group() -> FiniteGroup:
     """K4 = {1, a, b, c} with ab = c; the Cayley table of the abelian group [2, 2]."""
     base = abelian_group((2, 2))
     table = [[base.compose(x, y) for y in range(4)] for x in range(4)]
-    return FiniteGroup(table, ["1", "a", "b", "c"], name="K4")
+    return _built(FiniteGroup(table, ["1", "a", "b", "c"], name="K4"),
+                  kind="builtin", name="K4")
 
 
 _BUILTINS: dict[str, Callable[[], FiniteGroup]] = {
@@ -293,15 +316,9 @@ def make_group(spec) -> FiniteGroup:
 
 
 def group_spec(G: FiniteGroup) -> dict:
-    """A JSON-ready spec that reconstructs an equivalent group."""
-    name = G.name
-    if name in _BUILTINS or re.fullmatch(r"D\d+", name):
-        return {"kind": "builtin", "name": name}
-    m = re.fullmatch(r"C(\d+)", name)
-    if m:
-        return {"kind": "cyclic", "n": int(m.group(1))}
-    m = re.fullmatch(r"(C\d+)(xC\d+)+", name)
-    if m:
-        return {"kind": "abelian", "factors": [int(f[1:]) for f in name.split("x")]}
-    return {"kind": "table", "name": name,
+    """A JSON-ready spec that make_group rebuilds the group from: the one its
+    constructor recorded, else the table itself."""
+    if G.spec:
+        return dict(G.spec)
+    return {"kind": "table", "name": G.name,
             "table": [list(row) for row in G._table], "names": list(G.element_names)}

@@ -88,7 +88,7 @@ class SubgroupLattice:
             return "1"
         if len(H) == G.order:
             return G.name
-        if G.name.startswith("C") and G.name[1:].isdigit():
+        if G.kind == "cyclic":
             return f"C{len(H)}"  # one subgroup per divisor
         gens = self._minimal_generators(H)
         return "<" + ",".join(G.name_of(g) for g in gens) + ">"

@@ -22,8 +22,8 @@ from .groups import cyclic_group, make_group
 from .lattice import SubgroupLattice, subgroup_lattice
 from .transfer import (SearchBoundExceeded, TransferSystem, env_search_bound,
                        generate, is_saturated, irreducible_pairs)
-from .universes import (CyclicUniverseIndexSet, all_index_sets, index_set_count,
-                        lambda_kernel_order)
+from .universes import (CyclicUniverseIndexSet, _negation_classes, all_index_sets,
+                        index_set_count, lambda_kernel_order)
 
 log = logging.getLogger(__name__)
 
@@ -156,15 +156,10 @@ def unrealized_fixture(name: str) -> tuple[TransferSystem, ...]:
 
 # -- the embedding (Steiner-type) map -----------------------------------------
 
-def _cyclic_lattice(n: int) -> SubgroupLattice:
-    return subgroup_lattice(cyclic_group(n))
-
-
-def _subgroup_of_order(L: SubgroupLattice, d: int) -> int:
-    for s in range(L.n):
-        if L.order_of(s) == d:
-            return s
-    raise ValueError(f"no subgroup of order {d} in {L.group.name}")
+def _cyclic_lattice(n: int) -> tuple[SubgroupLattice, dict[int, int]]:
+    """The subgroup lattice of C_n, and the index of its one subgroup of each order."""
+    L = subgroup_lattice(cyclic_group(n))
+    return L, {L.order_of(s): s for s in range(L.n)}
 
 
 def steiner_cyclic(n: int, index_set) -> TransferSystem:
@@ -174,9 +169,8 @@ def steiner_cyclic(n: int, index_set) -> TransferSystem:
     label-i rotation is the unique subgroup of order gcd(i, n).
     """
     I = _as_index_set(n, index_set)
-    L = _cyclic_lattice(n)
-    pairs = {(_subgroup_of_order(L, lambda_kernel_order(n, i)), L.full)
-             for i in I.members}
+    L, of_order = _cyclic_lattice(n)
+    pairs = {(of_order[lambda_kernel_order(n, i)], L.full) for i in I.members}
     return generate(L, pairs)
 
 
@@ -237,7 +231,7 @@ def linisom_cyclic(n: int, index_set) -> TransferSystem:
     invariant under translation by d.  The result is always saturated.
     """
     I = _as_index_set(n, index_set)
-    L = _cyclic_lattice(n)
+    L, _ = _cyclic_lattice(n)
     pairs = []
     for k, h in L.proper_pairs:
         d, e = L.order_of(k), L.order_of(h)
@@ -263,16 +257,9 @@ def linisom_image_cyclic(n: int, bound: int | None = None) -> list[TransferSyste
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     div_pos = {d: i for i, d in enumerate(divisors)}
     order_pairs = [(d, e) for d in divisors for e in divisors if d < e and e % d == 0]
-    classes = []
-    seen_cls = set()
-    for i in range(1, n // 2 + 1):
-        cls = frozenset({i, (n - i) % n})
-        if cls not in seen_cls:
-            seen_cls.add(cls)
-            classes.append([0] * len(divisors))
-            for e_pos, e in enumerate(divisors):
-                for x in cls:
-                    classes[-1][e_pos] |= 1 << (x % e)
+    # per class and divisor e, the bits x % e of its members
+    classes = [[sum({1 << (x % e) for x in cls}) for e in divisors]
+               for cls in _negation_classes(n)]
     signatures: set[int] = set()
 
     def scan(ci: int, masks: list[int]) -> None:
@@ -288,10 +275,10 @@ def linisom_image_cyclic(n: int, bound: int | None = None) -> list[TransferSyste
         scan(ci + 1, [m | c for m, c in zip(masks, classes[ci])])
 
     scan(0, [1] * len(divisors))
-    L = _cyclic_lattice(n)
+    L, of_order = _cyclic_lattice(n)
     values = set()
     for sig in signatures:
-        pairs = [(_subgroup_of_order(L, d), _subgroup_of_order(L, e))
+        pairs = [(of_order[d], of_order[e])
                  for idx, (d, e) in enumerate(order_pairs) if sig >> idx & 1]
         values.add(TransferSystem.from_pairs(L, pairs))
     return sorted(values, key=lambda t: t.key)
@@ -319,7 +306,7 @@ def realize_saturated_cpn(p: int, n: int, T: TransferSystem) -> CyclicUniverseIn
     modulus = p ** n
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if T.lattice.group.order != modulus:
+    if T.lattice.group.spec != {"kind": "cyclic", "n": modulus}:
         raise ValueError(f"system lives on {T.lattice.group.name}, expected C{modulus}")
     if not is_saturated(T):
         raise ValueError("system is not saturated; isometries-map values always are")
@@ -365,7 +352,7 @@ def realize_saturated_cpq(p: int, q: int, T: TransferSystem):
     """
     if not (_is_prime(p) and _is_prime(q) and p < q):
         raise ValueError(f"need primes p < q, got ({p}, {q})")
-    if T.lattice.group.order != p * q:
+    if T.lattice.group.spec != {"kind": "cyclic", "n": p * q}:
         raise ValueError(f"system lives on {T.lattice.group.name}, expected C{p * q}")
     if not is_saturated(T):
         raise ValueError("system is not saturated; isometries-map values always are")

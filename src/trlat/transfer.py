@@ -95,15 +95,13 @@ class TransferSystem:
     @classmethod
     def from_pairs(cls, lattice: SubgroupLattice, pairs) -> "TransferSystem":
         """Wrap an explicit pair set; raises unless it is already closed."""
-        rows = [1 << k for k in range(lattice.n)]
-        for k, h in pairs:
-            rows[k] |= 1 << h
-        violations = _violations(lattice, tuple(rows))
+        rows = _rows_of(lattice, pairs)
+        violations = _violations(lattice, rows)
         if violations:
             raise TransferSystemError(
                 "not a transfer system: "
                 + "; ".join(v.describe(lattice) for v in violations))
-        return cls(lattice, tuple(rows))
+        return cls(lattice, rows)
 
     def contains(self, k: int, h: int) -> bool:
         return bool(self.rows[k] >> h & 1)
@@ -164,6 +162,14 @@ def _relabel_rows(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ..
 
 # -- validation ---------------------------------------------------------------
 
+def _rows_of(L: SubgroupLattice, pairs) -> tuple[int, ...]:
+    """The diagonal rows plus the given pairs."""
+    rows = [1 << k for k in range(L.n)]
+    for k, h in pairs:
+        rows[k] |= 1 << h
+    return tuple(rows)
+
+
 def _violations(L: SubgroupLattice, rows: tuple[int, ...]) -> list[Violation]:
     out: list[Violation] = []
     n = L.n
@@ -199,14 +205,20 @@ def _violations(L: SubgroupLattice, rows: tuple[int, ...]) -> list[Violation]:
     return unique
 
 
+def _checked(L: SubgroupLattice, rows: tuple[int, ...], what: str) -> TransferSystem:
+    """The system with these rows, for a construction that guarantees the
+    axioms: a violation means a bug in it, raised as `what: <violation>`."""
+    bad = _violations(L, rows)
+    if bad:
+        raise AssertionError(f"{what}: {bad[0].describe(L)}")
+    return TransferSystem(L, rows)
+
+
 def validate(L: SubgroupLattice, relation) -> list[Violation]:
     """Check the transfer-system axioms on a pair set; [] means valid."""
-    rows = [1 << k for k in range(L.n)]
     if isinstance(relation, RelationSet):
         relation = relation.pairs
-    for k, h in relation:
-        rows[k] |= 1 << h
-    return _violations(L, tuple(rows))
+    return _violations(L, _rows_of(L, relation))
 
 
 def validate_matrix(L: SubgroupLattice, matrix) -> list[Violation]:
@@ -286,12 +298,8 @@ def generate(L: SubgroupLattice, relation) -> TransferSystem:
         relation = relation.pairs
     mask = [0] * L.n
     _add_pair_closure(L, mask, relation)
-    T = TransferSystem(L, tuple(_close(TransferSystem.diagonal(L).rows, enumerate(mask))))
-    bad = _violations(L, T.rows)
-    if bad:  # the closure construction guarantees this never fires
-        raise AssertionError("closure produced an invalid system: "
-                             + bad[0].describe(L))
-    return T
+    return _checked(L, tuple(_close(TransferSystem.diagonal(L).rows, enumerate(mask))),
+                    "closure produced an invalid system")
 
 
 # -- lattice operations on Tr(G) ---------------------------------------------
@@ -304,21 +312,15 @@ def _require_same_lattice(T1: TransferSystem, T2: TransferSystem) -> None:
 def meet(T1: TransferSystem, T2: TransferSystem) -> TransferSystem:
     """Pairwise intersection; always a transfer system."""
     _require_same_lattice(T1, T2)
-    rows = tuple(a & b for a, b in zip(T1.rows, T2.rows))
-    bad = _violations(T1.lattice, rows)
-    if bad:  # meets of transfer systems are transfer systems; this never fires
-        raise AssertionError("meet produced an invalid system: " + bad[0].describe(T1.lattice))
-    return TransferSystem(T1.lattice, rows)
+    return _checked(T1.lattice, tuple(a & b for a, b in zip(T1.rows, T2.rows)),
+                    "meet produced an invalid system")
 
 
 def join(T1: TransferSystem, T2: TransferSystem) -> TransferSystem:
     """Smallest transfer system containing both."""
     _require_same_lattice(T1, T2)
-    T = TransferSystem(T1.lattice, tuple(_close(T1.rows, enumerate(T2.rows))))
-    bad = _violations(T1.lattice, T.rows)
-    if bad:
-        raise AssertionError("join produced an invalid system: " + bad[0].describe(T1.lattice))
-    return T
+    return _checked(T1.lattice, tuple(_close(T1.rows, enumerate(T2.rows))),
+                    "join produced an invalid system")
 
 
 def is_saturated(T: TransferSystem) -> bool:
@@ -437,13 +439,17 @@ def aut_orbits(systems, automorphism_perms):
 
 # -- closed forms for generated systems ---------------------------------------
 
+def _conjugation_gap(L: SubgroupLattice, family) -> int | None:
+    """A member of the family with a conjugate outside it; None if the
+    family is closed under conjugation."""
+    return next((s for s in family for c in L.conjugate if c[s] not in family), None)
+
+
 def _check_conjugation_closed(L: SubgroupLattice, family, what: str) -> None:
-    fam = set(family)
-    for s in fam:
-        for g in range(L.group.order):
-            if L.conjugate[g][s] not in fam:
-                raise ValueError(f"{what} family is not closed under conjugation "
-                                 f"(misses a conjugate of {L.names[s]})")
+    gap = _conjugation_gap(L, family)
+    if gap is not None:
+        raise ValueError(f"{what} family is not closed under conjugation "
+                         f"(misses a conjugate of {L.names[gap]})")
 
 
 def closed_form_normal_source(L: SubgroupLattice, k: int, hs) -> TransferSystem:
@@ -463,11 +469,7 @@ def closed_form_normal_source(L: SubgroupLattice, k: int, hs) -> TransferSystem:
         for m in range(L.n):
             if L.includes[m][h]:
                 rows[L.intersect[m][k]] |= 1 << m
-    T = TransferSystem(L, tuple(rows))
-    bad = _violations(L, T.rows)
-    if bad:
-        raise AssertionError("closed form invalid: " + bad[0].describe(L))
-    return T
+    return _checked(L, tuple(rows), "closed form invalid")
 
 
 def closed_form_normal_target(L: SubgroupLattice, ks, h: int) -> TransferSystem:
@@ -494,8 +496,4 @@ def closed_form_normal_target(L: SubgroupLattice, ks, h: int) -> TransferSystem:
         if L.includes[m][h]:
             for kk in meets:
                 rows[L.intersect[m][kk]] |= 1 << m
-    T = TransferSystem(L, tuple(rows))
-    bad = _violations(L, T.rows)
-    if bad:
-        raise AssertionError("closed form invalid: " + bad[0].describe(L))
-    return T
+    return _checked(L, tuple(rows), "closed form invalid")

@@ -88,13 +88,14 @@ def lambda_kernel_order(n: int, i: int) -> int:
     return math.gcd(n, i % n)
 
 
+def _negation_classes(n: int) -> list[frozenset[int]]:
+    """The classes {i, -i} of the nonzero residues mod n, by least member."""
+    return [frozenset({i, n - i}) for i in range(1, n // 2 + 1)]
+
+
 def all_index_sets(n: int):
     """All canonical index sets mod n, by choice of negation classes."""
-    classes = []
-    for i in range(1, n // 2 + 1):
-        cls = frozenset({i, (n - i) % n})
-        if cls not in classes:
-            classes.append(cls)
+    classes = _negation_classes(n)
     for bits in range(1 << len(classes)):
         members = {0}
         for pos, cls in enumerate(classes):

@@ -150,9 +150,21 @@ def test_image_linisom_q8_fixture():
     assert doc["results"]["universe_count"] == 16
 
 
-def test_image_unsupported_group():
+def test_image_unsupported_group(tmp_path):
     code, _ = invoke("image", "steiner", "--group", "Sym4")
     assert code == 2
+    # a relabeled table is a table: its name picks neither a fixture nor C_n
+    k4 = trlat.make_group("K4")
+    table = [[k4.compose(a, b) for b in range(4)] for a in range(4)]
+    for name in ("Q8", "C4"):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({"schema_version": 1, "kind": "table",
+                                    "name": name, "table": table}))
+        code, _ = invoke("image", "linisom", "--group", f"@{spec}")
+        assert code == 2
+    code, doc = invoke_json("image", "steiner", "--group", f"@{tmp_path / 'Q8.json'}")
+    assert code == 0
+    assert doc["group"]["kind"] == "table" and doc["results"]["count"] == 8
 
 
 def test_realize_cpn():

@@ -173,6 +173,15 @@ def test_automorphisms_permute_subgroup_classes():
             assert size == size2
 
 
+def test_display_names_follow_construction_not_name():
+    sym3 = symmetric_group(3)
+    table = [[sym3.compose(a, b) for b in range(6)] for a in range(6)]
+    names = subgroup_lattice(make_group({"kind": "table", "table": table,
+                                         "name": "C6"})).names
+    assert len(set(names)) == 6 and names[-1] == "C6"
+    assert subgroup_lattice(cyclic_group(6)).names == ("1", "C2", "C3", "C6")
+
+
 def test_name_resolution():
     L = subgroup_lattice(quaternion_group())
     assert L.resolve_name("<i>") == 2

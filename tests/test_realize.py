@@ -194,6 +194,15 @@ def test_realize_cpn_rejects_unsaturated():
         realize_saturated_cpn(2, 3, generate(L8, [(0, 2)]))
 
 
+def test_realize_rejects_systems_not_built_cyclic():
+    # same order as C_4 and C_6, so only how the group was built tells them apart
+    with pytest.raises(ValueError, match="expected C4"):
+        realize_saturated_cpn(2, 2, TransferSystem.diagonal(L_("K4")))
+    L = subgroup_lattice(abelian_group((2, 3)))
+    with pytest.raises(ValueError, match="expected C6"):
+        realize_saturated_cpq(2, 3, TransferSystem.diagonal(L))
+
+
 def test_realize_cpn_round_trips():
     for p, e in ((2, 3), (3, 2), (2, 4), (3, 3)):
         n = p ** e

@@ -22,16 +22,31 @@ def test_group_json_round_trip():
         G = make_group(name)
         doc = serialize.group_to_json(G)
         G2 = serialize.group_from_json(json.loads(json.dumps(doc)))
-        assert G2.name == G.name and G2.order == G.order
+        assert G2 is G  # the recorded spec rebuilds the constructor's own group
         assert all(G2.compose(a, b) == G.compose(a, b)
                    for a in range(G.order) for b in range(G.order))
 
 
+def dihedral_8_table():
+    items = [(a, b) for b in (0, 1) for a in range(4)]
+    op = {(x, y): ((x[0] + (y[0] if x[1] == 0 else -y[0])) % 4, (x[1] + y[1]) % 2)
+          for x in items for y in items}
+    return [[items.index(op[x, y]) for y in items] for x in items]
+
+
 def test_table_group_round_trip():
-    G = make_group({"kind": "table", "table": [[0, 1], [1, 0]], "name": "Z2"})
-    doc = serialize.group_to_json(G)
-    G2 = serialize.group_from_json(doc)
-    assert G2.order == 2 and G2.compose(1, 1) == 0
+    k4 = make_group("K4")
+    cases = [([[0, 1], [1, 0]], "Z2"),
+             ([[k4.compose(a, b) for b in range(4)] for a in range(4)], "Q8"),
+             (dihedral_8_table(), "D8")]
+    for table, name in cases:
+        G = make_group({"kind": "table", "table": table, "name": name})
+        doc = serialize.group_to_json(G)
+        assert doc["kind"] == "table"  # a table stays a table, whatever its name
+        G2 = serialize.group_from_json(json.loads(json.dumps(doc)))
+        assert (G2.order, G2.name) == (len(table), name)
+        assert all(G2.compose(a, b) == table[a][b]
+                   for a in range(G2.order) for b in range(G2.order))
 
 
 def test_system_json_round_trip_bit_for_bit():
