@@ -4,11 +4,11 @@ from .groups import (FiniteGroup, GroupValidationError, abelian_group, builtin_g
                      cyclic_group, dihedral_group, klein_group, make_group,
                      quaternion_group, symmetric_group)
 from .lattice import SubgroupLattice, automorphisms, subgroup_lattice
-from .transfer import (RelationSet, SearchBoundExceeded, TransferSystem,
+from .transfer import (SearchBoundExceeded, TransferSystem,
                        TransferSystemError, Violation, aut_orbits,
                        closed_form_normal_source, closed_form_normal_target,
-                       enumerate_all, generate, irreducible_pairs, is_saturated,
-                       join, meet, validate, validate_matrix)
+                       enumerate_all, generate, hasse_diagram, irreducible_pairs,
+                       is_saturated, join, meet, validate, validate_matrix)
 from .bridge import HSetSpec, OrbitMapSpec, admits, morphism_in_category
 from .universes import (CyclicUniverseIndexSet, all_index_sets, induce_lambda,
                         induced_character, lambda_character, lambda_kernel_order,

@@ -12,7 +12,8 @@ from . import acceptance, serialize
 from .groups import GroupValidationError, abelian_group, builtin_group, group_spec, make_group
 from .lattice import automorphisms, subgroup_lattice
 from .transfer import (SearchBoundExceeded, TransferSystem, TransferSystemError, aut_orbits,
-                       enumerate_all, generate, is_saturated, non_negative_int, validate)
+                       enumerate_all, generate, hasse_diagram, is_saturated, non_negative_int,
+                       validate)
 from .chains import maximal_chain
 from .realize import (CATALOG_GROUPS, NotRealizable, linisom_fixture,
                       linisom_image_cyclic, linisom_image_fixture,
@@ -33,9 +34,9 @@ def parse_group(token: str):
     if token.startswith("@"):
         with open(token[1:]) as fh:
             return serialize.group_from_json(json.load(fh))
-    if re.fullmatch(r"C\d+(xC\d+)+", token):
-        return abelian_group(tuple(int(f[1:]) for f in token.split("x")))
     try:
+        if re.fullmatch(r"C\d+(xC\d+)+", token):
+            return abelian_group(tuple(int(f[1:]) for f in token.split("x")))
         return builtin_group(token)
     except GroupValidationError as exc:
         raise UsageError(str(exc)) from None
@@ -81,17 +82,17 @@ def parse_pairs(L, text: str) -> list[tuple[int, int]]:
     return out
 
 
-def _report(args, group=None, results=None, checks=None, started=None) -> dict:
+def _report(ns, group=None, results=None, checks=None) -> dict:
+    """The run report, timed from when `run` started the command."""
     doc = {
         "schema_version": serialize.SCHEMA_VERSION,
-        "command": list(args),
+        "command": list(ns.argv),
         "results": results or {},
         "checks": checks or [],
+        "timing_seconds": round(time.perf_counter() - ns.started, 6),
     }
     if group is not None:
         doc["group"] = group_spec(group)
-    if started is not None:
-        doc["timing_seconds"] = round(time.perf_counter() - started, 6)
     serialize.validate_document(doc, serialize.REPORT_SCHEMA)
     return doc
 
@@ -105,8 +106,7 @@ def _named_pairs(T: TransferSystem) -> list[list[str]]:
     return [[L.names[k], L.names[h]] for k, h in T.pairs()]
 
 
-def cmd_group_info(ns, argv, out) -> int:
-    start = time.perf_counter()
+def cmd_group_info(ns, out) -> int:
     G = parse_group(ns.group)
     L = subgroup_lattice(G)
     results = {
@@ -120,30 +120,27 @@ def cmd_group_info(ns, argv, out) -> int:
         "automorphism_count": len(automorphisms(G)),
         "lattice": serialize.lattice_to_json(L),
     }
-    _emit(_report(argv, G, results, started=start), out)
+    _emit(_report(ns, G, results), out)
     return 0
 
 
-def cmd_ts_generate(ns, argv, out) -> int:
-    start = time.perf_counter()
+def cmd_ts_generate(ns, out) -> int:
     G = parse_group(ns.group)
     L = subgroup_lattice(G)
     pairs = parse_pairs(L, ns.pairs)
     try:
         T = generate(L, pairs)
     except TransferSystemError as exc:
-        _emit(_report(argv, G, {"error": str(exc)},
-                      [{"claim": "relation refines inclusion", "passed": False}],
-                      started=start), out)
+        _emit(_report(ns, G, {"error": str(exc)},
+                      [{"claim": "relation refines inclusion", "passed": False}]), out)
         return VALIDATION_ERROR
     results = {"pairs": _named_pairs(T), "pair_count": T.pair_count(),
                "saturated": is_saturated(T), "system": serialize.system_to_json(T)}
-    _emit(_report(argv, G, results, started=start), out)
+    _emit(_report(ns, G, results), out)
     return 0
 
 
-def cmd_ts_check(ns, argv, out) -> int:
-    start = time.perf_counter()
+def cmd_ts_check(ns, out) -> int:
     G = parse_group(ns.group)
     L = subgroup_lattice(G)
     pairs = parse_pairs(L, ns.pairs)
@@ -154,12 +151,11 @@ def cmd_ts_check(ns, argv, out) -> int:
         T = TransferSystem.from_pairs(L, pairs)
         results["saturated"] = is_saturated(T)
     checks = [{"claim": "relation is a transfer system", "passed": not violations}]
-    _emit(_report(argv, G, results, checks, started=start), out)
+    _emit(_report(ns, G, results, checks), out)
     return 0 if not violations else VALIDATION_ERROR
 
 
-def cmd_ts_enumerate(ns, argv, out) -> int:
-    start = time.perf_counter()
+def cmd_ts_enumerate(ns, out) -> int:
     G = parse_group(ns.group)
     L = subgroup_lattice(G)
     systems = enumerate_all(L, bound=ns.bound)
@@ -169,12 +165,11 @@ def cmd_ts_enumerate(ns, argv, out) -> int:
         orbits, profile = aut_orbits(systems, automorphisms(G))
         results["orbit_count"] = len(orbits)
         results["orbit_profile"] = [list(sc) for sc in profile]
-    _emit(_report(argv, G, results, started=start), out)
+    _emit(_report(ns, G, results), out)
     return 0
 
 
-def cmd_image(ns, argv, out) -> int:
-    start = time.perf_counter()
+def cmd_image(ns, out) -> int:
     G = parse_group(ns.group)
     L = subgroup_lattice(G)
     builtin = G.spec["name"] if G.kind == "builtin" else None
@@ -200,12 +195,11 @@ def cmd_image(ns, argv, out) -> int:
                "systems": [_named_pairs(T) for T in systems]}
     if universes is not None:
         results["universe_count"] = universes
-    _emit(_report(argv, G, results, started=start), out)
+    _emit(_report(ns, G, results), out)
     return 0
 
 
-def cmd_realize(ns, argv, out) -> int:
-    start = time.perf_counter()
+def cmd_realize(ns, out) -> int:
     if ns.case == "cpn":
         n = ns.p ** ns.n
     else:
@@ -215,9 +209,8 @@ def cmd_realize(ns, argv, out) -> int:
     pairs = parse_pairs(L, ns.pairs)
     T = generate(L, pairs)
     if not is_saturated(T):
-        _emit(_report(argv, G, {"error": "system is not saturated"},
-                      [{"claim": "input system is saturated", "passed": False}],
-                      started=start), out)
+        _emit(_report(ns, G, {"error": "system is not saturated"},
+                      [{"claim": "input system is saturated", "passed": False}]), out)
         return VALIDATION_ERROR
     if ns.case == "cpn":
         I = realize_saturated_cpn(ns.p, ns.n, T)
@@ -229,12 +222,11 @@ def cmd_realize(ns, argv, out) -> int:
         else:
             results = {"realizable": True, "index_set": verdict.sorted(),
                        "modulus": verdict.modulus}
-    _emit(_report(argv, G, results, started=start), out)
+    _emit(_report(ns, G, results), out)
     return 0
 
 
-def cmd_minimal_universe(ns, argv, out) -> int:
-    start = time.perf_counter()
+def cmd_minimal_universe(ns, out) -> int:
     G = parse_group(ns.group)
     L = subgroup_lattice(G)
     try:
@@ -245,12 +237,11 @@ def cmd_minimal_universe(ns, argv, out) -> int:
     sets = minimal_steiner_universe(L, k, h)
     results = {"transfer": [L.names[k], L.names[h]],
                "minimal_kernel_sets": [[L.names[s] for s in combo] for combo in sets]}
-    _emit(_report(argv, G, results, started=start), out)
+    _emit(_report(ns, G, results), out)
     return 0
 
 
-def cmd_chain(ns, argv, out) -> int:
-    start = time.perf_counter()
+def cmd_chain(ns, out) -> int:
     G = parse_group(ns.group)
     L = subgroup_lattice(G)
     chain = maximal_chain(L)
@@ -259,45 +250,43 @@ def cmd_chain(ns, argv, out) -> int:
                "layer_choices": [L.names[s] for s in chain.layer_choices],
                "systems": [_named_pairs(T) for T in chain.systems],
                "chain": serialize.chain_to_json(chain)}
-    _emit(_report(argv, G, results, started=start), out)
+    _emit(_report(ns, G, results), out)
     return 0
 
 
-def cmd_verify_paper(ns, argv, out) -> int:
-    start = time.perf_counter()
+def cmd_verify_paper(ns, out) -> int:
     lines = []
     ok = acceptance.run_all(report=lambda line: (lines.append(line), print(line, file=out)))
     checks = [{"claim": f"criterion {num} ({name})", "passed": line.startswith("PASS")}
               for (num, name, _), line in zip(acceptance.CRITERIA, lines)]
     if ns.json:
-        _emit(_report(argv, results={"passed": ok}, checks=checks, started=start), out)
+        _emit(_report(ns, results={"passed": ok}, checks=checks), out)
     return 0 if ok else VALIDATION_ERROR
 
 
-def cmd_export(ns, argv, out) -> int:
+def cmd_export(ns, out) -> int:
     G = parse_group(ns.group)
     L = subgroup_lattice(G)
-    if ns.what == "chain":
-        chain = maximal_chain(L)
-        if ns.format == "json":
-            text = serialize.dumps(serialize.chain_to_json(chain))
-        else:
-            try:
-                full = enumerate_all(L)
-            except SearchBoundExceeded:
-                full = None
-            text = serialize.dot_chain(chain, full)
-    else:
+    chain = maximal_chain(L) if ns.what == "chain" else None
+    if ns.format == "json" and chain is not None:
+        text = serialize.dumps(serialize.chain_to_json(chain))
+    elif ns.format == "json":
         systems = enumerate_all(L)
-        if ns.format == "json":
-            text = serialize.dumps({
-                "schema_version": serialize.SCHEMA_VERSION,
-                "group": group_spec(G),
-                "count": len(systems),
-                "systems": [serialize.system_to_json(T)["pairs"] for T in systems],
-            })
-        else:
-            text = serialize.dot_poset(systems, graph_name=f"Tr_{G.name}")
+        text = serialize.dumps({
+            "schema_version": serialize.SCHEMA_VERSION,
+            "group": group_spec(G),
+            "count": len(systems),
+            "systems": [serialize.system_to_json(T)["pairs"] for T in systems],
+        })
+    else:
+        try:
+            hasse = hasse_diagram(L)
+        except SearchBoundExceeded:
+            if chain is None:
+                raise
+            hasse = None  # the chain alone, without Tr(G) behind it
+        text = (serialize.dot_poset(*hasse, graph_name=f"Tr_{G.name}") if chain is None
+                else serialize.dot_chain(chain, hasse))
     if ns.out:
         with open(ns.out, "w") as fh:
             fh.write(text + "\n")
@@ -384,8 +373,9 @@ def run(argv: list[str], out=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    ns.argv, ns.started = argv, time.perf_counter()
     try:
-        return ns.fn(ns, argv, out)
+        return ns.fn(ns, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

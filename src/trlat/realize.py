@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import logging
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -22,10 +21,8 @@ from .groups import cyclic_group, make_group
 from .lattice import SubgroupLattice, subgroup_lattice
 from .transfer import (SearchBoundExceeded, TransferSystem, env_search_bound,
                        generate, is_saturated, irreducible_pairs)
-from .universes import (CyclicUniverseIndexSet, _negation_classes, all_index_sets,
-                        index_set_count, lambda_kernel_order)
-
-log = logging.getLogger(__name__)
+from .universes import (CyclicUniverseIndexSet, _negation_classes, index_set_count,
+                        lambda_kernel_order)
 
 CATALOG_GROUPS = ("K4", "Q8", "Sym3")
 
@@ -346,9 +343,8 @@ def realize_saturated_cpq(p: int, q: int, T: TransferSystem):
 
     The single-edge system into C_q is out of reach when p <= 3, and the one
     into C_p additionally when (p, q) = (2, 3); everything else comes from an
-    explicit index-set table, verified by round trip.  If the table value
-    ever failed the round trip, the miss would be logged and an exhaustive
-    search used instead.
+    explicit index-set table, verified by round trip: a miss is a bug in the
+    table, raised as `AssertionError`.
     """
     if not (_is_prime(p) and _is_prime(q) and p < q):
         raise ValueError(f"need primes p < q, got ({p}, {q})")
@@ -374,14 +370,10 @@ def realize_saturated_cpq(p: int, q: int, T: TransferSystem):
         "complete": set(range(n)),
     }
     I = CyclicUniverseIndexSet.canonical(n, table[shape])
-    if linisom_cyclic(n, I) == T:
-        return I
-    log.warning("table index set %r missed shape %s on C%d; falling back to search",
-                I, shape, n)
-    for J in all_index_sets(n):
-        if linisom_cyclic(n, J) == T:
-            return J
-    raise AssertionError(f"no index set realizes {T!r}")
+    if linisom_cyclic(n, I) != T:
+        raise AssertionError(f"table index set {I!r} for shape {shape} on C{n} "
+                             "fails the round trip")
+    return I
 
 
 def minimal_steiner_universe(L: SubgroupLattice, k: int, h: int) -> list[tuple[int, ...]]:

@@ -6,7 +6,7 @@ import json
 import jsonschema
 from .groups import FiniteGroup, group_spec, make_group
 from .lattice import SubgroupLattice, subgroup_lattice
-from .transfer import TransferSystem, cover_relations
+from .transfer import TransferSystem
 
 SCHEMA_VERSION = 1
 
@@ -205,41 +205,45 @@ def chain_to_json(chain) -> dict:
 
 # -- DOT export ----------------------------------------------------------------
 
-def dot_poset(systems: list[TransferSystem], highlight: list[TransferSystem] | None = None,
-              graph_name: str = "Tr") -> str:
-    """Hasse diagram in DOT of all of Tr(G) or of a maximal chain (see cover_relations).
+def dot_poset(systems: list[TransferSystem], covers: list[tuple[int, int]],
+              highlight: list[TransferSystem] | None = None, graph_name: str = "Tr") -> str:
+    """A Hasse diagram in DOT: `systems` in key order and `covers` as sorted
+    index pairs (i, j), systems[i] covered by systems[j], as
+    `transfer.hasse_diagram` returns them.
 
     Nodes are keyed by dedup string and ranked with those of equal relation
     size; a highlight list (e.g. a chain) is drawn bold; no other layout hints.
     """
-    systems = sorted(systems, key=lambda t: t.key)
+    keys = [T.key for T in systems]
     marked = {T.key for T in (highlight or [])}
     lines = [f'digraph "{graph_name}" {{', "  rankdir=BT;",
              '  node [shape=box, fontsize=10];']
     by_size: dict[int, list[str]] = {}
-    for T in systems:
+    for T, key in zip(systems, keys):
         size = T.pair_count()
-        by_size.setdefault(size, []).append(T.key)
-        style = ', style=bold' if T.key in marked else ''
-        lines.append(f'  "{T.key}" [label="{size}"{style}];')
+        by_size.setdefault(size, []).append(key)
+        style = ', style=bold' if key in marked else ''
+        lines.append(f'  "{key}" [label="{size}"{style}];')
     for size in sorted(by_size):
         members = " ".join(f'"{k}";' for k in by_size[size])
         lines.append(f"  {{ rank=same; {members} }}")
-    for i, j in sorted(cover_relations(systems),
-                       key=lambda ij: (systems[ij[0]].key, systems[ij[1]].key)):
-        a, b = systems[i], systems[j]
-        bold = " [style=bold]" if a.key in marked and b.key in marked else ""
-        lines.append(f'  "{a.key}" -> "{b.key}"{bold};')
+    for i, j in covers:
+        a, b = keys[i], keys[j]
+        bold = " [style=bold]" if a in marked and b in marked else ""
+        lines.append(f'  "{a}" -> "{b}"{bold};')
     lines.append("}")
     return "\n".join(lines)
 
 
-def dot_chain(chain, full_lattice: list[TransferSystem] | None = None) -> str:
-    """A maximal chain as a path, overlaid on Tr(G) when enumeration is given."""
-    if full_lattice is not None:
-        return dot_poset(full_lattice, highlight=list(chain.systems), graph_name="TrChain")
-    return dot_poset(list(chain.systems), highlight=list(chain.systems),
-                     graph_name="Chain")
+def dot_chain(chain, hasse=None) -> str:
+    """A maximal chain as a path, overlaid on Tr(G) when `hasse_diagram`'s
+    result is given.  Alone, each step of the chain adds one pair orbit, so is
+    a cover, and the chain is in key order, since each step only sets bits."""
+    systems = list(chain.systems)
+    if hasse is not None:
+        return dot_poset(*hasse, highlight=systems, graph_name="TrChain")
+    return dot_poset(systems, [(i, i + 1) for i in range(len(systems) - 1)],
+                     highlight=systems, graph_name="Chain")
 
 
 def dumps(doc: dict) -> str:

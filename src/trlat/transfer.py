@@ -52,21 +52,6 @@ class Violation:
         return msg
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    """A set of subgroup pairs refining inclusion, over a fixed lattice."""
-
-    lattice: SubgroupLattice
-    pairs: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        for k, h in self.pairs:
-            if not self.lattice.includes[k][h]:
-                raise TransferSystemError(
-                    f"pair ({self.lattice.names[k]}, {self.lattice.names[h]}) "
-                    "does not refine inclusion")
-
-
 class TransferSystem:
     """An immutable transfer system over a subgroup lattice."""
 
@@ -112,7 +97,7 @@ class TransferSystem:
                 if k != h and self.rows[k] >> h & 1]
 
     def pair_count(self) -> int:
-        return len(self.pairs())
+        return sum((r & ~(1 << k)).bit_count() for k, r in enumerate(self.rows))
 
     @property
     def key(self) -> str:
@@ -216,8 +201,6 @@ def _checked(L: SubgroupLattice, rows: tuple[int, ...], what: str) -> TransferSy
 
 def validate(L: SubgroupLattice, relation) -> list[Violation]:
     """Check the transfer-system axioms on a pair set; [] means valid."""
-    if isinstance(relation, RelationSet):
-        relation = relation.pairs
     return _violations(L, _rows_of(L, relation))
 
 
@@ -294,8 +277,6 @@ def generate(L: SubgroupLattice, relation) -> TransferSystem:
     reflexive-transitive closure.  Pairs that do not refine inclusion are
     rejected with the offending pair named.
     """
-    if isinstance(relation, RelationSet):
-        relation = relation.pairs
     mask = [0] * L.n
     _add_pair_closure(L, mask, relation)
     return _checked(L, tuple(_close(TransferSystem.diagonal(L).rows, enumerate(mask))),
@@ -348,15 +329,12 @@ def irreducible_pairs(T: TransferSystem) -> list[tuple[int, int]]:
 
 # -- enumeration ---------------------------------------------------------------
 
-def enumerate_all(L: SubgroupLattice, bound: int | None = None) -> list[TransferSystem]:
-    """Every transfer system over L, sorted by deduplication key.
-
-    Extends the diagonal system, and each system found, by every pair orbit
-    it misses (its `_orbit_masks` mask, then `_close`) until a fixpoint; every
-    system is generated by its own pairs, so this reaches all of Tr(G).
-
-    Refuses if the number of inclusion-pair orbits exceeds the search bound
-    (default 24, overridable via TL_SEARCH_BOUND).
+def _walk(L: SubgroupLattice, bound: int | None):
+    """Yield each transfer system T over L once, as (rows, successors): per
+    pair orbit T misses, the orbit's first pair and the rows of T joined with
+    it (its `_orbit_masks` mask, then `_close`).  Extending the diagonal and
+    each system found this way until a fixpoint reaches all of Tr(G), since
+    every system is generated by its own pairs.
     """
     limit = bound if bound is not None else env_search_bound(24)
     if len(L.pair_orbits) > limit:
@@ -369,36 +347,47 @@ def enumerate_all(L: SubgroupLattice, bound: int | None = None) -> list[Transfer
     stack = [diag]
     while stack:
         T = stack.pop()
-        for (k, h), mask in masks:
-            if T[k] >> h & 1:
-                continue
-            N = tuple(_close(T, mask))
+        succ = [((k, h), tuple(_close(T, mask))) for (k, h), mask in masks
+                if not T[k] >> h & 1]
+        for _, N in succ:
             if N not in seen:
                 seen.add(N)
                 stack.append(N)
-    return [TransferSystem(L, rows) for rows in sorted(seen, key=lambda r: _rows_key(r, L.n))]
+        yield T, succ
 
 
-def cover_relations(systems: list[TransferSystem]) -> list[tuple[int, int]]:
-    """Indices (i, j) where systems[i] is covered by systems[j], sorted by (j, i).
+def _sorted_systems(L: SubgroupLattice, rows) -> list[TransferSystem]:
+    return [TransferSystem(L, r) for r in sorted(rows, key=lambda r: _rows_key(r, L.n))]
+
+
+def enumerate_all(L: SubgroupLattice, bound: int | None = None) -> list[TransferSystem]:
+    """Every transfer system over L, sorted by deduplication key.
+
+    Refuses if the number of inclusion-pair orbits exceeds the search bound
+    (default 24, overridable via TL_SEARCH_BOUND).
+    """
+    return _sorted_systems(L, [T for T, _ in _walk(L, bound)])
+
+
+def hasse_diagram(L: SubgroupLattice, bound: int | None = None
+                  ) -> tuple[list[TransferSystem], list[tuple[int, int]]]:
+    """Tr(G) as `enumerate_all` lists it, and its covers: the sorted index
+    pairs (i, j) with systems[i] covered by systems[j].
 
     A cover of T is T joined with a pair orbit it lacks, so the covers of T
-    in Tr(G) are the minimal ones among `_close(T, mask)` over the orbits T
-    misses: S is minimal iff each missed orbit S holds closes T to S.  Pairs
-    whose upper end is not in the list are dropped.  For all of Tr(G), and
-    for a maximal chain (each step adds one whole orbit, so is a cover),
-    this is exactly the list's Hasse diagram; for other lists it need not be.
+    are the minimal ones among the successors `_walk` yields for it: S is
+    minimal iff each missed orbit S holds closes T to S.  Refuses as
+    `enumerate_all` does.
     """
-    masks = _orbit_masks(systems[0].lattice) if systems else []
-    index = {T.rows: j for j, T in enumerate(systems)}
-    covers = []
-    for i, T in enumerate(systems):
-        succ = {(k, h): tuple(_close(T.rows, mask))
-                for (k, h), mask in masks if not T.rows[k] >> h & 1}
-        for S in set(succ.values()):
-            if S in index and all(N == S for (k, h), N in succ.items() if S[k] >> h & 1):
-                covers.append((i, index[S]))
-    return sorted(covers, key=lambda c: (c[1], c[0]))
+    # each successor is a fresh tuple; canon keeps one copy of each cover's rows
+    found, canon = {}, {}
+    for T, succ in _walk(L, bound):
+        found[T] = [canon.setdefault(S, S) for S in {N for _, N in succ}
+                    if all(N == S for (k, h), N in succ if S[k] >> h & 1)]
+    systems = _sorted_systems(L, found)
+    index = {T.rows: i for i, T in enumerate(systems)}
+    return systems, sorted((i, index[S]) for i, T in enumerate(systems)
+                           for S in found[T.rows])
 
 
 def aut_orbits(systems, automorphism_perms):

@@ -70,8 +70,9 @@ def test_arrow_pair_syntax_handles_parenthesized_names():
 
 
 def test_unknown_group_is_usage_error():
-    code, _ = invoke("group", "info", "--group", "E8")
-    assert code == 2
+    for token in ("E8", "C2xC1", "C2xC0"):
+        code, _ = invoke("group", "info", "--group", token)
+        assert code == 2, token
 
 
 def test_unknown_flag_is_usage_error():

@@ -7,9 +7,9 @@ import networkx as nx
 import pytest
 
 from trlat.chains import maximal_chain
-from trlat.groups import cyclic_group, make_group
+from trlat.groups import abelian_group, cyclic_group, make_group
 from trlat.lattice import subgroup_lattice
-from trlat.transfer import TransferSystem, enumerate_all
+from trlat.transfer import TransferSystem, enumerate_all, hasse_diagram
 from trlat import serialize
 
 
@@ -103,25 +103,27 @@ def parse_dot_edges(text):
     return set(re.findall(r'"([01]+)"\s*->\s*"([01]+)"', text))
 
 
+def transitive_reduction(systems):
+    """Edges of the refinement order's transitive reduction, by networkx."""
+    full = nx.DiGraph()
+    full.add_nodes_from(T.key for T in systems)
+    for a in systems:
+        for b in systems:
+            if a != b and a.refines(b):
+                full.add_edge(a.key, b.key)
+    return set(nx.transitive_reduction(full).edges())
+
+
 def test_dot_is_exactly_the_transitive_reduction():
-    for name in ("C4", "C6", "K4", "Sym3", "Q8"):
-        L = L_(name)
-        systems = enumerate_all(L)
-        text = serialize.dot_poset(systems)
-        got = parse_dot_edges(text)
-        full = nx.DiGraph()
-        full.add_nodes_from(T.key for T in systems)
-        for a in systems:
-            for b in systems:
-                if a != b and a.refines(b):
-                    full.add_edge(a.key, b.key)
-        reduced = nx.transitive_reduction(full)
-        assert got == set(reduced.edges())
+    groups = [make_group(name) for name in ("C4", "C6", "K4", "Sym3", "Q8", "D10")]
+    for G in groups + [abelian_group((2, 4))]:
+        systems, covers = hasse_diagram(subgroup_lattice(G))
+        text = serialize.dot_poset(systems, covers)
+        assert parse_dot_edges(text) == transitive_reduction(systems)
 
 
 def test_dot_pentagon_shape():
-    systems = enumerate_all(subgroup_lattice(cyclic_group(4)))
-    text = serialize.dot_poset(systems)
+    text = serialize.dot_poset(*hasse_diagram(subgroup_lattice(cyclic_group(4))))
     assert len(parse_dot_edges(text)) == 5
     assert text.count("label=") == 5
 
@@ -129,10 +131,14 @@ def test_dot_pentagon_shape():
 def test_dot_chain_overlay_marks_path():
     L = L_("C4")
     chain = maximal_chain(L)
-    for text in (serialize.dot_chain(chain, enumerate_all(L)), serialize.dot_chain(chain)):
+    for text in (serialize.dot_chain(chain, hasse_diagram(L)), serialize.dot_chain(chain)):
         bold_edges = [line for line in text.splitlines()
                       if "->" in line and "style=bold" in line]
         assert len(bold_edges) == len(chain) - 1
+    # alone, the chain is drawn as its own Hasse diagram
+    for G in (make_group("C4"), make_group("Q8"), make_group("Sym3"), abelian_group((2, 4))):
+        chain = maximal_chain(subgroup_lattice(G))
+        assert parse_dot_edges(serialize.dot_chain(chain)) == transitive_reduction(chain.systems)
 
 
 def test_report_schema_round_trip():

@@ -6,11 +6,11 @@ import pytest
 
 from trlat.groups import abelian_group, cyclic_group, make_group
 from trlat.lattice import automorphisms, subgroup_lattice
-from trlat.transfer import (RelationSet, SearchBoundExceeded, TransferSystem,
+from trlat.transfer import (SearchBoundExceeded, TransferSystem,
                             TransferSystemError, aut_orbits,
                             closed_form_normal_source, closed_form_normal_target,
-                            enumerate_all, generate, irreducible_pairs, is_saturated,
-                            join, meet, validate, validate_matrix)
+                            enumerate_all, generate, hasse_diagram, irreducible_pairs,
+                            is_saturated, join, meet, validate, validate_matrix)
 
 
 def L_(name):
@@ -42,12 +42,6 @@ def test_validate_matrix_dimension_mismatch():
         validate_matrix(L, [[1, 0], [0, 1]])
     matrix = [[k == h or (k, h) == (0, 1) for h in range(L.n)] for k in range(L.n)]
     assert validate_matrix(L, matrix) == []
-
-
-def test_relation_set_rejects_non_inclusion():
-    L = L_("C6")
-    with pytest.raises(TransferSystemError, match="refine inclusion"):
-        RelationSet(L, frozenset({(1, 2)}))  # C2 is not below C3
 
 
 # -- generate -------------------------------------------------------------------
@@ -248,10 +242,19 @@ def test_enumeration_sorted_unique_closed():
                 assert T.relabel(p) in pool
 
 
+@pytest.mark.parametrize("G", [make_group("Q8"), abelian_group((2, 4))], ids=["Q8", "C2xC4"])
+def test_hasse_diagram_lists_enumerate_all(G):
+    L = subgroup_lattice(G)
+    assert hasse_diagram(L)[0] == enumerate_all(L)
+
+
 def test_enumeration_bound_refusal():
     L = L_("Sym4")
-    with pytest.raises(SearchBoundExceeded, match="34"):
+    with pytest.raises(SearchBoundExceeded, match="34") as refused:
         enumerate_all(L)
+    with pytest.raises(SearchBoundExceeded) as hasse_refused:
+        hasse_diagram(L)
+    assert str(hasse_refused.value) == str(refused.value)
 
 
 def test_env_bound_override(monkeypatch):
