@@ -8,15 +8,13 @@ from .transfer import (SearchBoundExceeded, TransferSystem,
                        TransferSystemError, Violation, aut_orbits,
                        closed_form_normal_source, closed_form_normal_target,
                        enumerate_all, generate, hasse_diagram, irreducible_pairs,
-                       is_saturated, join, meet, validate, validate_matrix)
+                       is_saturated, join, meet, validate)
 from .bridge import HSetSpec, OrbitMapSpec, admits, morphism_in_category
-from .universes import (CyclicUniverseIndexSet, all_index_sets, induce_lambda,
-                        induced_character, lambda_character, lambda_kernel_order,
-                        restrict_lambda)
-from .realize import (CocyclicUniverseSpec, LinIsomFixtureRow, NotRealizable,
-                      RepCatalogEntry, catalog,
-                      linisom_cyclic, linisom_fixture, linisom_image_cyclic,
-                      linisom_image_fixture, minimal_steiner_universe,
+from .universes import (CyclicUniverseIndexSet, induce_lambda, induced_character,
+                        lambda_character, lambda_kernel_order)
+from .realize import (LinIsomFixtureRow, NoRealizabilityData, NotRealizable,
+                      RepCatalogEntry, catalog, linisom_cyclic, linisom_fixture,
+                      linisom_image, linisom_image_cyclic, minimal_steiner_universe,
                       realize_saturated_cpn, realize_saturated_cpq, steiner_abelian,
                       steiner_cyclic, steiner_image, unrealized_fixture)
 from .chains import MaximalChain, layer_subgroups, maximal_chain

@@ -13,11 +13,15 @@ from .transfer import (TransferSystem, _conjugation_gap, aut_orbits,
                        closed_form_normal_source, closed_form_normal_target,
                        enumerate_all, generate, is_saturated, meet, validate)
 from .chains import maximal_chain
-from .realize import (_cyclic_lattice, linisom_cyclic, linisom_image_cyclic,
-                      linisom_image_fixture, realize_saturated_cpn, steiner_cyclic,
-                      steiner_image, unrealized_fixture)
+from .realize import (_cyclic_lattice, linisom_cyclic, linisom_image, linisom_image_cyclic,
+                      realize_saturated_cpn, steiner_cyclic, steiner_image,
+                      unrealized_fixture)
 from .universes import (CHARACTER_TOL, induce_lambda, induced_character,
                         lambda_character)
+
+# every group enumerated here has at most this many pair orbits; passed
+# explicitly so that TL_SEARCH_BOUND cannot change what the suite checks
+BOUND = 24
 
 
 def _lattice(name: str):
@@ -25,7 +29,7 @@ def _lattice(name: str):
 
 
 def _tr(name: str) -> list[TransferSystem]:
-    return enumerate_all(_lattice(name))
+    return enumerate_all(_lattice(name), bound=BOUND)
 
 
 def criterion_lattice_counts() -> tuple[bool, str]:
@@ -34,7 +38,7 @@ def criterion_lattice_counts() -> tuple[bool, str]:
     expected = {"C1": 1, "C2": 2, "C3": 2, "C4": 5, "C9": 5, "C8": 14, "C27": 14,
                 "C6": 10, "C15": 10, "K4": 19, "Sym3": 9, "Q8": 68, "D10": 9}
     got = {name: len(_tr(name)) for name in expected}
-    rank2 = {p: len(enumerate_all(subgroup_lattice(abelian_group((p, p)))))
+    rank2 = {p: len(enumerate_all(subgroup_lattice(abelian_group((p, p))), bound=BOUND))
              for p in (2, 3)}
     formula_ok = all(rank2[p] == 2 ** (p + 2) + p + 1 for p in (2, 3))
     ok = got == expected and formula_ok
@@ -49,8 +53,8 @@ def criterion_q8_orbit_profile() -> tuple[bool, str]:
     return ok, f"{len(orbits)} orbits, profile {profile}"
 
 
-def _realized(name: str) -> set[TransferSystem]:
-    return set(steiner_image(name)) | set(linisom_image_fixture(name))
+def _realized(L) -> set[TransferSystem]:
+    return set(steiner_image(L)) | set(linisom_image(L)[0])
 
 
 def _orbit_keysets(systems, group) -> set[frozenset]:
@@ -65,9 +69,10 @@ def criterion_realizability_unions() -> tuple[bool, str]:
     details = []
     ok = True
     for name, (hits, total) in expected.items():
-        G = make_group(name)
-        tr = _tr(name)
-        realized = _realized(name)
+        L = _lattice(name)
+        G = L.group
+        tr = enumerate_all(L, bound=BOUND)
+        realized = _realized(L)
         details.append(f"{name}: {len(realized)}/{len(tr)}")
         if (len(realized), len(tr)) != (hits, total):
             ok = False
@@ -76,7 +81,7 @@ def criterion_realizability_unions() -> tuple[bool, str]:
         produced = _orbit_keysets(unrealized, G)
         shipped = set()
         for rep in unrealized_fixture(name):
-            orbit = {rep.relabel(subgroup_lattice(G).subgroup_perm(s)).key
+            orbit = {rep.relabel(L.subgroup_perm(s)).key
                      for s in automorphisms(G)}
             shipped.add(frozenset(orbit))
         if produced != shipped:
@@ -93,7 +98,7 @@ def criterion_cp2_complete_cp3_excluded() -> tuple[bool, str]:
     for p in (2, 3):
         L2 = subgroup_lattice(cyclic_group(p * p))
         covered = set(steiner_image(L2)) | set(linisom_image_cyclic(p * p))
-        total = set(enumerate_all(L2))
+        total = set(enumerate_all(L2, bound=BOUND))
         if covered != total or len(total) != 5:
             ok = False
         details.append(f"p={p}: covered {len(covered)}/{len(total)}")
@@ -133,7 +138,7 @@ def criterion_cpq_classification() -> tuple[bool, str]:
                                  (3, 5, [(1, 5)]), (5, 7, [])):
         n = p * q
         L, of_order = _cyclic_lattice(n)
-        saturated = {T for T in enumerate_all(L) if is_saturated(T)}
+        saturated = {T for T in enumerate_all(L, bound=BOUND) if is_saturated(T)}
         excluded = {generate(L, [(of_order[d], of_order[e])]) for d, e in missing_orders}
         image = set(linisom_image_cyclic(n))
         eq = image == saturated - excluded
@@ -183,7 +188,7 @@ def criterion_generator_correctness(samples: int = 200) -> tuple[bool, str]:
     for name in ORACLE_GROUPS:
         G = _group_for(name)
         L = subgroup_lattice(G)
-        systems = enumerate_all(L, bound=24)
+        systems = enumerate_all(L, bound=BOUND)
         for _ in range(samples):
             k = rng.randint(0, min(len(L.proper_pairs), 5))
             R = rng.sample(L.proper_pairs, k) if k else []
@@ -273,7 +278,7 @@ def criterion_noncyclic_exclusion() -> tuple[bool, str]:
     the embedding image for C3xC3."""
     LK = _lattice("K4")
     bad_k4 = generate(LK, [(0, LK.full)])
-    k4_out = bad_k4 not in _realized("K4")
+    k4_out = bad_k4 not in _realized(LK)
     L33 = subgroup_lattice(abelian_group((3, 3)))
     bad33 = generate(L33, [(0, L33.full)])
     c33_out = bad33 not in set(steiner_image(L33))

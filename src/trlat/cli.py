@@ -8,6 +8,8 @@ import re
 import sys
 import time
 
+import jsonschema
+
 from . import acceptance, serialize
 from .groups import GroupValidationError, abelian_group, builtin_group, group_spec, make_group
 from .lattice import automorphisms, subgroup_lattice
@@ -15,11 +17,9 @@ from .transfer import (SearchBoundExceeded, TransferSystem, TransferSystemError,
                        enumerate_all, generate, hasse_diagram, is_saturated, non_negative_int,
                        validate)
 from .chains import maximal_chain
-from .realize import (CATALOG_GROUPS, NotRealizable, linisom_fixture,
-                      linisom_image_cyclic, linisom_image_fixture,
+from .realize import (NoRealizabilityData, NotRealizable, linisom_image,
                       minimal_steiner_universe, realize_saturated_cpn,
                       realize_saturated_cpq, steiner_image)
-from .universes import index_set_count
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
@@ -32,8 +32,14 @@ class UsageError(Exception):
 def parse_group(token: str):
     """Group from a CLI token: builtin/C<n>/D<2p>, C*xC* products, or @spec.json."""
     if token.startswith("@"):
-        with open(token[1:]) as fh:
-            return serialize.group_from_json(json.load(fh))
+        try:
+            with open(token[1:]) as fh:
+                return serialize.group_from_json(json.load(fh))
+        except jsonschema.ValidationError as exc:
+            raise UsageError(f"group spec {token[1:]}: {exc.message}") from None
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+                GroupValidationError) as exc:
+            raise UsageError(f"group spec {token[1:]}: {exc}") from None
     try:
         if re.fullmatch(r"C\d+(xC\d+)+", token):
             return abelian_group(tuple(int(f[1:]) for f in token.split("x")))
@@ -172,25 +178,13 @@ def cmd_ts_enumerate(ns, out) -> int:
 def cmd_image(ns, out) -> int:
     G = parse_group(ns.group)
     L = subgroup_lattice(G)
-    builtin = G.spec["name"] if G.kind == "builtin" else None
-    universes = None
-    if ns.which == "steiner" and G.is_abelian:
-        systems = steiner_image(L)
-    elif ns.which == "steiner" and builtin in CATALOG_GROUPS:
-        systems = steiner_image(builtin)
-    elif ns.which == "linisom" and G.kind == "cyclic":
-        systems = linisom_image_cyclic(G.order)
-        universes = index_set_count(G.order)
-    elif ns.which == "linisom" and builtin in CATALOG_GROUPS:
-        systems = linisom_image_fixture(builtin)
-        universes = len(linisom_fixture(builtin))
-    elif G.is_abelian:
-        raise UsageError(f"no isometries-map data for {G.name}; "
-                         "supported: cyclic groups and " + ", ".join(CATALOG_GROUPS))
-    else:
-        raise UsageError(f"no realizability data for {G.name}; supported: abelian "
-                         "groups (steiner), cyclic groups (linisom), and "
-                         + ", ".join(CATALOG_GROUPS))
+    try:
+        if ns.which == "steiner":
+            systems, universes = steiner_image(L), None
+        else:
+            systems, universes = linisom_image(L)
+    except NoRealizabilityData as exc:
+        raise UsageError(str(exc)) from None
     results = {"map": ns.which, "count": len(systems),
                "systems": [_named_pairs(T) for T in systems]}
     if universes is not None:

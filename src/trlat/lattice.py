@@ -120,8 +120,9 @@ class SubgroupLattice:
 
     @property
     def fingerprint(self) -> tuple:
-        return (self.group.name, self.group.order, self.n,
-                tuple(tuple(sorted(s)) for s in self.subgroups))
+        """The group's Cayley table, which fixes the canonical subgroup list;
+        names play no part."""
+        return self.group._table
 
     def __repr__(self) -> str:
         return f"SubgroupLattice({self.group.name}, {self.n} subgroups)"

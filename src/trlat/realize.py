@@ -5,7 +5,8 @@ Two maps out of the cube of universes are computed: the "embedding" map
 data, and the "isometries" map (linisom_*), which for cyclic groups is
 decided by the translation-invariance criterion on reduced index sets.
 Non-cyclic, non-abelian cases ship as fixture tables; the module refuses to
-approximate them.
+approximate them.  Which data a group has is decided here alone, from how
+it was built; a group without data raises `NoRealizabilityData`.
 """
 
 from __future__ import annotations
@@ -17,29 +18,20 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .groups import cyclic_group, make_group
+from .groups import FiniteGroup, cyclic_group, make_group
 from .lattice import SubgroupLattice, subgroup_lattice
-from .transfer import (SearchBoundExceeded, TransferSystem, env_search_bound,
-                       generate, is_saturated, irreducible_pairs)
+from .transfer import (SearchBoundExceeded, TransferSystem, generate, is_saturated,
+                       irreducible_pairs)
 from .universes import (CyclicUniverseIndexSet, _negation_classes, index_set_count,
                         lambda_kernel_order)
 
 CATALOG_GROUPS = ("K4", "Q8", "Sym3")
+# 2^(n // 2) universes over C_n: the scan reaches every n <= 43
+UNIVERSE_SCAN_LIMIT = 1 << 21
 
 
-@dataclass(frozen=True)
-class CocyclicUniverseSpec:
-    """A universe over an abelian group, recorded by its proper cocyclic kernels."""
-
-    lattice: SubgroupLattice
-    kernels: frozenset[int]
-
-    def __post_init__(self):
-        if not self.lattice.group.is_abelian:
-            raise ValueError(f"{self.lattice.group.name} is not abelian")
-        for s in self.kernels:
-            if s == self.lattice.full or not self.lattice.cocyclic[s]:
-                raise ValueError(f"subgroup {self.lattice.names[s]} is not proper cocyclic")
+class NoRealizabilityData(ValueError):
+    """Raised for a group that the asked realizability map has no data for."""
 
 
 @dataclass(frozen=True)
@@ -90,9 +82,19 @@ def _resolve_pairs(L: SubgroupLattice, pairs) -> list[tuple[int, int]]:
 
 def _require_catalog_group(name: str) -> SubgroupLattice:
     if name not in CATALOG_GROUPS:
-        raise ValueError(f"no realizability data for group {name!r}; "
-                         f"supported: {', '.join(CATALOG_GROUPS)}")
+        raise NoRealizabilityData(f"no realizability data for group {name!r}; "
+                                  f"supported: {', '.join(CATALOG_GROUPS)}")
     return subgroup_lattice(make_group(name))
+
+
+def _catalog_name(G: FiniteGroup, what: str, supported: str) -> str:
+    """The fixture name of a catalog group as its constructor built it; any
+    other group has no `what` data."""
+    name = G.spec["name"] if G.kind == "builtin" else None
+    if name not in CATALOG_GROUPS:
+        raise NoRealizabilityData(f"no {what} data for {G.name}; supported: {supported} "
+                                  "and " + ", ".join(CATALOG_GROUPS))
+    return name
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,43 +173,33 @@ def steiner_cyclic(n: int, index_set) -> TransferSystem:
     return generate(L, pairs)
 
 
-def steiner_abelian(L, kernels=None) -> TransferSystem:
-    """Embedding-map value generated by (H_i, G) over the given kernels.
+def steiner_abelian(L: SubgroupLattice, kernels) -> TransferSystem:
+    """Embedding-map value generated by (H_i, G) over the given proper
+    cocyclic subgroup indices H_i of an abelian group."""
+    if not L.group.is_abelian:
+        raise ValueError(f"{L.group.name} is not abelian")
+    kernels = sorted(set(kernels))
+    for s in kernels:
+        if s == L.full or not L.cocyclic[s]:
+            raise ValueError(f"subgroup {L.names[s]} is not proper cocyclic")
+    return generate(L, [(s, L.full) for s in kernels])
 
-    Accepts a CocyclicUniverseSpec, or a lattice plus an iterable of proper
-    cocyclic subgroup indices.
+
+def steiner_image(L: SubgroupLattice) -> list[TransferSystem]:
+    """All embedding-map values, deduplicated and sorted.
+
+    One value per subset of summands, generated from the union of their
+    orbit pairs.  An abelian group has one summand ((H, G),) per proper
+    cocyclic H; a catalog group takes its summands from `catalog`.
     """
-    if isinstance(L, CocyclicUniverseSpec):
-        spec = L
+    if L.group.is_abelian:
+        summands = [((s, L.full),) for s in range(L.n - 1) if L.cocyclic[s]]
     else:
-        spec = CocyclicUniverseSpec(L, frozenset(kernels))
-    return generate(spec.lattice,
-                    [(s, spec.lattice.full) for s in sorted(spec.kernels)])
-
-
-def steiner_image(target) -> list[TransferSystem]:
-    """All embedding-map values: over an abelian lattice, or a catalog group.
-
-    Abelian: every subset of proper cocyclic subgroups.  Catalog group:
-    every subset of the irreducible summand catalog, generated from the
-    union of their orbit pairs.  Deduplicated and sorted.
-    """
-    if isinstance(target, SubgroupLattice):
-        if not target.group.is_abelian:
-            raise ValueError(f"{target.group.name} is not abelian; "
-                             "only catalog groups are supported beyond abelian ones")
-        kernels = [s for s in range(target.n - 1) if target.cocyclic[s]]
-        values = {steiner_abelian(target, combo)
-                  for r in range(len(kernels) + 1)
-                  for combo in itertools.combinations(kernels, r)}
-    else:
-        L = _require_catalog_group(target)
-        reps = catalog(target)
-        values = set()
-        for r in range(len(reps) + 1):
-            for combo in itertools.combinations(reps, r):
-                pairs = [p for entry in combo for p in entry.orb_pairs]
-                values.add(generate(L, pairs))
+        name = _catalog_name(L.group, "embedding-map", "abelian groups")
+        summands = [entry.orb_pairs for entry in catalog(name)]
+    values = {generate(L, [p for summand in combo for p in summand])
+              for r in range(len(summands) + 1)
+              for combo in itertools.combinations(summands, r)}
     return sorted(values, key=lambda t: t.key)
 
 
@@ -240,17 +232,16 @@ def linisom_cyclic(n: int, index_set) -> TransferSystem:
     return T
 
 
-def linisom_image_cyclic(n: int, bound: int | None = None) -> list[TransferSystem]:
+def linisom_image_cyclic(n: int) -> list[TransferSystem]:
     """All isometries-map values on C_n, over every index set.
 
     Index sets are scanned as bitmask reductions per divisor, deduplicating
     on the vector of translation-invariance outcomes before any transfer
-    system is materialized.
+    system is materialized.  Refused above UNIVERSE_SCAN_LIMIT universes.
     """
-    limit = bound if bound is not None else env_search_bound(1 << 20)
-    if index_set_count(n) > limit:
-        raise SearchBoundExceeded(
-            f"C{n} has {index_set_count(n)} universes, above the search bound {limit}")
+    if index_set_count(n) > UNIVERSE_SCAN_LIMIT:
+        raise SearchBoundExceeded(f"C{n} has {index_set_count(n)} universes, above "
+                                  f"the scan limit {UNIVERSE_SCAN_LIMIT}")
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     div_pos = {d: i for i, d in enumerate(divisors)}
     order_pairs = [(d, e) for d in divisors for e in divisors if d < e and e % d == 0]
@@ -281,10 +272,15 @@ def linisom_image_cyclic(n: int, bound: int | None = None) -> list[TransferSyste
     return sorted(values, key=lambda t: t.key)
 
 
-def linisom_image_fixture(name: str) -> list[TransferSystem]:
-    """Distinct isometries-map values for a fixture group."""
-    values = {row.system for row in linisom_fixture(name)}
-    return sorted(values, key=lambda t: t.key)
+def linisom_image(L: SubgroupLattice) -> tuple[list[TransferSystem], int]:
+    """The distinct isometries-map values, sorted, and the number of universes
+    they come from: the scan for a cyclic group, fixture rows for a catalog
+    group."""
+    G = L.group
+    if G.kind == "cyclic":
+        return linisom_image_cyclic(G.order), index_set_count(G.order)
+    rows = linisom_fixture(_catalog_name(G, "isometries-map", "cyclic groups"))
+    return sorted({row.system for row in rows}, key=lambda t: t.key), len(rows)
 
 
 # -- constructing realizing universes ------------------------------------------

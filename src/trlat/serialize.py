@@ -22,6 +22,10 @@ GROUP_SCHEMA = {
         "table": {"type": "array", "items": {"type": "array", "items": {"type": "integer"}}},
         "names": {"type": "array", "items": {"type": "string"}},
     },
+    "allOf": [{"if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+               "then": {"required": [field]}}
+              for kind, field in (("cyclic", "n"), ("abelian", "factors"),
+                                  ("builtin", "name"), ("table", "table"))],
 }
 
 SYSTEM_SCHEMA = {

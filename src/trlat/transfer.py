@@ -16,7 +16,7 @@ class TransferSystemError(ValueError):
 
 
 class SearchBoundExceeded(ValueError):
-    """Raised when an enumeration would exceed the configured search bound."""
+    """Raised when an enumeration or a scan would exceed its bound."""
 
 
 def non_negative_int(raw: str, what: str) -> int:
@@ -60,7 +60,7 @@ class TransferSystem:
     def __init__(self, lattice: SubgroupLattice, rows: tuple[int, ...]):
         self.lattice = lattice
         self.rows = rows
-        self._hash = hash((lattice.group.name, lattice.n, rows))
+        self._hash = hash(rows)
 
     @classmethod
     def diagonal(cls, lattice: SubgroupLattice) -> "TransferSystem":
@@ -202,21 +202,6 @@ def _checked(L: SubgroupLattice, rows: tuple[int, ...], what: str) -> TransferSy
 def validate(L: SubgroupLattice, relation) -> list[Violation]:
     """Check the transfer-system axioms on a pair set; [] means valid."""
     return _violations(L, _rows_of(L, relation))
-
-
-def validate_matrix(L: SubgroupLattice, matrix) -> list[Violation]:
-    """Check the axioms on a full boolean relation matrix.
-
-    The matrix must be square of the lattice dimension; a mismatch raises
-    rather than being reported as an axiom violation.
-    """
-    matrix = [list(row) for row in matrix]
-    if len(matrix) != L.n or any(len(row) != L.n for row in matrix):
-        raise ValueError(f"matrix dimensions {len(matrix)}x"
-                         f"{len(matrix[0]) if matrix else 0} do not match "
-                         f"lattice size {L.n}")
-    return validate(L, [(k, h) for k in range(L.n) for h in range(L.n)
-                        if matrix[k][h] and k != h])
 
 
 # -- generation (smallest transfer system containing a relation) -------------

@@ -60,13 +60,6 @@ def lambda_character(n: int, m: int, j: int) -> float:
     return 2.0 * math.cos(2.0 * math.pi * m * j / n)
 
 
-def restrict_lambda(n: int, d: int, m: int) -> int:
-    """Restriction to C_d of the label-m representation: label m mod d."""
-    if n % d != 0:
-        raise ValueError(f"{d} does not divide {n}")
-    return m % d
-
-
 def induce_lambda(d: int, n: int, m: int) -> list[int]:
     """Induction from C_d to C_n of label m: labels m + d*a for 0 <= a < n/d."""
     if n % d != 0:
@@ -91,17 +84,6 @@ def lambda_kernel_order(n: int, i: int) -> int:
 def _negation_classes(n: int) -> list[frozenset[int]]:
     """The classes {i, -i} of the nonzero residues mod n, by least member."""
     return [frozenset({i, n - i}) for i in range(1, n // 2 + 1)]
-
-
-def all_index_sets(n: int):
-    """All canonical index sets mod n, by choice of negation classes."""
-    classes = _negation_classes(n)
-    for bits in range(1 << len(classes)):
-        members = {0}
-        for pos, cls in enumerate(classes):
-            if bits >> pos & 1:
-                members |= cls
-        yield CyclicUniverseIndexSet(n, frozenset(members))
 
 
 def index_set_count(n: int) -> int:

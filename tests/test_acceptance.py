@@ -2,6 +2,7 @@
 
 import pytest
 
+from trlat import acceptance
 from trlat.acceptance import CRITERIA
 
 
@@ -11,3 +12,9 @@ def test_criterion(number, name, fn, capsys):
     with capsys.disabled():
         print(f"\n{'PASS' if passed else 'FAIL'}  criterion {number} ({name}): {detail}")
     assert passed, f"criterion {number} ({name}): {detail}"
+
+
+@pytest.mark.parametrize("bound", ["5", "40"])
+def test_suite_ignores_search_bound(bound, monkeypatch):
+    monkeypatch.setenv("TL_SEARCH_BOUND", bound)
+    assert acceptance.run_all(report=lambda line: None)

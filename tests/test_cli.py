@@ -69,10 +69,25 @@ def test_arrow_pair_syntax_handles_parenthesized_names():
     assert doc["results"]["pair_count"] == 3
 
 
-def test_unknown_group_is_usage_error():
+def test_unknown_group_is_usage_error(tmp_path, capsys):
     for token in ("E8", "C2xC1", "C2xC0"):
         code, _ = invoke("group", "info", "--group", token)
         assert code == 2, token
+    specs = {"cyclic_without_n": {"schema_version": 1, "kind": "cyclic"},
+             "abelian_without_factors": {"schema_version": 1, "kind": "abelian"},
+             "table_without_table": {"schema_version": 1, "kind": "table"},
+             "unknown_kind": {"schema_version": 1, "kind": "foo"},
+             "zero_order": {"schema_version": 1, "kind": "cyclic", "n": 0}}
+    for name, spec in specs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+    (tmp_path / "not_json.json").write_text("C8, please")
+    capsys.readouterr()
+    for name in [*specs, "not_json", "missing"]:
+        code, out = invoke("group", "info", "--group", f"@{tmp_path / name}.json")
+        err = capsys.readouterr().err
+        assert (code, out) == (2, ""), name
+        assert err.startswith("usage error: ") and err.count("\n") == 1, (name, err)
+        assert "Traceback" not in err
 
 
 def test_unknown_flag_is_usage_error():
@@ -151,9 +166,16 @@ def test_image_linisom_q8_fixture():
     assert doc["results"]["universe_count"] == 16
 
 
-def test_image_unsupported_group(tmp_path):
+def test_image_unsupported_group(tmp_path, capsys):
     code, _ = invoke("image", "steiner", "--group", "Sym4")
     assert code == 2
+    assert capsys.readouterr().err == ("usage error: no embedding-map data for Sym4; "
+                                       "supported: abelian groups and K4, Q8, Sym3\n")
+    for token in ("C2xC4", "D10"):
+        code, _ = invoke("image", "linisom", "--group", token)
+        assert code == 2
+        assert capsys.readouterr().err == (f"usage error: no isometries-map data for {token}; "
+                                           "supported: cyclic groups and K4, Q8, Sym3\n")
     # a relabeled table is a table: its name picks neither a fixture nor C_n
     k4 = trlat.make_group("K4")
     table = [[k4.compose(a, b) for b in range(4)] for a in range(4)]

@@ -1,15 +1,16 @@
 """Realizability maps, their images, realizing universes, and fixture tables."""
 
+import itertools
 import random
 
 import pytest
 
 from trlat.groups import abelian_group, cyclic_group, make_group
 from trlat.lattice import automorphisms, subgroup_lattice
-from trlat.transfer import (TransferSystem, aut_orbits, enumerate_all, generate,
-                            is_saturated, join, meet)
+from trlat.transfer import (SearchBoundExceeded, TransferSystem, aut_orbits,
+                            enumerate_all, generate, is_saturated, join, meet)
 from trlat.realize import (NotRealizable, catalog, linisom_cyclic, linisom_fixture,
-                           linisom_image_cyclic, linisom_image_fixture,
+                           linisom_image, linisom_image_cyclic,
                            minimal_steiner_universe, realize_saturated_cpn,
                            realize_saturated_cpq, steiner_abelian, steiner_cyclic,
                            steiner_image, unrealized_fixture)
@@ -56,16 +57,6 @@ def test_steiner_abelian_k4_rows():
          ("<b>", "K4"), ("<c>", "K4")}
 
 
-def test_steiner_abelian_accepts_spec_object():
-    from trlat.realize import CocyclicUniverseSpec
-    L = L_("K4")
-    c = L.resolve_name("<c>")
-    spec = CocyclicUniverseSpec(L, frozenset({c}))
-    assert steiner_abelian(spec) == steiner_abelian(L, [c])
-    with pytest.raises(ValueError, match="cocyclic"):
-        CocyclicUniverseSpec(L, frozenset({0}))
-
-
 def test_steiner_abelian_rejects_bad_kernels():
     L = L_("Sym3")
     with pytest.raises(ValueError, match="not abelian"):
@@ -84,12 +75,17 @@ def test_steiner_image_counts():
     assert len(k4) == 8
     orbits, _ = aut_orbits(k4, automorphisms(make_group("K4")))
     assert len(orbits) == 4
-    assert len(steiner_image("Q8")) == 16
-    assert len(steiner_image("Sym3")) == 4
+    assert len(steiner_image(L_("Q8"))) == 16
+    assert len(steiner_image(L_("Sym3"))) == 4
 
 
 def test_steiner_image_k4_catalog_agrees_with_abelian_route():
-    assert steiner_image("K4") == steiner_image(L_("K4"))
+    L = L_("K4")
+    reps = catalog("K4")
+    from_catalog = {generate(L, [p for entry in combo for p in entry.orb_pairs])
+                    for r in range(len(reps) + 1)
+                    for combo in itertools.combinations(reps, r)}
+    assert sorted(from_catalog, key=lambda t: t.key) == steiner_image(L)
 
 
 def test_steiner_members_generated_by_top_targeted_pairs():
@@ -162,6 +158,17 @@ def test_linisom_image_counts():
     assert len(linisom_image_cyclic(6)) == 5
     assert len(linisom_image_cyclic(5)) == 2
     assert len(linisom_image_cyclic(7)) == 2
+    assert linisom_image(subgroup_lattice(cyclic_group(6))) == (linisom_image_cyclic(6), 8)
+    systems, universes = linisom_image(L_("Q8"))
+    assert (len(systems), universes) == (12, 16)
+
+
+def test_linisom_scan_limit_is_fixed(monkeypatch):
+    monkeypatch.setenv("TL_SEARCH_BOUND", "0")
+    assert len(linisom_image_cyclic(9)) == 4
+    with pytest.raises(SearchBoundExceeded, match="C44 has 4194304 universes, above "
+                                                  "the scan limit 2097152"):
+        linisom_image_cyclic(44)
 
 
 def test_linisom_image_c4_is_saturated_set():
@@ -298,7 +305,7 @@ def test_noncyclic_exclusion():
     LK = L_("K4")
     bad = generate(LK, [(0, LK.full)])
     assert bad not in set(steiner_image(LK))
-    assert bad not in set(linisom_image_fixture("K4"))
+    assert bad not in set(linisom_image(LK)[0])
     L33 = subgroup_lattice(abelian_group((3, 3)))
     assert generate(L33, [(0, L33.full)]) not in set(steiner_image(L33))
 
@@ -350,7 +357,7 @@ def test_k4_fixture_trivial_universe_row():
 def test_realized_fractions():
     for name, hits, total in (("K4", 9, 19), ("Sym3", 5, 9), ("Q8", 22, 68)):
         L = L_(name)
-        realized = set(steiner_image(name)) | set(linisom_image_fixture(name))
+        realized = set(steiner_image(L)) | set(linisom_image(L)[0])
         assert len(realized) == hits
         assert len(enumerate_all(L)) == total
 
@@ -359,7 +366,7 @@ def test_unrealized_lists_match():
     for name in ("K4", "Sym3", "Q8"):
         G = make_group(name)
         L = subgroup_lattice(G)
-        realized = set(steiner_image(name)) | set(linisom_image_fixture(name))
+        realized = set(steiner_image(L)) | set(linisom_image(L)[0])
         unrealized = [T for T in enumerate_all(L) if T not in realized]
         orbits, _ = aut_orbits(unrealized, automorphisms(G))
         reps = unrealized_fixture(name)

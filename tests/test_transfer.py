@@ -10,7 +10,7 @@ from trlat.transfer import (SearchBoundExceeded, TransferSystem,
                             TransferSystemError, aut_orbits,
                             closed_form_normal_source, closed_form_normal_target,
                             enumerate_all, generate, hasse_diagram, irreducible_pairs,
-                            is_saturated, join, meet, validate, validate_matrix)
+                            is_saturated, join, meet, validate)
 
 
 def L_(name):
@@ -34,14 +34,6 @@ def test_restriction_violation_witness():
     # 1 -> C4 without 1 -> C2: restriction along C2 is missing
     bad = validate(L, [(0, 2)])
     assert any(v.axiom == "restriction" and v.pair == (0, 1) for v in bad)
-
-
-def test_validate_matrix_dimension_mismatch():
-    L = L_("C4")
-    with pytest.raises(ValueError, match="dimension"):
-        validate_matrix(L, [[1, 0], [0, 1]])
-    matrix = [[k == h or (k, h) == (0, 1) for h in range(L.n)] for k in range(L.n)]
-    assert validate_matrix(L, matrix) == []
 
 
 # -- generate -------------------------------------------------------------------
@@ -191,6 +183,18 @@ def test_meet_join_are_lattice_ops():
 def test_lattice_mismatch_rejected():
     with pytest.raises(ValueError, match="different lattices"):
         meet(TransferSystem.diagonal(L_("C4")), TransferSystem.diagonal(L_("C6")))
+
+
+def test_renamed_copies_of_one_table_share_systems():
+    G = make_group("Sym3")
+    table = [[G.compose(a, b) for b in range(G.order)] for a in range(G.order)]
+    LX = subgroup_lattice(make_group({"kind": "table", "table": table, "name": "X"}))
+    LY = subgroup_lattice(make_group({"kind": "table", "table": table, "name": "Y",
+                                      "names": [f"y{i}" for i in range(G.order)]}))
+    TX, TY = generate(LX, [(1, LX.full)]), generate(LY, [(1, LY.full)])
+    assert TX == TY and hash(TX) == hash(TY)
+    assert join(TX, TransferSystem.diagonal(LY)) == TX
+    assert meet(TX, TransferSystem.maximum(LY)) == TY
 
 
 # -- enumeration ----------------------------------------------------------------
