@@ -118,20 +118,29 @@ class FiniteGroup:
         return self._abelian
 
     def closure(self, seed: Iterable[int]) -> frozenset[int]:
-        """Subgroup generated by the given elements."""
+        """Subgroup generated by the given elements.
+
+        Seed elements already reached are skipped; each new one joins the
+        generators, and the members are closed under right multiplication
+        by them, which in a finite group also captures inverses.
+        """
         members = {self.identity}
-        frontier = set(seed) - members
-        members |= frontier
-        while frontier:
-            new = set()
-            for x in frontier:
-                for y in list(members):
-                    for z in (self._table[x][y], self._table[y][x]):
+        gens: list[int] = []
+        for g in seed:
+            if g in members:
+                continue
+            gens.append(g)
+            frontier = list(members)
+            while frontier:
+                new = []
+                for x in frontier:
+                    row = self._table[x]
+                    for s in gens:
+                        z = row[s]
                         if z not in members:
-                            new.add(z)
-            members |= new
-            frontier = new
-        # closing under products from the identity also captures inverses
+                            members.add(z)
+                            new.append(z)
+                frontier = new
         return frozenset(members)
 
     @property

@@ -28,6 +28,9 @@ from .universes import (CyclicUniverseIndexSet, _negation_classes, index_set_cou
 CATALOG_GROUPS = ("K4", "Q8", "Sym3")
 # 2^(n // 2) universes over C_n: the scan reaches every n <= 43
 UNIVERSE_SCAN_LIMIT = 1 << 21
+# 2^k summand subsets for k summands: C2xC2xC6, with 15, is the largest
+# abelian group of order <= 24
+STEINER_SUBSET_LIMIT = 1 << 15
 
 
 class NoRealizabilityData(ValueError):
@@ -190,13 +193,18 @@ def steiner_image(L: SubgroupLattice) -> list[TransferSystem]:
 
     One value per subset of summands, generated from the union of their
     orbit pairs.  An abelian group has one summand ((H, G),) per proper
-    cocyclic H; a catalog group takes its summands from `catalog`.
+    cocyclic H; a catalog group takes its summands from `catalog`.  Refused
+    before any generation above STEINER_SUBSET_LIMIT subsets.
     """
     if L.group.is_abelian:
         summands = [((s, L.full),) for s in range(L.n - 1) if L.cocyclic[s]]
     else:
         name = _catalog_name(L.group, "embedding-map", "abelian groups")
         summands = [entry.orb_pairs for entry in catalog(name)]
+    if 1 << len(summands) > STEINER_SUBSET_LIMIT:
+        raise SearchBoundExceeded(
+            f"{L.group.name} has {len(summands)} embedding-map summands, "
+            f"{1 << len(summands)} subsets, above the subset limit {STEINER_SUBSET_LIMIT}")
     values = {generate(L, [p for summand in combo for p in summand])
               for r in range(len(summands) + 1)
               for combo in itertools.combinations(summands, r)}

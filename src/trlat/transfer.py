@@ -6,6 +6,7 @@ rows[k] means the relation K_k -> H_h holds (canonical lattice indices).
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from .lattice import SubgroupLattice
@@ -93,8 +94,14 @@ class TransferSystem:
 
     def pairs(self) -> list[tuple[int, int]]:
         """Nontrivial related pairs, sorted."""
-        return [(k, h) for k in range(self.lattice.n) for h in range(self.lattice.n)
-                if k != h and self.rows[k] >> h & 1]
+        out = []
+        for k, bits in enumerate(self.rows):
+            bits &= ~(1 << k)
+            while bits:
+                low = bits & -bits
+                out.append((k, low.bit_length() - 1))
+                bits ^= low
+        return out
 
     def pair_count(self) -> int:
         return sum((r & ~(1 << k)).bit_count() for k, r in enumerate(self.rows))
@@ -102,14 +109,15 @@ class TransferSystem:
     @property
     def key(self) -> str:
         """Row-major bit string; the deduplication and sort key."""
-        return _rows_key(self.rows, self.lattice.n)
+        fmt = f"0{self.lattice.n}b"
+        return "".join([format(r, fmt)[::-1] for r in self.rows])
 
     def refines(self, other: "TransferSystem") -> bool:
         return all(r & ~s == 0 for r, s in zip(self.rows, other.rows))
 
     def relabel(self, perm: tuple[int, ...]) -> "TransferSystem":
         """Push the system forward along a subgroup-index permutation."""
-        return TransferSystem(self.lattice, _relabel_rows(self.rows, perm))
+        return TransferSystem(self.lattice, _relabeler(perm)(self.rows))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TransferSystem) and self.rows == other.rows
@@ -125,24 +133,30 @@ class TransferSystem:
         return f"TransferSystem({self.lattice.group.name}: {' '.join(named) or 'diagonal'})"
 
 
-def _rows_key(rows: tuple[int, ...], n: int) -> str:
-    """Row-major bit string of rows over n subgroups: TransferSystem.key."""
-    fmt = f"0{n}b"
-    return "".join([format(r, fmt)[::-1] for r in rows])
-
-
-def _relabel_rows(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Rows pushed forward along a subgroup-index permutation."""
+def _relabeler(perm: tuple[int, ...]):
+    """Rows -> rows pushed forward along a subgroup-index permutation,
+    remembering the image of each row int it has seen."""
     images = [1 << p for p in perm]
-    out = [0] * len(rows)
-    for p, bits in zip(perm, rows):
-        image = 0
-        while bits:
-            low = bits & -bits
-            image |= images[low.bit_length() - 1]
-            bits ^= low
-        out[p] = image
-    return tuple(out)
+    memo: dict[int, int] = {}
+
+    def image(bits: int) -> int:
+        out = memo.get(bits)
+        if out is None:
+            out, rest = 0, bits
+            while rest:
+                low = rest & -rest
+                out |= images[low.bit_length() - 1]
+                rest ^= low
+            memo[bits] = out
+        return out
+
+    def relabel(rows: tuple[int, ...]) -> tuple[int, ...]:
+        out = [0] * len(rows)
+        for p, bits in zip(perm, rows):
+            out[p] = image(bits)
+        return tuple(out)
+
+    return relabel
 
 
 # -- validation ---------------------------------------------------------------
@@ -222,36 +236,67 @@ def _add_pair_closure(L: SubgroupLattice, rows: list[int], pairs) -> None:
                 rows[L.intersect[l][k]] |= 1 << l
 
 
-def _close(rows, edges):
-    """Transitive closure of reflexive, transitive rows plus (source, targets) edges.
+@functools.cache
+def _packing(n: int) -> tuple[int, int]:
+    """The packed diagonal over n subgroups, and colbase: bit k*n of every row k."""
+    return (sum(1 << k * (n + 1) for k in range(n)),
+            sum(1 << k * n for k in range(n)))
+
+
+def _pack(rows: tuple[int, ...], n: int) -> int:
+    """Rows as one int: bit k*n + h stands for the pair (k, h)."""
+    packed = 0
+    for k, bits in enumerate(rows):
+        packed |= bits << k * n
+    return packed
+
+
+def _unpack(packed: int, n: int, interned: dict[int, int] | None = None) -> tuple[int, ...]:
+    """The rows of a packed system, each row int taken from `interned` when
+    given, so that many systems share one copy of a row."""
+    full = (1 << n) - 1
+    rows = [packed >> shift & full for shift in range(0, n * n, n)]
+    if interned is not None:
+        rows = [interned.setdefault(r, r) for r in rows]
+    return tuple(rows)
+
+
+def _close(P: int, edges, n: int) -> int:
+    """Transitive closure of a packed reflexive, transitive system P over n
+    subgroups plus (source, targets) edges.
 
     Source by source: with J the new targets of i, every row reaching i
     (i itself included) gains all that J reaches.  This is exact because a
     transitive relation plus edges from one source i is closed by exactly
-    the pairs (x, y) with x reaching i and some j in J reaching y.
+    the pairs (x, y) with x reaching i and some j in J reaching y.  Bit k*n
+    of (P >> i) & colbase is set iff row k reaches i, and reach < 2^n, so
+    multiplying by reach ORs it into exactly those rows, with no carries.
     """
+    full = (1 << n) - 1
+    colbase = _packing(n)[1]
     for i, targets in edges:
-        new = targets & ~rows[i]
+        new = targets & ~(P >> i * n)
         reach = 0
         while new:
             low = new & -new
             new ^= low
-            reach |= rows[low.bit_length() - 1]
+            reach |= P >> (low.bit_length() - 1) * n
         if reach:
-            bit = 1 << i
-            rows = [r | reach if r & bit else r for r in rows]
-    return rows
+            P |= (P >> i & colbase) * (reach & full)
+    return P
 
 
 def _orbit_masks(L: SubgroupLattice):
-    """Per pair orbit, its first pair and the nonzero (row, bits) that pair adds
-    under conjugation, then restriction: every pair of an orbit closes to the
-    same system, and a system holds a whole orbit or none of it."""
+    """Per pair orbit, in L.pair_orbits order, the packed bit of its first pair
+    and the nonzero (row, bits) that pair adds under conjugation, then
+    restriction: every pair of an orbit closes to the same system, and a
+    system holds a whole orbit or none of it."""
     out = []
     for orbit in L.pair_orbits:
         mask = [0] * L.n
         _add_pair_closure(L, mask, orbit[:1])
-        out.append((orbit[0], [(i, m) for i, m in enumerate(mask) if m]))
+        k, h = orbit[0]
+        out.append((1 << k * L.n + h, [(i, m) for i, m in enumerate(mask) if m]))
     return out
 
 
@@ -264,8 +309,8 @@ def generate(L: SubgroupLattice, relation) -> TransferSystem:
     """
     mask = [0] * L.n
     _add_pair_closure(L, mask, relation)
-    return _checked(L, tuple(_close(TransferSystem.diagonal(L).rows, enumerate(mask))),
-                    "closure produced an invalid system")
+    closed = _close(_packing(L.n)[0], enumerate(mask), L.n)
+    return _checked(L, _unpack(closed, L.n), "closure produced an invalid system")
 
 
 # -- lattice operations on Tr(G) ---------------------------------------------
@@ -285,8 +330,9 @@ def meet(T1: TransferSystem, T2: TransferSystem) -> TransferSystem:
 def join(T1: TransferSystem, T2: TransferSystem) -> TransferSystem:
     """Smallest transfer system containing both."""
     _require_same_lattice(T1, T2)
-    return _checked(T1.lattice, tuple(_close(T1.rows, enumerate(T2.rows))),
-                    "join produced an invalid system")
+    n = T1.lattice.n
+    closed = _close(_pack(T1.rows, n), enumerate(T2.rows), n)
+    return _checked(T1.lattice, _unpack(closed, n), "join produced an invalid system")
 
 
 def is_saturated(T: TransferSystem) -> bool:
@@ -314,44 +360,69 @@ def irreducible_pairs(T: TransferSystem) -> list[tuple[int, int]]:
 
 # -- enumeration ---------------------------------------------------------------
 
-def _walk(L: SubgroupLattice, bound: int | None):
-    """Yield each transfer system T over L once, as (rows, successors): per
-    pair orbit T misses, the orbit's first pair and the rows of T joined with
-    it (its `_orbit_masks` mask, then `_close`).  Extending the diagonal and
-    each system found this way until a fixpoint reaches all of Tr(G), since
-    every system is generated by its own pairs.
+def _systems(L: SubgroupLattice, bound: int | None):
+    """Yield each transfer system over L once, packed, by Fast Close-by-One.
+
+    Tr(G) is closed under meets, so it is a closure system on the pair
+    orbits, taken in L.pair_orbits order.  A system T found by adding orbit
+    j - 1 is extended by each orbit j' >= j it lacks; the child U = T joined
+    with orbit j' is canonical, and kept, iff it holds no orbit below j'
+    that T lacks, so each system has exactly one parent.  A non-canonical U
+    is remembered as failed[j'] and handed down: a descendant that still
+    lacks one of the orbits below j' that U holds would fail at j' too, and
+    skips that closure.
     """
     limit = bound if bound is not None else env_search_bound(24)
     if len(L.pair_orbits) > limit:
         raise SearchBoundExceeded(
             f"{L.group.name} has {len(L.pair_orbits)} inclusion-pair orbits, "
             f"above the search bound {limit}")
+    n = L.n
     masks = _orbit_masks(L)
-    diag = TransferSystem.diagonal(L).rows
-    seen = {diag}
-    stack = [diag]
+    low, below = [], 0  # low[j]: the first-pair bits of the orbits before j
+    for bit, _ in masks:
+        low.append(below)
+        below |= bit
+    diagonal = _packing(n)[0]
+    yield diagonal
+    stack = [(diagonal, 0, [0] * len(masks))]
     while stack:
-        T = stack.pop()
-        succ = [((k, h), tuple(_close(T, mask))) for (k, h), mask in masks
-                if not T[k] >> h & 1]
-        for _, N in succ:
-            if N not in seen:
-                seen.add(N)
-                stack.append(N)
-        yield T, succ
+        T, start, failed = stack.pop()
+        failed = failed.copy()
+        children = []
+        for j in range(start, len(masks)):
+            bit, edges = masks[j]
+            if T & bit or failed[j] & low[j] & ~T:
+                continue
+            U = _close(T, edges, n)
+            if U & ~T & low[j]:
+                failed[j] = U
+            else:
+                yield U
+                children.append((U, j + 1, failed))
+        stack += children
 
 
-def _sorted_systems(L: SubgroupLattice, rows) -> list[TransferSystem]:
-    return [TransferSystem(L, r) for r in sorted(rows, key=lambda r: _rows_key(r, L.n))]
+def _tr(L: SubgroupLattice, bound: int | None
+        ) -> tuple[list[int], list[TransferSystem]]:
+    """Tr(G) sorted by TransferSystem.key, packed and as systems; the row
+    ints of the systems are shared through one dict."""
+    width = f"0{L.n * L.n}b"
+    packed = sorted(_systems(L, bound), key=lambda P: format(P, width)[::-1])
+    interned: dict[int, int] = {}
+    return packed, [TransferSystem(L, _unpack(P, L.n, interned)) for P in packed]
 
 
 def enumerate_all(L: SubgroupLattice, bound: int | None = None) -> list[TransferSystem]:
     """Every transfer system over L, sorted by deduplication key.
 
-    Refuses if the number of inclusion-pair orbits exceeds the search bound
-    (default 24, overridable via TL_SEARCH_BOUND).
+    Lists each system once by Fast Close-by-One (Outrata and Vychodil,
+    "Fast algorithm for computing fixpoints of Galois connections induced by
+    object-attribute relational data", Inf. Sci. 185, 2012) over the pair
+    orbits.  Refuses if the number of inclusion-pair orbits exceeds the
+    search bound (default 24, overridable via TL_SEARCH_BOUND).
     """
-    return _sorted_systems(L, [T for T, _ in _walk(L, bound)])
+    return _tr(L, bound)[1]
 
 
 def hasse_diagram(L: SubgroupLattice, bound: int | None = None
@@ -360,25 +431,28 @@ def hasse_diagram(L: SubgroupLattice, bound: int | None = None
     pairs (i, j) with systems[i] covered by systems[j].
 
     A cover of T is T joined with a pair orbit it lacks, so the covers of T
-    are the minimal ones among the successors `_walk` yields for it: S is
-    minimal iff each missed orbit S holds closes T to S.  Refuses as
-    `enumerate_all` does.
+    are the minimal ones among its successors, T joined with each orbit it
+    lacks: S is minimal iff each missed orbit S holds closes T to S.
+    Refuses as `enumerate_all` does.
     """
-    # each successor is a fresh tuple; canon keeps one copy of each cover's rows
-    found, canon = {}, {}
-    for T, succ in _walk(L, bound):
-        found[T] = [canon.setdefault(S, S) for S in {N for _, N in succ}
-                    if all(N == S for (k, h), N in succ if S[k] >> h & 1)]
-    systems = _sorted_systems(L, found)
-    index = {T.rows: i for i, T in enumerate(systems)}
-    return systems, sorted((i, index[S]) for i, T in enumerate(systems)
-                           for S in found[T.rows])
+    packed, systems = _tr(L, bound)
+    masks = _orbit_masks(L)
+    index = {P: i for i, P in enumerate(packed)}
+    covers = []
+    for i, T in enumerate(packed):
+        succ = [(bit, _close(T, edges, L.n)) for bit, edges in masks if not T & bit]
+        for S in {N for _, N in succ}:
+            if all(N == S for bit, N in succ if S & bit):
+                covers.append((i, index[S]))
+    covers.sort()
+    return systems, covers
 
 
 def aut_orbits(systems, automorphism_perms):
     """Orbit partition of systems under relabeling by group automorphisms.
 
-    Returns (orbits, profile): orbits as lists of systems, profile as
+    Returns (orbits, profile): orbits as lists of systems, each in the order
+    of `systems` (key order for `enumerate_all`'s list), and profile as
     (orbit size, count) sorted by size descending.  Inner automorphisms
     (subgroup permutations L.conjugate[g]) fix every conjugation-closed
     system, so one representative per coset of Inn(G) relabels.
@@ -386,24 +460,25 @@ def aut_orbits(systems, automorphism_perms):
     if not systems:
         return [], []
     L = systems[0].lattice
-    n = L.n
     sub_perms, covered = [], set()
     for p in sorted({L.subgroup_perm(sigma) for sigma in automorphism_perms}):
         if p not in covered:
-            sub_perms.append(p)
+            sub_perms.append(_relabeler(p))
             covered |= {tuple(p[s] for s in c) for c in L.conjugate}
     index = {T.rows: i for i, T in enumerate(systems)}
-    seen = set()
+    placed = [False] * len(systems)
     orbits = []
-    for T in systems:
-        if T.rows in seen:
+    for i, T in enumerate(systems):
+        if placed[i]:
             continue
-        orbit_rows = {_relabel_rows(T.rows, p) for p in sub_perms}
-        if not all(r in index for r in orbit_rows):
-            raise ValueError("system list is not closed under the automorphism action")
-        seen |= orbit_rows
-        orbits.append([systems[index[r]]
-                       for r in sorted(orbit_rows, key=lambda r: _rows_key(r, n))])
+        try:
+            members = sorted({index[relabel(T.rows)] for relabel in sub_perms})
+        except KeyError:
+            raise ValueError(
+                "system list is not closed under the automorphism action") from None
+        for m in members:
+            placed[m] = True
+        orbits.append([systems[m] for m in members])
     sizes: dict[int, int] = {}
     for orbit in orbits:
         sizes[len(orbit)] = sizes.get(len(orbit), 0) + 1

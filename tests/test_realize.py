@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -77,6 +78,22 @@ def test_steiner_image_counts():
     assert len(orbits) == 4
     assert len(steiner_image(L_("Q8"))) == 16
     assert len(steiner_image(L_("Sym3"))) == 4
+
+
+def test_steiner_subset_limit_refuses_up_front():
+    L = subgroup_lattice(abelian_group((2,) * 5))
+    started = time.perf_counter()
+    with pytest.raises(SearchBoundExceeded, match="C2xC2xC2xC2xC2 has 31 embedding-map "
+                       "summands, 2147483648 subsets, above the subset limit 32768"):
+        steiner_image(L)
+    assert time.perf_counter() - started < 1
+    for G, count in ((abelian_group((2, 4)), 32), (make_group("K4"), 8)):
+        L = subgroup_lattice(G)
+        cocyclic = [(s, L.full) for s in range(L.n - 1) if L.cocyclic[s]]
+        every_subset = {generate(L, [p for p, b in zip(cocyclic, bits) if b])
+                        for bits in itertools.product((0, 1), repeat=len(cocyclic))}
+        assert steiner_image(L) == sorted(every_subset, key=lambda t: t.key)
+        assert len(every_subset) == count
 
 
 def test_steiner_image_k4_catalog_agrees_with_abelian_route():

@@ -222,6 +222,40 @@ def test_enumeration_matches_orbit_union_oracle(name):
     assert oracle == set(enumerate_all(L))
 
 
+def dihedral_8():
+    items = [(a, b) for b in (0, 1) for a in range(4)]
+    table = [[items.index(((x[0] + (y[0] if x[1] == 0 else -y[0])) % 4, (x[1] + y[1]) % 2))
+              for y in items] for x in items]
+    return make_group({"kind": "table", "table": table, "name": "D8"})
+
+
+@pytest.mark.parametrize("G", [dihedral_8(), make_group("C24"), abelian_group((2, 4)),
+                               abelian_group((3, 3)), make_group("D10")],
+                         ids=["D8", "C24", "C2xC4", "C3xC3", "D10"])
+def test_enumeration_matches_join_oracle(G):
+    """Tr(G) is the diagonal closed under joins with the one-orbit systems,
+    built with the public generate and join alone; unlike the union oracle
+    it reaches groups with more than 12 pair orbits."""
+    L = subgroup_lattice(G)
+    atoms = [generate(L, [orbit[0]]) for orbit in L.pair_orbits]
+    found = frontier = {TransferSystem.diagonal(L)}
+    while frontier:
+        frontier = {join(T, A) for T in frontier for A in atoms} - found
+        found = found | frontier
+    assert found == set(enumerate_all(L, bound=len(L.pair_orbits)))
+
+
+def test_sym4_pinned():
+    L = L_("Sym4")
+    systems, covers = hasse_diagram(L, bound=34)
+    assert len(systems) == 8691
+    keys = [T.key for T in systems]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert systems == enumerate_all(L, bound=34)
+    assert len(covers) == 40863
+    assert aut_orbits(systems, automorphisms(L.group))[1] == [(1, 8691)]
+
+
 def test_rank_two_formula():
     for p in (2, 3):
         L = subgroup_lattice(abelian_group((p, p)))
