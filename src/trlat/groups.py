@@ -17,8 +17,8 @@ class FiniteGroup:
 
     Instances are immutable after construction and safe to share between
     threads.  Construction validates the table: totality, a two-sided
-    identity, two-sided inverses, and associativity (checked by triple loop;
-    all supported groups have order <= 24).
+    identity, two-sided inverses, and associativity (by Light's test over a
+    generating set; all supported groups have order <= 24).
 
     `spec` records how a named constructor built the group, as the
     make_group spec that rebuilds it; a group built from a bare table has
@@ -79,16 +79,22 @@ class FiniteGroup:
         return tuple(inv)
 
     def _check_associative(self) -> None:
+        """Light's test: (x g) y == x (g y) for all x, y and each g of a
+        generating set.  The g that pass are closed under products, and
+        every element is a right product of generators from the identity,
+        so this is as exact as checking every triple."""
         t = self._table
-        for a in range(self.order):
-            for b in range(self.order):
-                ab = t[a][b]
-                for c in range(self.order):
-                    if t[ab][c] != t[a][t[b][c]]:
-                        raise GroupValidationError(
-                            "non-associative table at triple "
-                            f"({self.element_names[a]}, {self.element_names[b]}, "
-                            f"{self.element_names[c]})")
+        for g in self._right_closure(range(self.order))[1]:
+            row_g = t[g]
+            for x in range(self.order):
+                row_x = t[x]
+                row_xg = t[row_x[g]]
+                if row_xg != tuple(map(row_x.__getitem__, row_g)):
+                    y = next(y for y in range(self.order) if row_xg[y] != row_x[row_g[y]])
+                    raise GroupValidationError(
+                        "non-associative table at triple "
+                        f"({self.element_names[x]}, {self.element_names[g]}, "
+                        f"{self.element_names[y]})")
 
     # -- basic operations ---------------------------------------------------
 
@@ -118,7 +124,12 @@ class FiniteGroup:
         return self._abelian
 
     def closure(self, seed: Iterable[int]) -> frozenset[int]:
-        """Subgroup generated by the given elements.
+        """Subgroup generated by the given elements."""
+        return frozenset(self._right_closure(seed)[0])
+
+    def _right_closure(self, seed: Iterable[int]) -> tuple[set[int], list[int]]:
+        """Elements reached from the identity by right multiplication, and
+        the generators used.
 
         Seed elements already reached are skipped; each new one joins the
         generators, and the members are closed under right multiplication
@@ -141,7 +152,7 @@ class FiniteGroup:
                             members.add(z)
                             new.append(z)
                 frontier = new
-        return frozenset(members)
+        return members, gens
 
     @property
     def kind(self) -> str:

@@ -15,6 +15,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -240,37 +241,76 @@ def linisom_cyclic(n: int, index_set) -> TransferSystem:
     return T
 
 
+def _unions(base: int, parts) -> list[int]:
+    """base | (the OR of S) for every subset S of parts; subset j, as a bit
+    vector over parts, at position j."""
+    masks = [base]
+    for part in parts:
+        masks += [m | part for m in masks]
+    return masks
+
+
+def _stabilizer_table(e: int, order_pairs) -> dict[int, int]:
+    """Signature bits of the pairs (d, e) that each reduced index set mod e
+    satisfies, keyed by its bitmask.
+
+    Only masks invariant under translation by e/p, for a prime p | e, get an
+    entry: the negation-closed unions, containing 0, of cosets of the order-p
+    subgroup.  That is exact, since invariance under d < e with d | e implies
+    invariance under e/p for each prime p | e/d, a multiple of d; every other
+    mask satisfies no pair.
+    """
+    full = (1 << e) - 1
+    targets = [(idx, d) for idx, (d, f) in enumerate(order_pairs) if f == e]
+    table = {}
+    for p in range(2, e + 1):
+        if e % p or not _is_prime(p):
+            continue
+        m = e // p
+        # the class {j, -j} of Z/m lifted to Z/e, j = 0 first
+        lifted = [sum(1 << x for x in range(e) if x % m in (j, m - j))
+                  for j in range(m // 2 + 1)]
+        for mask in _unions(lifted[0], lifted[1:]):
+            table[mask] = sum(1 << idx for idx, d in targets
+                              if ((mask << d | mask >> (e - d)) & full) == mask)
+    return table
+
+
 def linisom_image_cyclic(n: int) -> list[TransferSystem]:
     """All isometries-map values on C_n, over every index set.
 
-    Index sets are scanned as bitmask reductions per divisor, deduplicating
-    on the vector of translation-invariance outcomes before any transfer
-    system is materialized.  Refused above UNIVERSE_SCAN_LIMIT universes.
+    An index set's value depends only on its reduction mod each divisor
+    e > 1, looked up in that divisor's `_stabilizer_table`; the signature is
+    the OR of the lookups.  An index set is a subset of the first 12
+    negation classes (low) joined with a subset of the rest (high); each high
+    subset takes one pass of lookups over every low one, so the masks held
+    per divisor stay at 2^12 plus the high subsets.  Signatures are
+    deduplicated before any transfer system is materialized.  Refused above
+    UNIVERSE_SCAN_LIMIT universes.
     """
     if index_set_count(n) > UNIVERSE_SCAN_LIMIT:
         raise SearchBoundExceeded(f"C{n} has {index_set_count(n)} universes, above "
                                   f"the scan limit {UNIVERSE_SCAN_LIMIT}")
     divisors = [d for d in range(1, n + 1) if n % d == 0]
-    div_pos = {d: i for i, d in enumerate(divisors)}
     order_pairs = [(d, e) for d in divisors for e in divisors if d < e and e % d == 0]
-    # per class and divisor e, the bits x % e of its members
-    classes = [[sum({1 << (x % e) for x in cls}) for e in divisors]
-               for cls in _negation_classes(n)]
-    signatures: set[int] = set()
+    moduli = divisors[1:]
+    tables = [_stabilizer_table(e, order_pairs) for e in moduli]
+    classes = _negation_classes(n)
 
-    def scan(ci: int, masks: list[int]) -> None:
-        if ci == len(classes):
-            sig = 0
-            for idx, (d, e) in enumerate(order_pairs):
-                m = masks[div_pos[e]]
-                if ((m << d | m >> (e - d)) & ((1 << e) - 1)) == m:
-                    sig |= 1 << idx
-            signatures.add(sig)
-            return
-        scan(ci + 1, masks)
-        scan(ci + 1, [m | c for m, c in zip(masks, classes[ci])])
+    def reduced(part):
+        """Per modulus e, the masks mod e of {0} with every subset of `part`."""
+        return [_unions(1, [sum({1 << (x % e) for x in cls}) for cls in part])
+                for e in moduli]
 
-    scan(0, [1] * len(divisors))
+    low, high = reduced(classes[:12]), reduced(classes[12:])
+    zero = itertools.repeat(0)
+    # {0} satisfies no pair; over C1, with no modulus to scan, it is the only index set
+    signatures = {0}
+    for his in zip(*high):
+        sigs = zero
+        for table, lows, hi in zip(tables, low, his):
+            sigs = map(operator.or_, sigs, map(table.get, map(hi.__or__, lows), zero))
+        signatures.update(sigs)
     L, of_order = _cyclic_lattice(n)
     values = set()
     for sig in signatures:

@@ -1,6 +1,9 @@
 """Group construction and validation."""
 
+import collections
 import itertools
+import random
+import re
 
 import pytest
 
@@ -94,6 +97,66 @@ def test_bad_tables_rejected():
         FiniteGroup([[0, 1, 2], [1, 1, 1], [2, 1, 0]])
     with pytest.raises(GroupValidationError, match="square"):
         FiniteGroup([[0, 1], [1]])
+
+
+def loops(n, rng=None):
+    """Every Cayley table of a loop on 0..n-1 with identity 0 (the reduced
+    Latin squares of order n); with rng, random ones."""
+    t = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            yield [row[:] for row in t]
+            return
+        r, c = divmod(cell, n)
+        if r == 0 or c == 0:
+            yield from fill(cell + 1)
+            return
+        used = set(t[r][:c]) | {t[i][c] for i in range(r)}
+        for v in (rng.sample(range(n), n) if rng else range(n)):
+            if v not in used:
+                t[r][c] = v
+                yield from fill(cell + 1)
+        t[r][c] = None
+
+    return fill(0)
+
+
+def brute_associative(t):
+    n = len(t)
+    return all(t[t[a][b]][c] == t[a][t[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def test_loops_rejected_exactly_when_non_associative():
+    def two_sided_inverses(t):
+        return all(t[t[x].index(0)][x] == 0 for x in range(len(t)))
+
+    rng = random.Random(5)
+    tables = [t for t in loops(5) if two_sided_inverses(t)]
+    for n in (6, 7):
+        random_loops = (next(loops(n, rng)) for _ in itertools.count())
+        tables += itertools.islice(filter(two_sided_inverses, random_loops), 10)
+    tables += [[[G.compose(a, b) for b in range(G.order)] for a in range(G.order)]
+               for G in (symmetric_group(3), cyclic_group(7))]
+    # x1 generates only {x0, x1, x5} and passes; the failure needs x2
+    tables.append([[0, 1, 2, 3, 4, 5], [1, 5, 4, 2, 3, 0], [2, 4, 0, 1, 5, 3],
+                   [3, 2, 1, 5, 0, 4], [4, 3, 5, 0, 1, 2], [5, 0, 3, 4, 2, 1]])
+    verdicts = collections.Counter()
+    for t in tables:
+        try:
+            FiniteGroup(t)
+        except GroupValidationError as err:
+            assert not brute_associative(t)
+            a, b, c = map(int, re.fullmatch(r"non-associative table at triple "
+                                            r"\(x(\d+), x(\d+), x(\d+)\)", str(err)).groups())
+            assert t[t[a][b]][c] != t[a][t[b][c]]
+            verdicts[len(t), "rejected"] += 1
+        else:
+            assert brute_associative(t)
+            verdicts[len(t), "group"] += 1
+    assert verdicts == {(5, "group"): 6, (5, "rejected"): 2, (6, "group"): 1,
+                        (6, "rejected"): 11, (7, "group"): 1, (7, "rejected"): 10}
 
 
 def test_make_group_dispatch():
