@@ -6,6 +6,7 @@ and tests/test_acceptance.py both run this registry.
 
 from __future__ import annotations
 
+import operator
 import random
 from .groups import abelian_group, cyclic_group, make_group
 from .lattice import automorphisms, subgroup_lattice
@@ -189,14 +190,17 @@ def criterion_generator_correctness(samples: int = 200) -> tuple[bool, str]:
         G = _group_for(name)
         L = subgroup_lattice(G)
         systems = enumerate_all(L, bound=BOUND)
+        # bit a*n + b of packed[i] stands for the pair (a, b) of systems[i]
+        packed = [sum(r << k * L.n for k, r in enumerate(S.rows)) for S in systems]
         for _ in range(samples):
             k = rng.randint(0, min(len(L.proper_pairs), 5))
             R = rng.sample(L.proper_pairs, k) if k else []
             T = generate(L, R)
-            containing = [S for S in systems if all(S.contains(a, b) for a, b in R)]
+            wanted = sum(1 << a * L.n + b for a, b in R)
+            containing = [S for S, P in zip(systems, packed) if P & wanted == wanted]
             rows = containing[0].rows
             for S in containing[1:]:
-                rows = tuple(a & b for a, b in zip(rows, S.rows))
+                rows = tuple(map(operator.and_, rows, S.rows))
             if TransferSystem(L, rows) != T:
                 return False, f"oracle mismatch on {name} with R={R}"
             got = _matching_closed_form(L, R)

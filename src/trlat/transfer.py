@@ -69,14 +69,7 @@ class TransferSystem:
 
     @classmethod
     def maximum(cls, lattice: SubgroupLattice) -> "TransferSystem":
-        rows = []
-        for k in range(lattice.n):
-            bits = 1 << k
-            for h in range(lattice.n):
-                if lattice.includes[k][h]:
-                    bits |= 1 << h
-            rows.append(bits)
-        return cls(lattice, tuple(rows))
+        return cls(lattice, tuple(_tables(lattice).incl))
 
     @classmethod
     def from_pairs(cls, lattice: SubgroupLattice, pairs) -> "TransferSystem":
@@ -161,47 +154,123 @@ def _relabeler(perm: tuple[int, ...]):
 
 # -- validation ---------------------------------------------------------------
 
+class _Tables:
+    """What validation and closure need of a lattice over n subgroups; pairs
+    are indexed k*n + h, the bit `_pack` gives the pair (k, h).
+
+    incl[k]: the bits h with K_k <= H_h.
+    demand[k*n + h], for a proper pair: the packed pairs that the conjugation
+      and restriction axioms ask of a system holding (k, h), its conjugates
+      (c[k], c[h]) and its restrictions (L_l n K_k, L_l) for L_l <= H_h;
+      0 for any other pair.
+    orbit_of[k*n + h]: the index in L.pair_orbits of a proper pair, else -1.
+    orbits: per pair orbit, the packed bit of its first pair and the nonzero
+      (row, bits) of its members' demands together, which is what the orbit
+      adds under conjugation, then restriction: every pair of an orbit
+      closes to the same system, and a system holds a whole orbit or none.
+    """
+
+    __slots__ = ("incl", "demand", "orbit_of", "orbits")
+
+    def __init__(self, L: SubgroupLattice):
+        n = L.n
+        self.incl = [sum(1 << h for h in range(n) if L.includes[k][h]) for k in range(n)]
+        self.demand, self.orbit_of, self.orbits = [0] * (n * n), [-1] * (n * n), []
+        for j, orbit in enumerate(L.pair_orbits):
+            conjugates = sum(1 << k * n + h for k, h in orbit)
+            union = 0
+            for k, h in orbit:
+                need = conjugates
+                for l in range(n):
+                    if L.includes[l][h]:
+                        need |= 1 << L.intersect[l][k] * n + l
+                self.demand[k * n + h], self.orbit_of[k * n + h] = need, j
+                union |= need
+            k, h = orbit[0]
+            self.orbits.append((1 << k * n + h,
+                                [(i, r) for i, r in enumerate(_unpack(union, n)) if r]))
+
+
+def _tables(L: SubgroupLattice) -> _Tables:
+    """L's tables, built on first use and kept on L, as `subgroup_lattice`
+    keeps L on its group."""
+    tables = getattr(L, "_tables", None)
+    if tables is None:
+        tables = L._tables = _Tables(L)
+    return tables
+
+
+def _check_indices(L: SubgroupLattice, k, h) -> None:
+    if not (0 <= k < L.n and 0 <= h < L.n):
+        raise TransferSystemError(
+            f"pair ({k}, {h}) is out of range: {L.group.name} has {L.n} subgroups, "
+            f"indexed 0 to {L.n - 1}")
+
+
 def _rows_of(L: SubgroupLattice, pairs) -> tuple[int, ...]:
-    """The diagonal rows plus the given pairs."""
+    """The diagonal rows plus the given pairs; raises on an index outside L."""
     rows = [1 << k for k in range(L.n)]
     for k, h in pairs:
+        _check_indices(L, k, h)
         rows[k] |= 1 << h
     return tuple(rows)
 
 
 def _violations(L: SubgroupLattice, rows: tuple[int, ...]) -> list[Violation]:
-    out: list[Violation] = []
+    """The axioms the rows (n ints below 2^n) break, each (axiom, pair) once,
+    in the order of the listing loops: per row, reflexivity and then the
+    pairs outside inclusion; then per held proper pair (k, h) in row-major
+    order, the conjugates (c[k], c[h]) it lacks in L.conjugate order, its
+    restrictions (L_l n K_k, L_l) it lacks by ascending l, and (k, h2) for
+    each h2 that h reaches and k does not, ascending.
+
+    Exact with one test per held pair: the conjugation and restriction
+    loops of (k, h) test exactly the pairs of its demand mask, and the
+    transitivity loop lists the bits of rows[h] & ~rows[k].  A held pair
+    whose demand mask lies inside the packed rows, and whose target row lies
+    inside its source row, appends nothing to any of the three loops, so
+    only the other pairs run them.
+    """
     n = L.n
-    for k in range(n):
-        if not rows[k] >> k & 1:
-            out.append(Violation("reflexivity", (k, k)))
-        bits = rows[k]
-        for h in range(n):
-            if bits >> h & 1 and not L.includes[k][h]:
-                out.append(Violation("refines-inclusion", (k, h)))
-    for k in range(n):
-        for h in range(n):
-            if k == h or not rows[k] >> h & 1 or not L.includes[k][h]:
+    tables = _tables(L)
+    incl, demand = tables.incl, tables.demand
+    out: list[Violation] = []
+    seen: set[tuple[str, tuple[int, int]]] = set()
+
+    def note(axiom: str, pair: tuple[int, int], forced_by=None) -> None:
+        if (axiom, pair) not in seen:
+            seen.add((axiom, pair))
+            out.append(Violation(axiom, pair, forced_by))
+
+    for k, bits in enumerate(rows):
+        if not bits >> k & 1:
+            note("reflexivity", (k, k))
+        outside = bits & ~incl[k]
+        while outside:
+            low = outside & -outside
+            outside ^= low
+            note("refines-inclusion", (k, low.bit_length() - 1))
+    absent = ~_pack(rows, n)
+    for k, bits in enumerate(rows):
+        held = bits & incl[k] & ~(1 << k)
+        while held:
+            low = held & -held
+            held ^= low
+            h = low.bit_length() - 1
+            reached = rows[h] & ~bits
+            if not (demand[k * n + h] & absent or reached):
                 continue
-            for g in range(L.group.order):
-                ck, ch = L.conjugate[g][k], L.conjugate[g][h]
-                if not rows[ck] >> ch & 1:
-                    out.append(Violation("conjugation", (ck, ch), (k, h)))
+            for c in L.conjugate:
+                if not rows[c[k]] >> c[h] & 1:
+                    note("conjugation", (c[k], c[h]), (k, h))
             for l in range(n):
-                if L.includes[l][h]:
-                    m = L.intersect[l][k]
-                    if not rows[m] >> l & 1:
-                        out.append(Violation("restriction", (m, l), (k, h)))
-            for h2 in range(n):
-                if rows[h] >> h2 & 1 and not rows[k] >> h2 & 1:
-                    out.append(Violation("transitivity", (k, h2), (k, h)))
-    # deduplicate, preserving first-seen order
-    seen, unique = set(), []
-    for v in out:
-        if (v.axiom, v.pair) not in seen:
-            seen.add((v.axiom, v.pair))
-            unique.append(v)
-    return unique
+                if L.includes[l][h] and not rows[L.intersect[l][k]] >> l & 1:
+                    note("restriction", (L.intersect[l][k], l), (k, h))
+            while reached:
+                low = reached & -reached
+                reached ^= low
+                note("transitivity", (k, low.bit_length() - 1), (k, h))
+    return out
 
 
 def _checked(L: SubgroupLattice, rows: tuple[int, ...], what: str) -> TransferSystem:
@@ -219,22 +288,6 @@ def validate(L: SubgroupLattice, relation) -> list[Violation]:
 
 
 # -- generation (smallest transfer system containing a relation) -------------
-
-def _add_pair_closure(L: SubgroupLattice, rows: list[int], pairs) -> None:
-    """Close the given pairs under conjugation, then restriction, into rows."""
-    conj_closed = set()
-    for k, h in pairs:
-        if not L.includes[k][h]:
-            raise TransferSystemError(
-                f"pair ({L.names[k]}, {L.names[h]}) does not refine inclusion")
-        for g in range(L.group.order):
-            conj_closed.add((L.conjugate[g][k], L.conjugate[g][h]))
-    for k, h in conj_closed:
-        rows[k] |= 1 << h
-        for l in range(L.n):
-            if L.includes[l][h]:
-                rows[L.intersect[l][k]] |= 1 << l
-
 
 @functools.cache
 def _packing(n: int) -> tuple[int, int]:
@@ -286,31 +339,28 @@ def _close(P: int, edges, n: int) -> int:
     return P
 
 
-def _orbit_masks(L: SubgroupLattice):
-    """Per pair orbit, in L.pair_orbits order, the packed bit of its first pair
-    and the nonzero (row, bits) that pair adds under conjugation, then
-    restriction: every pair of an orbit closes to the same system, and a
-    system holds a whole orbit or none of it."""
-    out = []
-    for orbit in L.pair_orbits:
-        mask = [0] * L.n
-        _add_pair_closure(L, mask, orbit[:1])
-        k, h = orbit[0]
-        out.append((1 << k * L.n + h, [(i, m) for i, m in enumerate(mask) if m]))
-    return out
-
-
 def generate(L: SubgroupLattice, relation) -> TransferSystem:
     """The smallest transfer system containing the given relation.
 
-    Closes under conjugation, then restriction, then takes the
-    reflexive-transitive closure.  Pairs that do not refine inclusion are
-    rejected with the offending pair named.
+    Closes under conjugation, then restriction, by taking the edges of each
+    pair's orbit, then takes the reflexive-transitive closure.  Pairs that
+    do not refine inclusion are rejected with the first offending pair named.
     """
-    mask = [0] * L.n
-    _add_pair_closure(L, mask, relation)
-    closed = _close(_packing(L.n)[0], enumerate(mask), L.n)
-    return _checked(L, _unpack(closed, L.n), "closure produced an invalid system")
+    n = L.n
+    tables = _tables(L)
+    seeds = set()
+    for k, h in relation:
+        _check_indices(L, k, h)
+        j = tables.orbit_of[k * n + h]
+        if j >= 0:
+            seeds.add(j)
+        elif not L.includes[k][h]:
+            raise TransferSystemError(
+                f"pair ({L.names[k]}, {L.names[h]}) does not refine inclusion")
+    P = _packing(n)[0]
+    for j in seeds:
+        P = _close(P, tables.orbits[j][1], n)
+    return _checked(L, _unpack(P, n), "closure produced an invalid system")
 
 
 # -- lattice operations on Tr(G) ---------------------------------------------
@@ -378,7 +428,7 @@ def _systems(L: SubgroupLattice, bound: int | None):
             f"{L.group.name} has {len(L.pair_orbits)} inclusion-pair orbits, "
             f"above the search bound {limit}")
     n = L.n
-    masks = _orbit_masks(L)
+    masks = _tables(L).orbits
     low, below = [], 0  # low[j]: the first-pair bits of the orbits before j
     for bit, _ in masks:
         low.append(below)
@@ -436,7 +486,7 @@ def hasse_diagram(L: SubgroupLattice, bound: int | None = None
     Refuses as `enumerate_all` does.
     """
     packed, systems = _tr(L, bound)
-    masks = _orbit_masks(L)
+    masks = _tables(L).orbits
     index = {P: i for i, P in enumerate(packed)}
     covers = []
     for i, T in enumerate(packed):
