@@ -6,6 +6,7 @@ and tests/test_acceptance.py both run this registry.
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 from .groups import abelian_group, cyclic_group, make_group
@@ -29,7 +30,7 @@ def _lattice(name: str):
     return subgroup_lattice(make_group(name))
 
 
-def _tr(name: str) -> list[TransferSystem]:
+def _enumerated(name: str) -> list[TransferSystem]:
     return enumerate_all(_lattice(name), bound=BOUND)
 
 
@@ -38,7 +39,7 @@ def criterion_lattice_counts() -> tuple[bool, str]:
     D10 9; C3xC3 36 via 2^(p+2)+p+1."""
     expected = {"C1": 1, "C2": 2, "C3": 2, "C4": 5, "C9": 5, "C8": 14, "C27": 14,
                 "C6": 10, "C15": 10, "K4": 19, "Sym3": 9, "Q8": 68, "D10": 9}
-    got = {name: len(_tr(name)) for name in expected}
+    got = {name: len(_enumerated(name)) for name in expected}
     rank2 = {p: len(enumerate_all(subgroup_lattice(abelian_group((p, p))), bound=BOUND))
              for p in (2, 3)}
     formula_ok = all(rank2[p] == 2 ** (p + 2) + p + 1 for p in (2, 3))
@@ -49,7 +50,7 @@ def criterion_lattice_counts() -> tuple[bool, str]:
 
 def criterion_q8_orbit_profile() -> tuple[bool, str]:
     """Q8 systems fall into 29 orbits: 1 of size 6, 17 of size 3, 11 of size 1."""
-    orbits, profile = aut_orbits(_tr("Q8"), automorphisms(make_group("Q8")))
+    orbits, profile = aut_orbits(_enumerated("Q8"), automorphisms(make_group("Q8")))
     ok = len(orbits) == 29 and profile == [(6, 1), (3, 17), (1, 11)]
     return ok, f"{len(orbits)} orbits, profile {profile}"
 
@@ -120,7 +121,7 @@ def criterion_prime_power_classification() -> tuple[bool, str]:
     ok = True
     for p, e in ((2, 3), (3, 2), (2, 4), (3, 3)):
         n = p ** e
-        saturated = {T for T in _tr(f"C{n}") if is_saturated(T)}
+        saturated = {T for T in _enumerated(f"C{n}") if is_saturated(T)}
         image = set(linisom_image_cyclic(n))
         eq = saturated == image
         trips = all(linisom_cyclic(n, realize_saturated_cpn(p, e, T)) == T
@@ -173,12 +174,6 @@ ORACLE_GROUPS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8",
                  "K4", "C2xC4", "Q8", "Sym3")
 
 
-def _group_for(name: str):
-    if name == "C2xC4":
-        return abelian_group((2, 4))
-    return make_group(name)
-
-
 def criterion_generator_correctness(samples: int = 200) -> tuple[bool, str]:
     """On each order-<=8 group whose pair orbits fit the search bound:
     random relations generate the same system as the oracle (intersection of
@@ -187,21 +182,16 @@ def criterion_generator_correctness(samples: int = 200) -> tuple[bool, str]:
     rng = random.Random(20260810)
     checked_closed = 0
     for name in ORACLE_GROUPS:
-        G = _group_for(name)
+        G = make_group(name)
         L = subgroup_lattice(G)
         systems = enumerate_all(L, bound=BOUND)
-        # bit a*n + b of packed[i] stands for the pair (a, b) of systems[i]
-        packed = [sum(r << k * L.n for k, r in enumerate(S.rows)) for S in systems]
         for _ in range(samples):
             k = rng.randint(0, min(len(L.proper_pairs), 5))
             R = rng.sample(L.proper_pairs, k) if k else []
             T = generate(L, R)
             wanted = sum(1 << a * L.n + b for a, b in R)
-            containing = [S for S, P in zip(systems, packed) if P & wanted == wanted]
-            rows = containing[0].rows
-            for S in containing[1:]:
-                rows = tuple(map(operator.and_, rows, S.rows))
-            if TransferSystem(L, rows) != T:
+            containing = [S.bits for S in systems if S.bits & wanted == wanted]
+            if TransferSystem(L, functools.reduce(operator.and_, containing)) != T:
                 return False, f"oracle mismatch on {name} with R={R}"
             got = _matching_closed_form(L, R)
             if got is not None:

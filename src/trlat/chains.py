@@ -3,21 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 from .lattice import SubgroupLattice
-from .transfer import TransferSystem, _checked
-
-
-Chooser = Callable[[SubgroupLattice, list[int]], int]
-OrbitTiebreak = Callable[[tuple[tuple[int, int], ...]], object]
-
-
-def default_chooser(L: SubgroupLattice, remaining: list[int]) -> int:
-    return min(remaining)
-
-
-def default_orbit_tiebreak(orbit: tuple[tuple[int, int], ...]):
-    return min(orbit)
+from .transfer import TransferSystem, _bits_of, _checked
 
 
 @dataclass(frozen=True)
@@ -37,40 +25,33 @@ class MaximalChain:
         return len(self.systems)
 
 
-def layer_subgroups(L: SubgroupLattice, chooser: Chooser | None = None) -> list[list[int]]:
+def layer_subgroups(L: SubgroupLattice) -> list[list[int]]:
     """Partition the subgroups into conjugacy-class layers.
 
-    Repeatedly pick a minimal remaining subgroup (default: least canonical
-    index) and peel off its conjugacy class.  Every prefix union is
-    downward-closed and conjugation-invariant.  A chooser returning a
-    non-minimal subgroup is rejected.
+    Repeatedly take the least remaining canonical index, which is minimal
+    among the remaining subgroups because the canonical order is by order,
+    and peel off its conjugacy class.  Every prefix union is
+    downward-closed and conjugation-invariant.
     """
-    chooser = chooser or default_chooser
     remaining = list(range(L.n))
     layers: list[list[int]] = []
     while remaining:
-        pick = chooser(L, list(remaining))
-        if pick not in remaining:
-            raise ValueError(f"chooser returned {pick}, not among remaining subgroups")
-        if any(s != pick and L.includes[s][pick] for s in remaining):
-            raise ValueError(f"chooser returned non-minimal subgroup {L.names[pick]}")
+        pick = min(remaining)
         layer = sorted({L.conjugate[g][pick] for g in range(L.group.order)})
         layers.append(layer)
         remaining = [s for s in remaining if s not in layer]
     return layers
 
 
-def maximal_chain(L: SubgroupLattice, chooser: Chooser | None = None,
-                  orbit_tiebreak: OrbitTiebreak | None = None) -> MaximalChain:
+def maximal_chain(L: SubgroupLattice) -> MaximalChain:
     """Build a maximal-length chain from the layer filtration.
 
     Inclusion pairs between layers i < j are grouped into conjugation
     orbits; blocks are visited in the order (0,1), (0,2), (1,2), (0,3), ...
-    and orbits within a block in tiebreak order (default: by least pair).
-    Each partial union is itself a transfer system and is validated.
+    and orbits within a block in L.pair_orbits order, which is by least
+    pair.  Each partial union is itself a transfer system and is validated.
     """
-    tiebreak = orbit_tiebreak or default_orbit_tiebreak
-    layers = layer_subgroups(L, chooser)
+    layers = layer_subgroups(L)
     layer_of = {}
     for i, layer in enumerate(layers):
         for s in layer:
@@ -84,14 +65,12 @@ def maximal_chain(L: SubgroupLattice, chooser: Chooser | None = None,
     ordered: list[tuple[tuple[int, int], ...]] = []
     for j in range(1, len(layers)):
         for i in range(j):
-            ordered.extend(sorted(blocks.get((i, j), []), key=tiebreak))
+            ordered.extend(blocks.get((i, j), []))
 
-    rows = [1 << s for s in range(L.n)]
-    systems = [TransferSystem(L, tuple(rows))]
+    systems = [TransferSystem.diagonal(L)]
     for orbit in ordered:
-        for k, h in orbit:
-            rows[k] |= 1 << h
-        systems.append(_checked(L, tuple(rows), "chain step is not a transfer system"))
+        systems.append(_checked(L, systems[-1].bits | _bits_of(L, orbit),
+                                "chain step is not a transfer system"))
 
     if systems[-1] != TransferSystem.maximum(L):
         raise AssertionError("chain did not reach the maximum system")

@@ -11,7 +11,7 @@ import time
 import jsonschema
 
 from . import acceptance, serialize
-from .groups import GroupValidationError, abelian_group, builtin_group, group_spec, make_group
+from .groups import GroupValidationError, builtin_group, group_spec, make_group
 from .lattice import automorphisms, subgroup_lattice
 from .transfer import (SearchBoundExceeded, TransferSystem, TransferSystemError, aut_orbits,
                        enumerate_all, generate, hasse_diagram, is_saturated, non_negative_int,
@@ -41,8 +41,6 @@ def parse_group(token: str):
                 GroupValidationError) as exc:
             raise UsageError(f"group spec {token[1:]}: {exc}") from None
     try:
-        if re.fullmatch(r"C\d+(xC\d+)+", token):
-            return abelian_group(tuple(int(f[1:]) for f in token.split("x")))
         return builtin_group(token)
     except GroupValidationError as exc:
         raise UsageError(str(exc)) from None

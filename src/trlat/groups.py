@@ -309,6 +309,8 @@ def builtin_group(name: str) -> FiniteGroup:
     m = re.fullmatch(r"C(\d+)", name)
     if m:
         return cyclic_group(int(m.group(1)))
+    if re.fullmatch(r"C\d+(xC\d+)+", name):
+        return abelian_group(tuple(int(f[1:]) for f in name.split("x")))
     raise GroupValidationError(f"unknown builtin group {name!r}")
 
 
@@ -317,7 +319,7 @@ def make_group(spec) -> FiniteGroup:
 
     Kinds: cyclic (n), abelian (factors), builtin (name), table (table,
     optional names/name).  A bare string is treated as a builtin name,
-    which also accepts C<n> and D<2p>.
+    which also accepts C<n>, D<2p> and products C<a>xC<b>...
     """
     if isinstance(spec, str):
         return builtin_group(spec)

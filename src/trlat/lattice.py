@@ -172,47 +172,32 @@ def _generating_sequence(G: FiniteGroup) -> list[int]:
 def automorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
     """All automorphisms of G as element-index permutations.
 
-    Backtracking over images of a generating sequence; candidate images must
-    have matching element order, and each partial assignment is closed into a
-    homomorphism on the subgroup generated so far.
+    For each choice of images of a generating sequence, of matching element
+    orders, phi is filled along one breadth-first tree of right
+    multiplications by the generators from the identity, and kept iff it is
+    a bijection with phi(x g) = phi(x) phi(g) for every element x and
+    generator g.  That makes phi a homomorphism, since every element is a
+    product of generators.
     """
     gens = _generating_sequence(G)
+    right = [[G.compose(x, g) for x in range(G.order)] for g in gens]  # right[i][x] = x g_i
+    tree, seen = [], {G.identity}  # (x, i, x g_i), each element first reached
+    frontier = [G.identity]
+    for x in frontier:
+        for i, col in enumerate(right):
+            if col[x] not in seen:
+                seen.add(col[x])
+                frontier.append(col[x])
+                tree.append((x, i, col[x]))
     orders = [G.element_order(x) for x in range(G.order)]
+    candidates = [[y for y in range(G.order) if orders[y] == orders[g]] for g in gens]
     out: list[tuple[int, ...]] = []
-
-    def extend(level: int, mapping: dict[int, int]):
-        if level == len(gens):
-            if len(set(mapping.values())) == G.order:
-                out.append(tuple(mapping[x] for x in range(G.order)))
-            return
-        g = gens[level]
-        for img in range(G.order):
-            if orders[img] != orders[g]:
-                continue
-            trial = dict(mapping)
-            trial[g] = img
-            if _close_homomorphism(G, trial):
-                extend(level + 1, trial)
-
-    extend(0, {G.identity: G.identity})
+    for images in itertools.product(*candidates):
+        phi = [G.identity] * G.order
+        for x, i, y in tree:
+            phi[y] = G.compose(phi[x], images[i])
+        if len(set(phi)) == G.order and all(
+                phi[xg] == G.compose(phi[x], img)
+                for col, img in zip(right, images) for x, xg in enumerate(col)):
+            out.append(tuple(phi))
     return sorted(out)
-
-
-def _close_homomorphism(G: FiniteGroup, mapping: dict[int, int]) -> bool:
-    """Close a partial map under products; False on any conflict."""
-    frontier = list(mapping)
-    while frontier:
-        new = []
-        for x in frontier:
-            for y in list(mapping):
-                for a, b in ((x, y), (y, x)):
-                    z = G.compose(a, b)
-                    w = G.compose(mapping[a], mapping[b])
-                    if z in mapping:
-                        if mapping[z] != w:
-                            return False
-                    else:
-                        mapping[z] = w
-                        new.append(z)
-        frontier = new
-    return True

@@ -1,7 +1,7 @@
 """Transfer systems: relation closure, validation, enumeration, lattice ops.
 
-A transfer system is encoded as one bitmask row per subgroup: bit h of
-rows[k] means the relation K_k -> H_h holds (canonical lattice indices).
+A transfer system over n subgroups is one int: bit k*n + h means the
+relation K_k -> H_h holds (canonical lattice indices).
 """
 
 from __future__ import annotations
@@ -54,71 +54,76 @@ class Violation:
 
 
 class TransferSystem:
-    """An immutable transfer system over a subgroup lattice."""
+    """An immutable transfer system over a subgroup lattice of n subgroups,
+    held as one int: bit k*n + h stands for the pair (k, h)."""
 
-    __slots__ = ("lattice", "rows", "_hash")
+    __slots__ = ("lattice", "bits")
 
-    def __init__(self, lattice: SubgroupLattice, rows: tuple[int, ...]):
+    def __init__(self, lattice: SubgroupLattice, bits: int):
         self.lattice = lattice
-        self.rows = rows
-        self._hash = hash(rows)
+        self.bits = bits
 
     @classmethod
     def diagonal(cls, lattice: SubgroupLattice) -> "TransferSystem":
-        return cls(lattice, tuple(1 << k for k in range(lattice.n)))
+        return cls(lattice, _packing(lattice.n)[0])
 
     @classmethod
     def maximum(cls, lattice: SubgroupLattice) -> "TransferSystem":
-        return cls(lattice, tuple(_tables(lattice).incl))
+        return cls(lattice, _tables(lattice).maximum)
 
     @classmethod
     def from_pairs(cls, lattice: SubgroupLattice, pairs) -> "TransferSystem":
         """Wrap an explicit pair set; raises unless it is already closed."""
-        rows = _rows_of(lattice, pairs)
-        violations = _violations(lattice, rows)
+        bits = _bits_of(lattice, pairs)
+        violations = _violations(lattice, bits)
         if violations:
             raise TransferSystemError(
                 "not a transfer system: "
                 + "; ".join(v.describe(lattice) for v in violations))
-        return cls(lattice, rows)
+        return cls(lattice, bits)
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """One int per subgroup: bit h of rows[k] stands for the pair (k, h)."""
+        return _unpack(self.bits, self.lattice.n)
 
     def contains(self, k: int, h: int) -> bool:
-        return bool(self.rows[k] >> h & 1)
+        return bool(self.bits >> k * self.lattice.n + h & 1)
 
     def pairs(self) -> list[tuple[int, int]]:
         """Nontrivial related pairs, sorted."""
+        n = self.lattice.n
+        bits = self.bits & ~_packing(n)[0]
         out = []
-        for k, bits in enumerate(self.rows):
-            bits &= ~(1 << k)
-            while bits:
-                low = bits & -bits
-                out.append((k, low.bit_length() - 1))
-                bits ^= low
+        while bits:
+            low = bits & -bits
+            out.append(divmod(low.bit_length() - 1, n))
+            bits ^= low
         return out
 
     def pair_count(self) -> int:
-        return sum((r & ~(1 << k)).bit_count() for k, r in enumerate(self.rows))
+        return (self.bits & ~_packing(self.lattice.n)[0]).bit_count()
 
     @property
     def key(self) -> str:
-        """Row-major bit string; the deduplication and sort key."""
-        fmt = f"0{self.lattice.n}b"
-        return "".join([format(r, fmt)[::-1] for r in self.rows])
+        """Bit string, bit k*n + h first to last; the deduplication and sort key."""
+        n = self.lattice.n
+        return format(self.bits, f"0{n * n}b")[::-1]
 
     def refines(self, other: "TransferSystem") -> bool:
-        return all(r & ~s == 0 for r, s in zip(self.rows, other.rows))
+        return self.bits & ~other.bits == 0
 
     def relabel(self, perm: tuple[int, ...]) -> "TransferSystem":
         """Push the system forward along a subgroup-index permutation."""
-        return TransferSystem(self.lattice, _relabeler(perm)(self.rows))
+        return TransferSystem(self.lattice, _relabeler(perm)(self.bits))
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, TransferSystem) and self.rows == other.rows
+        return (isinstance(other, TransferSystem) and self.bits == other.bits
                 and (self.lattice is other.lattice
                      or self.lattice.fingerprint == other.lattice.fingerprint))
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.bits)
 
     def __repr__(self) -> str:
         named = [f"({self.lattice.names[k]}->{self.lattice.names[h]})"
@@ -127,9 +132,12 @@ class TransferSystem:
 
 
 def _relabeler(perm: tuple[int, ...]):
-    """Rows -> rows pushed forward along a subgroup-index permutation,
-    remembering the image of each row int it has seen."""
+    """A packed system -> the system pushed forward along a subgroup-index
+    permutation, remembering the image of each row int it has seen."""
+    n = len(perm)
+    full = (1 << n) - 1
     images = [1 << p for p in perm]
+    shifts = [(k * n, p * n) for k, p in enumerate(perm)]
     memo: dict[int, int] = {}
 
     def image(bits: int) -> int:
@@ -143,11 +151,11 @@ def _relabeler(perm: tuple[int, ...]):
             memo[bits] = out
         return out
 
-    def relabel(rows: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * len(rows)
-        for p, bits in zip(perm, rows):
-            out[p] = image(bits)
-        return tuple(out)
+    def relabel(P: int) -> int:
+        out = 0
+        for source, target in shifts:
+            out |= image(P >> source & full) << target
+        return out
 
     return relabel
 
@@ -156,9 +164,10 @@ def _relabeler(perm: tuple[int, ...]):
 
 class _Tables:
     """What validation and closure need of a lattice over n subgroups; pairs
-    are indexed k*n + h, the bit `_pack` gives the pair (k, h).
+    are indexed k*n + h, their bit in a packed system.
 
     incl[k]: the bits h with K_k <= H_h.
+    maximum: the packed inclusion relation, every pair (k, h) with K_k <= H_h.
     demand[k*n + h], for a proper pair: the packed pairs that the conjugation
       and restriction axioms ask of a system holding (k, h), its conjugates
       (c[k], c[h]) and its restrictions (L_l n K_k, L_l) for L_l <= H_h;
@@ -170,11 +179,12 @@ class _Tables:
       closes to the same system, and a system holds a whole orbit or none.
     """
 
-    __slots__ = ("incl", "demand", "orbit_of", "orbits")
+    __slots__ = ("incl", "maximum", "demand", "orbit_of", "orbits")
 
     def __init__(self, L: SubgroupLattice):
         n = L.n
         self.incl = [sum(1 << h for h in range(n) if L.includes[k][h]) for k in range(n)]
+        self.maximum = sum(r << k * n for k, r in enumerate(self.incl))
         self.demand, self.orbit_of, self.orbits = [0] * (n * n), [-1] * (n * n), []
         for j, orbit in enumerate(L.pair_orbits):
             conjugates = sum(1 << k * n + h for k, h in orbit)
@@ -207,33 +217,35 @@ def _check_indices(L: SubgroupLattice, k, h) -> None:
             f"indexed 0 to {L.n - 1}")
 
 
-def _rows_of(L: SubgroupLattice, pairs) -> tuple[int, ...]:
-    """The diagonal rows plus the given pairs; raises on an index outside L."""
-    rows = [1 << k for k in range(L.n)]
+def _bits_of(L: SubgroupLattice, pairs) -> int:
+    """The packed diagonal plus the given pairs; raises on an index outside L."""
+    P = _packing(L.n)[0]
     for k, h in pairs:
         _check_indices(L, k, h)
-        rows[k] |= 1 << h
-    return tuple(rows)
+        P |= 1 << k * L.n + h
+    return P
 
 
-def _violations(L: SubgroupLattice, rows: tuple[int, ...]) -> list[Violation]:
-    """The axioms the rows (n ints below 2^n) break, each (axiom, pair) once,
-    in the order of the listing loops: per row, reflexivity and then the
-    pairs outside inclusion; then per held proper pair (k, h) in row-major
-    order, the conjugates (c[k], c[h]) it lacks in L.conjugate order, its
-    restrictions (L_l n K_k, L_l) it lacks by ascending l, and (k, h2) for
-    each h2 that h reaches and k does not, ascending.
+def _violations(L: SubgroupLattice, P: int) -> list[Violation]:
+    """The axioms the packed relation P (below 2^(n*n)) breaks, each
+    (axiom, pair) once, in the order of the listing loops over its rows:
+    per row, reflexivity and then the pairs outside inclusion; then per held
+    proper pair (k, h) in row-major order, the conjugates (c[k], c[h]) it
+    lacks in L.conjugate order, its restrictions (L_l n K_k, L_l) it lacks
+    by ascending l, and (k, h2) for each h2 that h reaches and k does not,
+    ascending.
 
     Exact with one test per held pair: the conjugation and restriction
     loops of (k, h) test exactly the pairs of its demand mask, and the
     transitivity loop lists the bits of rows[h] & ~rows[k].  A held pair
-    whose demand mask lies inside the packed rows, and whose target row lies
-    inside its source row, appends nothing to any of the three loops, so
-    only the other pairs run them.
+    whose demand mask lies inside P, and whose target row lies inside its
+    source row, appends nothing to any of the three loops, so only the
+    other pairs run them.
     """
     n = L.n
     tables = _tables(L)
     incl, demand = tables.incl, tables.demand
+    rows = _unpack(P, n)
     out: list[Violation] = []
     seen: set[tuple[str, tuple[int, int]]] = set()
 
@@ -250,7 +262,7 @@ def _violations(L: SubgroupLattice, rows: tuple[int, ...]) -> list[Violation]:
             low = outside & -outside
             outside ^= low
             note("refines-inclusion", (k, low.bit_length() - 1))
-    absent = ~_pack(rows, n)
+    absent = ~P
     for k, bits in enumerate(rows):
         held = bits & incl[k] & ~(1 << k)
         while held:
@@ -273,18 +285,18 @@ def _violations(L: SubgroupLattice, rows: tuple[int, ...]) -> list[Violation]:
     return out
 
 
-def _checked(L: SubgroupLattice, rows: tuple[int, ...], what: str) -> TransferSystem:
-    """The system with these rows, for a construction that guarantees the
+def _checked(L: SubgroupLattice, P: int, what: str) -> TransferSystem:
+    """The system packed as P, for a construction that guarantees the
     axioms: a violation means a bug in it, raised as `what: <violation>`."""
-    bad = _violations(L, rows)
+    bad = _violations(L, P)
     if bad:
         raise AssertionError(f"{what}: {bad[0].describe(L)}")
-    return TransferSystem(L, rows)
+    return TransferSystem(L, P)
 
 
 def validate(L: SubgroupLattice, relation) -> list[Violation]:
     """Check the transfer-system axioms on a pair set; [] means valid."""
-    return _violations(L, _rows_of(L, relation))
+    return _violations(L, _bits_of(L, relation))
 
 
 # -- generation (smallest transfer system containing a relation) -------------
@@ -296,22 +308,10 @@ def _packing(n: int) -> tuple[int, int]:
             sum(1 << k * n for k in range(n)))
 
 
-def _pack(rows: tuple[int, ...], n: int) -> int:
-    """Rows as one int: bit k*n + h stands for the pair (k, h)."""
-    packed = 0
-    for k, bits in enumerate(rows):
-        packed |= bits << k * n
-    return packed
-
-
-def _unpack(packed: int, n: int, interned: dict[int, int] | None = None) -> tuple[int, ...]:
-    """The rows of a packed system, each row int taken from `interned` when
-    given, so that many systems share one copy of a row."""
+def _unpack(packed: int, n: int) -> tuple[int, ...]:
+    """The rows of a packed system: bit h of row k is bit k*n + h."""
     full = (1 << n) - 1
-    rows = [packed >> shift & full for shift in range(0, n * n, n)]
-    if interned is not None:
-        rows = [interned.setdefault(r, r) for r in rows]
-    return tuple(rows)
+    return tuple([packed >> shift & full for shift in range(0, n * n, n)])
 
 
 def _close(P: int, edges, n: int) -> int:
@@ -360,7 +360,7 @@ def generate(L: SubgroupLattice, relation) -> TransferSystem:
     P = _packing(n)[0]
     for j in seeds:
         P = _close(P, tables.orbits[j][1], n)
-    return _checked(L, _unpack(P, n), "closure produced an invalid system")
+    return _checked(L, P, "closure produced an invalid system")
 
 
 # -- lattice operations on Tr(G) ---------------------------------------------
@@ -373,16 +373,14 @@ def _require_same_lattice(T1: TransferSystem, T2: TransferSystem) -> None:
 def meet(T1: TransferSystem, T2: TransferSystem) -> TransferSystem:
     """Pairwise intersection; always a transfer system."""
     _require_same_lattice(T1, T2)
-    return _checked(T1.lattice, tuple(a & b for a, b in zip(T1.rows, T2.rows)),
-                    "meet produced an invalid system")
+    return _checked(T1.lattice, T1.bits & T2.bits, "meet produced an invalid system")
 
 
 def join(T1: TransferSystem, T2: TransferSystem) -> TransferSystem:
     """Smallest transfer system containing both."""
     _require_same_lattice(T1, T2)
-    n = T1.lattice.n
-    closed = _close(_pack(T1.rows, n), enumerate(T2.rows), n)
-    return _checked(T1.lattice, _unpack(closed, n), "join produced an invalid system")
+    closed = _close(T1.bits, enumerate(T2.rows), T1.lattice.n)
+    return _checked(T1.lattice, closed, "join produced an invalid system")
 
 
 def is_saturated(T: TransferSystem) -> bool:
@@ -453,16 +451,6 @@ def _systems(L: SubgroupLattice, bound: int | None):
         stack += children
 
 
-def _tr(L: SubgroupLattice, bound: int | None
-        ) -> tuple[list[int], list[TransferSystem]]:
-    """Tr(G) sorted by TransferSystem.key, packed and as systems; the row
-    ints of the systems are shared through one dict."""
-    width = f"0{L.n * L.n}b"
-    packed = sorted(_systems(L, bound), key=lambda P: format(P, width)[::-1])
-    interned: dict[int, int] = {}
-    return packed, [TransferSystem(L, _unpack(P, L.n, interned)) for P in packed]
-
-
 def enumerate_all(L: SubgroupLattice, bound: int | None = None) -> list[TransferSystem]:
     """Every transfer system over L, sorted by deduplication key.
 
@@ -472,7 +460,9 @@ def enumerate_all(L: SubgroupLattice, bound: int | None = None) -> list[Transfer
     orbits.  Refuses if the number of inclusion-pair orbits exceeds the
     search bound (default 24, overridable via TL_SEARCH_BOUND).
     """
-    return _tr(L, bound)[1]
+    width = f"0{L.n * L.n}b"
+    return [TransferSystem(L, P)
+            for P in sorted(_systems(L, bound), key=lambda P: format(P, width)[::-1])]
 
 
 def hasse_diagram(L: SubgroupLattice, bound: int | None = None
@@ -485,12 +475,13 @@ def hasse_diagram(L: SubgroupLattice, bound: int | None = None
     lacks: S is minimal iff each missed orbit S holds closes T to S.
     Refuses as `enumerate_all` does.
     """
-    packed, systems = _tr(L, bound)
+    systems = enumerate_all(L, bound)
     masks = _tables(L).orbits
-    index = {P: i for i, P in enumerate(packed)}
+    index = {T.bits: i for i, T in enumerate(systems)}
     covers = []
-    for i, T in enumerate(packed):
-        succ = [(bit, _close(T, edges, L.n)) for bit, edges in masks if not T & bit]
+    for i, T in enumerate(systems):
+        P = T.bits
+        succ = [(bit, _close(P, edges, L.n)) for bit, edges in masks if not P & bit]
         for S in {N for _, N in succ}:
             if all(N == S for bit, N in succ if S & bit):
                 covers.append((i, index[S]))
@@ -515,14 +506,14 @@ def aut_orbits(systems, automorphism_perms):
         if p not in covered:
             sub_perms.append(_relabeler(p))
             covered |= {tuple(p[s] for s in c) for c in L.conjugate}
-    index = {T.rows: i for i, T in enumerate(systems)}
+    index = {T.bits: i for i, T in enumerate(systems)}
     placed = [False] * len(systems)
     orbits = []
     for i, T in enumerate(systems):
         if placed[i]:
             continue
         try:
-            members = sorted({index[relabel(T.rows)] for relabel in sub_perms})
+            members = sorted({index[relabel(T.bits)] for relabel in sub_perms})
         except KeyError:
             raise ValueError(
                 "system list is not closed under the automorphism action") from None
@@ -563,12 +554,8 @@ def closed_form_normal_source(L: SubgroupLattice, k: int, hs) -> TransferSystem:
         if not L.includes[k][h]:
             raise ValueError(f"source {L.names[k]} is not contained in {L.names[h]}")
     _check_conjugation_closed(L, hs, "target")
-    rows = [1 << s for s in range(L.n)]
-    for h in hs:
-        for m in range(L.n):
-            if L.includes[m][h]:
-                rows[L.intersect[m][k]] |= 1 << m
-    return _checked(L, tuple(rows), "closed form invalid")
+    pairs = [(L.intersect[m][k], m) for h in hs for m in range(L.n) if L.includes[m][h]]
+    return _checked(L, _bits_of(L, pairs), "closed form invalid")
 
 
 def closed_form_normal_target(L: SubgroupLattice, ks, h: int) -> TransferSystem:
@@ -590,9 +577,5 @@ def closed_form_normal_target(L: SubgroupLattice, ks, h: int) -> TransferSystem:
         new = {L.intersect[a][b] for a in frontier for b in meets} - meets
         meets |= new
         frontier = new
-    rows = [1 << s for s in range(L.n)]
-    for m in range(L.n):
-        if L.includes[m][h]:
-            for kk in meets:
-                rows[L.intersect[m][kk]] |= 1 << m
-    return _checked(L, tuple(rows), "closed form invalid")
+    pairs = [(L.intersect[m][kk], m) for m in range(L.n) if L.includes[m][h] for kk in meets]
+    return _checked(L, _bits_of(L, pairs), "closed form invalid")

@@ -53,12 +53,6 @@ def test_prefixes_downward_closed_and_invariant():
             assert inclusion_partition_identity(L, layers, m)
 
 
-def test_non_minimal_chooser_rejected():
-    L = L_("K4")
-    with pytest.raises(ValueError, match="non-minimal"):
-        layer_subgroups(L, chooser=lambda lat, remaining: max(remaining))
-
-
 @pytest.mark.parametrize("name,length", [("C8", 7), ("C27", 7), ("K4", 8),
                                          ("Q8", 13), ("Sym3", 6)])
 def test_chain_lengths(name, length):
@@ -105,24 +99,6 @@ def test_k4_chain_reproduces_the_listed_sequence():
         {(0, a), (0, b), (0, c), (0, top), (a, top), (b, top), (c, top)},
     ]
     assert [set(T.pairs()) for T in chain.systems] == expected
-
-
-def test_chain_with_injected_chooser():
-    """Peeling <c> before <a> swaps the first layers and the early systems."""
-    L = L_("K4")
-    c = L.resolve_name("<c>")
-
-    def chooser(lat, remaining):
-        non_trivial = [s for s in remaining if s != 0]
-        return c if c in remaining else min(remaining) if not non_trivial or 0 in remaining \
-            else min(non_trivial)
-
-    layers = layer_subgroups(L, chooser=lambda lat, rem: 0 if 0 in rem
-                             else (c if c in rem else min(rem)))
-    assert layers[1] == [c]
-    chain = maximal_chain(L, chooser=lambda lat, rem: 0 if 0 in rem
-                          else (c if c in rem else min(rem)))
-    assert set(chain.systems[1].pairs()) == {(0, c)}
 
 
 def test_sym4_chain_without_enumeration():

@@ -163,6 +163,7 @@ def test_make_group_dispatch():
     assert make_group("K4").name == "K4"
     assert make_group({"kind": "builtin", "name": "Sym4"}).order == 24
     assert make_group({"kind": "abelian", "factors": [2, 4]}).name == "C2xC4"
+    assert make_group("C2xC4").spec == {"kind": "abelian", "factors": [2, 4]}
     table = [[0, 1], [1, 0]]
     G = make_group({"kind": "table", "table": table, "name": "Z2"})
     assert G.order == 2
