@@ -26,46 +26,30 @@ class MaximalChain:
 
 
 def layer_subgroups(L: SubgroupLattice) -> list[list[int]]:
-    """Partition the subgroups into conjugacy-class layers.
+    """The conjugacy classes of L.class_of as layers, one sorted list per
+    class id.
 
-    Repeatedly take the least remaining canonical index, which is minimal
-    among the remaining subgroups because the canonical order is by order,
-    and peel off its conjugacy class.  Every prefix union is
-    downward-closed and conjugation-invariant.
+    Class ids follow each class's least canonical index, and the canonical
+    order is by order, so every prefix union of layers is downward-closed
+    and conjugation-invariant.
     """
-    remaining = list(range(L.n))
-    layers: list[list[int]] = []
-    while remaining:
-        pick = min(remaining)
-        layer = sorted({L.conjugate[g][pick] for g in range(L.group.order)})
-        layers.append(layer)
-        remaining = [s for s in remaining if s not in layer]
+    layers: list[list[int]] = [[] for _ in range(L.class_count)]
+    for s, c in enumerate(L.class_of):
+        layers[c].append(s)
     return layers
 
 
 def maximal_chain(L: SubgroupLattice) -> MaximalChain:
     """Build a maximal-length chain from the layer filtration.
 
-    Inclusion pairs between layers i < j are grouped into conjugation
-    orbits; blocks are visited in the order (0,1), (0,2), (1,2), (0,3), ...
-    and orbits within a block in L.pair_orbits order, which is by least
-    pair.  Each partial union is itself a transfer system and is validated.
+    The layers are the conjugacy classes of L.class_of.  A proper inclusion
+    K < H has |K| < |H|, so its source class id is below its target class
+    id; pair orbits are added by (target class, source class), and within
+    one such block in L.pair_orbits order, which is by least pair.  Each
+    partial union is itself a transfer system and is validated.
     """
-    layers = layer_subgroups(L)
-    layer_of = {}
-    for i, layer in enumerate(layers):
-        for s in layer:
-            layer_of[s] = i
-
-    blocks: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
-    for orbit in L.pair_orbits:
-        k, h = orbit[0]
-        blocks.setdefault((layer_of[k], layer_of[h]), []).append(orbit)
-
-    ordered: list[tuple[tuple[int, int], ...]] = []
-    for j in range(1, len(layers)):
-        for i in range(j):
-            ordered.extend(blocks.get((i, j), []))
+    class_of = L.class_of
+    ordered = sorted(L.pair_orbits, key=lambda o: (class_of[o[0][1]], class_of[o[0][0]]))
 
     systems = [TransferSystem.diagonal(L)]
     for orbit in ordered:
@@ -76,20 +60,15 @@ def maximal_chain(L: SubgroupLattice) -> MaximalChain:
         raise AssertionError("chain did not reach the maximum system")
     if len(systems) != 1 + len(L.pair_orbits):
         raise AssertionError("chain length does not match the orbit count bound")
-    return MaximalChain(tuple(systems), tuple(layer[0] for layer in layers),
+    return MaximalChain(tuple(systems), tuple(layer[0] for layer in layer_subgroups(L)),
                         tuple(ordered))
 
 
 def inclusion_partition_identity(L: SubgroupLattice, layers: Sequence[Sequence[int]],
                                  m: int) -> bool:
-    """Inclusion pairs within the first m+1 layers split as diagonal plus blocks."""
-    prefix = {s for layer in layers[:m + 1] for s in layer}
+    """Every proper inclusion within the first m+1 layers goes from a lower
+    layer to a higher one."""
+    prefix = [s for layer in layers[:m + 1] for s in layer]
     layer_of = {s: i for i, layer in enumerate(layers) for s in layer}
-    inclusion = {(k, h) for k in prefix for h in prefix if L.includes[k][h]}
-    blocks = set()
-    for k, h in inclusion:
-        if k != h:
-            if not layer_of[k] < layer_of[h]:
-                return False
-            blocks.add((k, h))
-    return inclusion == blocks | {(s, s) for s in prefix}
+    return all(layer_of[k] < layer_of[h]
+               for k in prefix for h in prefix if k != h and L.includes[k][h])

@@ -18,7 +18,9 @@ class FiniteGroup:
     Instances are immutable after construction and safe to share between
     threads.  Construction validates the table: totality, a two-sided
     identity, two-sided inverses, and associativity (by Light's test over a
-    generating set; all supported groups have order <= 24).
+    generating set; all supported groups have order <= 24).  That set is
+    `generators`: each element, in index order, that the earlier ones do
+    not generate.
 
     `spec` records how a named constructor built the group, as the
     make_group spec that rebuilds it; a group built from a bare table has
@@ -56,6 +58,7 @@ class FiniteGroup:
 
         self.identity = self._find_identity()
         self._invert = self._find_inverses()
+        self.generators = tuple(self._right_closure(range(n))[1])
         self._check_associative()
         self._abelian: bool | None = None
 
@@ -84,7 +87,7 @@ class FiniteGroup:
         every element is a right product of generators from the identity,
         so this is as exact as checking every triple."""
         t = self._table
-        for g in self._right_closure(range(self.order))[1]:
+        for g in self.generators:
             row_g = t[g]
             for x in range(self.order):
                 row_x = t[x]

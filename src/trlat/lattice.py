@@ -20,7 +20,6 @@ class SubgroupLattice:
         self.subgroups = tuple(sorted(subgroups, key=lambda s: (len(s), tuple(sorted(s)))))
         self.n = len(self.subgroups)
         self.index_of = {s: i for i, s in enumerate(self.subgroups)}
-        self.trivial = 0
         self.full = self.n - 1
 
         n = self.n
@@ -157,29 +156,17 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     return lattice
 
 
-def _generating_sequence(G: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    span = frozenset([G.identity])
-    for x in range(G.order):
-        if x not in span:
-            gens.append(x)
-            span = G.closure(gens)
-            if len(span) == G.order:
-                break
-    return gens
-
-
 def automorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
     """All automorphisms of G as element-index permutations.
 
-    For each choice of images of a generating sequence, of matching element
+    For each choice of images of G.generators, of matching element
     orders, phi is filled along one breadth-first tree of right
     multiplications by the generators from the identity, and kept iff it is
     a bijection with phi(x g) = phi(x) phi(g) for every element x and
     generator g.  That makes phi a homomorphism, since every element is a
     product of generators.
     """
-    gens = _generating_sequence(G)
+    gens = G.generators
     right = [[G.compose(x, g) for x in range(G.order)] for g in gens]  # right[i][x] = x g_i
     tree, seen = [], {G.identity}  # (x, i, x g_i), each element first reached
     frontier = [G.identity]

@@ -105,8 +105,9 @@ def _catalog_name(G: FiniteGroup, what: str, supported: str) -> str:
 def catalog(name: str) -> tuple[RepCatalogEntry, ...]:
     """Nontrivial irreducible summands with their orbit pairs.
 
-    K4 entries are derived from its cocyclic subgroups (one sign
-    representation per index-2 kernel); Q8 and Sym3 entries are fixture data.
+    K4 entries are derived from its proper cocyclic subgroups, each of index
+    2 and the kernel of one sign representation; Q8 and Sym3 entries are
+    fixture data.
     """
     L = _require_catalog_group(name)
     raw = _fixture_data()["groups"][name]["catalog"]
@@ -115,11 +116,8 @@ def catalog(name: str) -> tuple[RepCatalogEntry, ...]:
         for s in range(L.n - 1):
             if not L.cocyclic[s]:
                 continue
-            quotient = L.group.order // L.order_of(s)
             gen = L.names[s].strip("<>").split(",")[0]
-            entries.append(RepCatalogEntry(
-                name, f"sigma_{gen}" if quotient == 2 else f"lambda_{gen}",
-                ((s, L.full),), 1 if quotient == 2 else 2))
+            entries.append(RepCatalogEntry(name, f"sigma_{gen}", ((s, L.full),), 1))
         return tuple(entries)
     entries = tuple(RepCatalogEntry(name, e["rep"], tuple(_resolve_pairs(L, e["orb"])),
                                     e["dim"]) for e in raw)

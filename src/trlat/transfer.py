@@ -470,18 +470,25 @@ def hasse_diagram(L: SubgroupLattice, bound: int | None = None
     """Tr(G) as `enumerate_all` lists it, and its covers: the sorted index
     pairs (i, j) with systems[i] covered by systems[j].
 
-    A cover of T is T joined with a pair orbit it lacks, so the covers of T
-    are the minimal ones among its successors, T joined with each orbit it
-    lacks: S is minimal iff each missed orbit S holds closes T to S.
-    Refuses as `enumerate_all` does.
+    A cover of T is T joined with a pair orbit it lacks.  Any orbit i != j
+    in the system orbit j generates has a smaller target, or one of the same
+    order with a smaller source, so no two orbits generate each other, and
+    T joined with i lies within T joined with j.  So every cover is T joined
+    with a lacking orbit j whose generated system holds no other lacking
+    orbit; only those are closed, and among them S is minimal iff each
+    candidate orbit S holds closes T to S.  Refuses as `enumerate_all` does.
     """
     systems = enumerate_all(L, bound)
     masks = _tables(L).orbits
+    diagonal = _packing(L.n)[0]
+    generated = [_close(diagonal, edges, L.n) for _, edges in masks]
     index = {T.bits: i for i, T in enumerate(systems)}
     covers = []
     for i, T in enumerate(systems):
         P = T.bits
-        succ = [(bit, _close(P, edges, L.n)) for bit, edges in masks if not P & bit]
+        lacking = sum(bit for bit, _ in masks if not P & bit)
+        succ = [(bit, _close(P, edges, L.n))
+                for (bit, edges), g in zip(masks, generated) if g & lacking == bit]
         for S in {N for _, N in succ}:
             if all(N == S for bit, N in succ if S & bit):
                 covers.append((i, index[S]))

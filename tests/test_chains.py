@@ -24,7 +24,7 @@ def test_layers_trivial_group():
     assert len(maximal_chain(L)) == 1
 
 
-def test_layers_k4_default_chooser():
+def test_layers_k4_one_class_per_subgroup():
     L = L_("K4")
     layers = layer_subgroups(L)
     assert [[L.names[s] for s in layer] for layer in layers] == \
@@ -51,6 +51,33 @@ def test_prefixes_downward_closed_and_invariant():
                 for g in range(L.group.order):
                     assert L.conjugate[g][s] in prefix
             assert inclusion_partition_identity(L, layers, m)
+
+
+def peeled_chain_order(L):
+    """Layers by peeling off the conjugacy class of the least remaining
+    subgroup, and pair orbits by layer blocks (0,1), (0,2), (1,2), (0,3), ...,
+    each in L.pair_orbits order: a reference that shares no code with
+    chains.py."""
+    remaining, layers = set(range(L.n)), []
+    while remaining:
+        pick = min(remaining)
+        layer = sorted({L.conjugate[g][pick] for g in range(L.group.order)})
+        layers.append(layer)
+        remaining -= set(layer)
+    layer_of = {s: i for i, layer in enumerate(layers) for s in layer}
+    order = [orbit for j in range(len(layers)) for i in range(j) for orbit in L.pair_orbits
+             if (layer_of[orbit[0][0]], layer_of[orbit[0][1]]) == (i, j)]
+    return layers, tuple(layer[0] for layer in layers), tuple(order)
+
+
+@pytest.mark.parametrize("name", ["Q8", "Sym4", "D10", "C2xC6", "C2xC2xC2", "C2xC2xC6"])
+def test_chain_order_matches_peeled_layers(name):
+    L = L_(name)
+    layers, choices, order = peeled_chain_order(L)
+    chain = maximal_chain(L)
+    assert layer_subgroups(L) == layers
+    assert chain.layer_choices == choices
+    assert chain.orbit_order == order
 
 
 @pytest.mark.parametrize("name,length", [("C8", 7), ("C27", 7), ("K4", 8),

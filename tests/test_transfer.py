@@ -256,6 +256,24 @@ def test_sym4_pinned():
     assert aut_orbits(systems, automorphisms(L.group))[1] == [(1, 8691)]
 
 
+@pytest.mark.parametrize("name,bound,count", [("C24", None, 1623), ("C2xC6", 34, 15010)])
+def test_hasse_cover_counts(name, bound, count):
+    # Sym4's 40863 covers are pinned by test_sym4_pinned
+    assert len(hasse_diagram(L_(name), bound)[1]) == count
+
+
+@pytest.mark.parametrize("name", ["Sym4", "C2xC2xC2", "C4xC4", "C2xC2xC6"])
+def test_no_two_pair_orbits_generate_each_other(name):
+    """hasse_diagram closes only the lacking orbits whose generated system
+    holds no other lacking orbit, which is exact only if this holds."""
+    L = L_(name)
+    firsts = [orbit[0] for orbit in L.pair_orbits]
+    generated = [generate(L, [pair]) for pair in firsts]
+    for i, Si in enumerate(generated):
+        for j in range(i):
+            assert not (Si.contains(*firsts[j]) and generated[j].contains(*firsts[i]))
+
+
 def test_rank_two_formula():
     for p in (2, 3):
         L = subgroup_lattice(abelian_group((p, p)))
