@@ -60,7 +60,7 @@ def _realized(L) -> set[TransferSystem]:
 
 
 def _orbit_keysets(systems, group) -> set[frozenset]:
-    orbits, _ = aut_orbits(sorted(systems, key=lambda t: t.key), automorphisms(group))
+    orbits, _ = aut_orbits(systems, automorphisms(group))
     return {frozenset(t.key for t in orbit) for orbit in orbits}
 
 

@@ -21,8 +21,8 @@ from importlib import resources
 
 from .groups import FiniteGroup, cyclic_group, make_group
 from .lattice import SubgroupLattice, subgroup_lattice
-from .transfer import (SearchBoundExceeded, TransferSystem, generate, is_saturated,
-                       irreducible_pairs)
+from .transfer import (SearchBoundExceeded, TransferSystem, generate, in_key_order,
+                       is_saturated, irreducible_pairs)
 from .universes import (CyclicUniverseIndexSet, _negation_classes, index_set_count,
                         lambda_kernel_order)
 
@@ -207,7 +207,7 @@ def steiner_image(L: SubgroupLattice) -> list[TransferSystem]:
     values = {generate(L, [p for summand in combo for p in summand])
               for r in range(len(summands) + 1)
               for combo in itertools.combinations(summands, r)}
-    return sorted(values, key=lambda t: t.key)
+    return in_key_order(values)
 
 
 # -- the isometries map --------------------------------------------------------
@@ -315,7 +315,7 @@ def linisom_image_cyclic(n: int) -> list[TransferSystem]:
         pairs = [(of_order[d], of_order[e])
                  for idx, (d, e) in enumerate(order_pairs) if sig >> idx & 1]
         values.add(TransferSystem.from_pairs(L, pairs))
-    return sorted(values, key=lambda t: t.key)
+    return in_key_order(values)
 
 
 def linisom_image(L: SubgroupLattice) -> tuple[list[TransferSystem], int]:
@@ -326,7 +326,7 @@ def linisom_image(L: SubgroupLattice) -> tuple[list[TransferSystem], int]:
     if G.kind == "cyclic":
         return linisom_image_cyclic(G.order), index_set_count(G.order)
     rows = linisom_fixture(_catalog_name(G, "isometries-map", "cyclic groups"))
-    return sorted({row.system for row in rows}, key=lambda t: t.key), len(rows)
+    return in_key_order({row.system for row in rows}), len(rows)
 
 
 # -- constructing realizing universes ------------------------------------------

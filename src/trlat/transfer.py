@@ -7,6 +7,7 @@ relation K_k -> H_h holds (canonical lattice indices).
 from __future__ import annotations
 
 import functools
+import operator
 import os
 from dataclasses import dataclass
 from .lattice import SubgroupLattice
@@ -173,21 +174,24 @@ class _Tables:
       (c[k], c[h]) and its restrictions (L_l n K_k, L_l) for L_l <= H_h;
       0 for any other pair.
     orbit_of[k*n + h]: the index in L.pair_orbits of a proper pair, else -1.
+    orbit_pairs[j]: the packed pairs of orbit j.
     orbits: per pair orbit, the packed bit of its first pair and the nonzero
       (row, bits) of its members' demands together, which is what the orbit
       adds under conjugation, then restriction: every pair of an orbit
       closes to the same system, and a system holds a whole orbit or none.
     """
 
-    __slots__ = ("incl", "maximum", "demand", "orbit_of", "orbits")
+    __slots__ = ("incl", "maximum", "demand", "orbit_of", "orbit_pairs", "orbits")
 
     def __init__(self, L: SubgroupLattice):
         n = L.n
         self.incl = [sum(1 << h for h in range(n) if L.includes[k][h]) for k in range(n)]
         self.maximum = sum(r << k * n for k, r in enumerate(self.incl))
         self.demand, self.orbit_of, self.orbits = [0] * (n * n), [-1] * (n * n), []
+        self.orbit_pairs = []
         for j, orbit in enumerate(L.pair_orbits):
             conjugates = sum(1 << k * n + h for k, h in orbit)
+            self.orbit_pairs.append(conjugates)
             union = 0
             for k, h in orbit:
                 need = conjugates
@@ -451,18 +455,45 @@ def _systems(L: SubgroupLattice, bound: int | None):
         stack += children
 
 
+def _bit_reversed() -> bytes:
+    """Byte b's bits in reverse order, for each b.  Reversing i + 1 bits
+    sends x < 2^i to x reversed in i bits times 2, and 2^i + x to that
+    plus 1, so each round doubles the table; this is cheaper at import than
+    formatting 256 bit strings."""
+    table = [0]
+    for _ in range(8):
+        table = [r << 1 for r in table] + [r << 1 | 1 for r in table]
+    return bytes(table)
+
+
+_BIT_REVERSED = _bit_reversed()
+
+
+def in_key_order(systems) -> list[TransferSystem]:
+    """Systems over one lattice, sorted as by TransferSystem.key, but by the
+    bytes of the packed int, little-endian and bit-reversed: byte 0 compares
+    first, and bit 0 is the most significant within a byte.  Every key has
+    the same length, so the zero padding decides nothing."""
+    systems = list(systems)
+    if not systems:
+        return []
+    n = systems[0].lattice.n
+    size = -(-n * n // 8)
+    return sorted(systems,
+                  key=lambda T: T.bits.to_bytes(size, "little").translate(_BIT_REVERSED))
+
+
 def enumerate_all(L: SubgroupLattice, bound: int | None = None) -> list[TransferSystem]:
-    """Every transfer system over L, sorted by deduplication key.
+    """Every transfer system over L, in TransferSystem.key order.
 
     Lists each system once by Fast Close-by-One (Outrata and Vychodil,
     "Fast algorithm for computing fixpoints of Galois connections induced by
     object-attribute relational data", Inf. Sci. 185, 2012) over the pair
-    orbits.  Refuses if the number of inclusion-pair orbits exceeds the
-    search bound (default 24, overridable via TL_SEARCH_BOUND).
+    orbits, and sorts them by `in_key_order`'s byte key.  Refuses
+    if the number of inclusion-pair orbits exceeds the search bound
+    (default 24, overridable via TL_SEARCH_BOUND).
     """
-    width = f"0{L.n * L.n}b"
-    return [TransferSystem(L, P)
-            for P in sorted(_systems(L, bound), key=lambda P: format(P, width)[::-1])]
+    return in_key_order(TransferSystem(L, P) for P in _systems(L, bound))
 
 
 def hasse_diagram(L: SubgroupLattice, bound: int | None = None
@@ -496,34 +527,89 @@ def hasse_diagram(L: SubgroupLattice, bound: int | None = None
     return systems, covers
 
 
+class _OrbitImages(dict):
+    """The action of a subgroup permutation p induced by an automorphism on
+    codes, ints whose bit j stands for pair orbit j of L, read 8 bits at a
+    time: self[i << 8 | c] is the packed pairs of the images of the orbits
+    8i + b for the bits b of c, computed on first use.
+
+    An automorphism normalizes Inn(G), so p maps conjugation orbits of
+    pairs onto conjugation orbits, and sends orbit j to the orbit of the
+    image (p[k], p[h]) of j's first pair (k, h).  A transfer system is the
+    diagonal plus the pairs of the orbits it holds, so its image is the
+    diagonal OR the images of its code's chunks.
+    """
+
+    __slots__ = ("lattice", "perm")
+
+    def __init__(self, L: SubgroupLattice, perm: tuple[int, ...]):
+        super().__init__()
+        self.lattice, self.perm = L, perm
+
+    def __missing__(self, key: int) -> int:
+        L, p, n = self.lattice, self.perm, self.lattice.n
+        tables = _tables(L)
+        out, j, chunk = 0, key >> 8 << 3, key & 255
+        while chunk:
+            if chunk & 1:
+                k, h = L.pair_orbits[j][0]
+                out |= tables.orbit_pairs[tables.orbit_of[p[k] * n + p[h]]]
+            chunk >>= 1
+            j += 1
+        self[key] = out
+        return out
+
+
 def aut_orbits(systems, automorphism_perms):
     """Orbit partition of systems under relabeling by group automorphisms.
 
     Returns (orbits, profile): orbits as lists of systems, each in the order
     of `systems` (key order for `enumerate_all`'s list), and profile as
-    (orbit size, count) sorted by size descending.  Inner automorphisms
-    (subgroup permutations L.conjugate[g]) fix every conjugation-closed
-    system, so one representative per coset of Inn(G) relabels.
+    (orbit size, count) sorted by size descending.  Raises ValueError if
+    the list is not closed under the action.
+
+    Inner automorphisms (subgroup permutations L.conjugate[g]) fix every
+    conjugation-closed system, so only one subgroup permutation per coset
+    of Inn(G) other than Inn(G) itself relabels.  It acts on pair orbits
+    (see `_OrbitImages`), so each representative's held orbits are read
+    once, as a code, and each relabeling ORs together the images of the
+    code's 8-bit chunks.
     """
     if not systems:
         return [], []
     L = systems[0].lattice
-    sub_perms, covered = [], set()
-    for p in sorted({L.subgroup_perm(sigma) for sigma in automorphism_perms}):
+    inner = set(L.conjugate)
+    actions, covered = [], set(inner)
+    for p in {L.subgroup_perm(sigma) for sigma in automorphism_perms}:
         if p not in covered:
-            sub_perms.append(_relabeler(p))
-            covered |= {tuple(p[s] for s in c) for c in L.conjugate}
+            actions.append(_OrbitImages(L, p))
+            covered |= {tuple(p[s] for s in c) for c in inner}
+    n = L.n
+    width, size = f"0{n * n}b", -(-len(L.pair_orbits) // 8)
+    # bit j of P's code says P holds orbit j: the characters of
+    # format(P, width) at the orbits' first pairs, the last orbit first
+    positions = [n * n - 1 - k * n - h for k, h in reversed([o[0] for o in L.pair_orbits])]
+    # itemgetter needs a position, and only C1, with no action, has no pair orbit
+    held = operator.itemgetter(*positions) if actions else None
+    diagonal = _packing(n)[0]
     index = {T.bits: i for i, T in enumerate(systems)}
     placed = [False] * len(systems)
     orbits = []
     for i, T in enumerate(systems):
         if placed[i]:
             continue
-        try:
-            members = sorted({index[relabel(T.bits)] for relabel in sub_perms})
-        except KeyError:
-            raise ValueError(
-                "system list is not closed under the automorphism action") from None
+        members = {index[T.bits]}
+        if actions:
+            code = int("".join(held(format(T.bits, width))), 2)
+            chunks = [at << 8 | c for at, c in enumerate(code.to_bytes(size, "little")) if c]
+            for images in actions:
+                try:
+                    members.add(index[functools.reduce(
+                        operator.or_, map(images.__getitem__, chunks), diagonal)])
+                except KeyError:
+                    raise ValueError(
+                        "system list is not closed under the automorphism action") from None
+        members = sorted(members)
         for m in members:
             placed[m] = True
         orbits.append([systems[m] for m in members])

@@ -9,8 +9,10 @@ from trlat.lattice import automorphisms, subgroup_lattice
 from trlat.transfer import (SearchBoundExceeded, TransferSystem,
                             TransferSystemError, aut_orbits,
                             closed_form_normal_source, closed_form_normal_target,
-                            enumerate_all, generate, hasse_diagram, irreducible_pairs,
-                            is_saturated, join, meet, validate)
+                            enumerate_all, generate, hasse_diagram, in_key_order,
+                            irreducible_pairs, is_saturated, join, meet, validate)
+
+from test_lattice import relabeled_d8
 
 
 def L_(name):
@@ -280,6 +282,15 @@ def test_rank_two_formula():
         assert len(enumerate_all(L)) == 2 ** (p + 2) + p + 1
 
 
+@pytest.mark.parametrize("name,bound", [("C16", None), ("Q8", None), ("C2xC6", 26),
+                                        ("Sym4", 34)])
+def test_enumeration_in_key_order(name, bound):
+    """The byte sort key orders as the bit-string key does, over 25 to 900 bits."""
+    systems = enumerate_all(L_(name), bound)
+    assert systems == sorted(systems, key=lambda T: T.key)
+    assert in_key_order(reversed(systems)) == systems
+
+
 def test_enumeration_sorted_unique_closed():
     # Sym3 has pair orbits of size 3, so it exercises the orbit representatives
     for name in ("Q8", "Sym3"):
@@ -341,11 +352,13 @@ def test_k4_orbit_count():
     assert len(orbits) == 9
 
 
-@pytest.mark.parametrize("name,profile", [("Sym3", [(1, 9)]), ("D10", None), ("Q8", None)])
+@pytest.mark.parametrize("name,profile", [("Sym3", [(1, 9)]), ("D10", None), ("Q8", None),
+                                          ("C2xC4", None), ("C2xC6", None),
+                                          ("D8-relabeled", None)])
 def test_orbits_match_brute_force_relabeling(name, profile):
     """Relabel every system's pairs under every automorphism, inner ones included."""
-    L = L_(name)
-    systems = enumerate_all(L)
+    L = subgroup_lattice(relabeled_d8(5) if name == "D8-relabeled" else make_group(name))
+    systems = enumerate_all(L, bound=26)
     orbits, got_profile = aut_orbits(systems, automorphisms(L.group))
     images = [tuple(L.index_of[frozenset(sigma[x] for x in s)] for s in L.subgroups)
               for sigma in automorphisms(L.group)]
@@ -356,6 +369,19 @@ def test_orbits_match_brute_force_relabeling(name, profile):
     assert got_profile == sorted({(z, sizes.count(z)) for z in sizes}, reverse=True)
     if profile is not None:
         assert got_profile == profile
+
+
+def test_orbits_of_no_systems():
+    assert aut_orbits([], automorphisms(make_group("Q8"))) == ([], [])
+
+
+def test_orbits_refuse_a_list_not_closed_under_automorphisms():
+    L = L_("Q8")
+    systems = enumerate_all(L)
+    orbits, _ = aut_orbits(systems, automorphisms(L.group))
+    for member in next(o for o in orbits if len(o) == 3):
+        with pytest.raises(ValueError, match="not closed under the automorphism action"):
+            aut_orbits([T for T in systems if T != member], automorphisms(L.group))
 
 
 def test_diagonal_is_a_fixed_point():
