@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 from .lattice import SubgroupLattice
 from .transfer import TransferSystem, _bits_of, _checked
 
@@ -62,13 +61,3 @@ def maximal_chain(L: SubgroupLattice) -> MaximalChain:
         raise AssertionError("chain length does not match the orbit count bound")
     return MaximalChain(tuple(systems), tuple(layer[0] for layer in layer_subgroups(L)),
                         tuple(ordered))
-
-
-def inclusion_partition_identity(L: SubgroupLattice, layers: Sequence[Sequence[int]],
-                                 m: int) -> bool:
-    """Every proper inclusion within the first m+1 layers goes from a lower
-    layer to a higher one."""
-    prefix = [s for layer in layers[:m + 1] for s in layer]
-    layer_of = {s: i for i, layer in enumerate(layers) for s in layer}
-    return all(layer_of[k] < layer_of[h]
-               for k in prefix for h in prefix if k != h and L.includes[k][h])

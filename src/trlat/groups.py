@@ -170,6 +170,11 @@ class FiniteGroup:
 
 # -- constructions ----------------------------------------------------------
 
+def is_prime(n: int) -> bool:
+    """Trial division up to the square root; n < 2 is not prime."""
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
 def _built(G: FiniteGroup, **spec) -> FiniteGroup:
     G.spec = spec
     return G
@@ -267,7 +272,7 @@ def dihedral_group(two_p: int) -> FiniteGroup:
     if two_p % 2 != 0:
         raise GroupValidationError(f"dihedral order must be even, got {two_p}")
     p = two_p // 2
-    if p < 3 or any(p % d == 0 for d in range(2, p)):
+    if p < 3 or not is_prime(p):
         raise GroupValidationError(f"D{two_p} requires an odd prime p, got p={p}")
     items = [(a, b) for b in (0, 1) for a in range(p)]
 

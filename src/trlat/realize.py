@@ -1,12 +1,15 @@
 """Realizability of transfer systems by geometric operad families.
 
 Two maps out of the cube of universes are computed: the "embedding" map
-(here: steiner_*), generated one irreducible summand at a time via its orbit
-data, and the "isometries" map (linisom_*), which for cyclic groups is
-decided by the translation-invariance criterion on reduced index sets.
-Non-cyclic, non-abelian cases ship as fixture tables; the module refuses to
-approximate them.  Which data a group has is decided here alone, from how
-it was built; a group without data raises `NoRealizabilityData`.
+(here: steiner_*), whose value on a universe is the join in Tr(G) of the
+systems its irreducible summands generate from their orbit data, and the
+"isometries" map (linisom_*), which for cyclic groups is decided by the
+translation-invariance criterion on reduced index sets.  An abelian group
+takes its summands from its proper cocyclic subgroups; K4's isometries
+values, and both maps for Q8 and Sym3, ship as fixture tables; the module
+refuses to approximate any other group.  Which data a group has is decided
+here alone, from how it was built; a group without data raises
+`NoRealizabilityData`.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ import operator
 from dataclasses import dataclass
 from importlib import resources
 
-from .groups import FiniteGroup, cyclic_group, make_group
+from .groups import FiniteGroup, cyclic_group, is_prime, make_group
 from .lattice import SubgroupLattice, subgroup_lattice
 from .transfer import (SearchBoundExceeded, TransferSystem, generate, in_key_order,
-                       is_saturated, irreducible_pairs)
+                       is_saturated, irreducible_pairs, join)
 from .universes import (CyclicUniverseIndexSet, _negation_classes, index_set_count,
                         lambda_kernel_order)
 
@@ -190,10 +193,14 @@ def steiner_abelian(L: SubgroupLattice, kernels) -> TransferSystem:
 def steiner_image(L: SubgroupLattice) -> list[TransferSystem]:
     """All embedding-map values, deduplicated and sorted.
 
-    One value per subset of summands, generated from the union of their
-    orbit pairs.  An abelian group has one summand ((H, G),) per proper
-    cocyclic H; a catalog group takes its summands from `catalog`.  Refused
-    before any generation above STEINER_SUBSET_LIMIT subsets.
+    One value per subset of summands, the system generated by the union of
+    their orbit pairs.  That is the join of the systems each summand
+    generates, since generate(A | B) is the smallest system holding both
+    generate(A) and generate(B); so each summand joins its system into
+    every value found so far.  An abelian group has one summand ((H, G),)
+    per proper cocyclic H; a catalog group takes its summands from
+    `catalog`.  Refused before any generation above STEINER_SUBSET_LIMIT
+    subsets.
     """
     if L.group.is_abelian:
         summands = [((s, L.full),) for s in range(L.n - 1) if L.cocyclic[s]]
@@ -204,9 +211,10 @@ def steiner_image(L: SubgroupLattice) -> list[TransferSystem]:
         raise SearchBoundExceeded(
             f"{L.group.name} has {len(summands)} embedding-map summands, "
             f"{1 << len(summands)} subsets, above the subset limit {STEINER_SUBSET_LIMIT}")
-    values = {generate(L, [p for summand in combo for p in summand])
-              for r in range(len(summands) + 1)
-              for combo in itertools.combinations(summands, r)}
+    values = {TransferSystem.diagonal(L)}
+    for summand in summands:
+        g = generate(L, summand)
+        values |= {join(T, g) for T in values}
     return in_key_order(values)
 
 
@@ -262,7 +270,7 @@ def _stabilizer_table(e: int, order_pairs) -> dict[int, int]:
     targets = [(idx, d) for idx, (d, f) in enumerate(order_pairs) if f == e]
     table = {}
     for p in range(2, e + 1):
-        if e % p or not _is_prime(p):
+        if e % p or not is_prime(p):
             continue
         m = e // p
         # the class {j, -j} of Z/m lifted to Z/e, j = 0 first
@@ -331,10 +339,6 @@ def linisom_image(L: SubgroupLattice) -> tuple[list[TransferSystem], int]:
 
 # -- constructing realizing universes ------------------------------------------
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
-
-
 def realize_saturated_cpn(p: int, n: int, T: TransferSystem) -> CyclicUniverseIndexSet:
     """Index set whose isometries-map value is the given saturated system.
 
@@ -343,7 +347,7 @@ def realize_saturated_cpn(p: int, n: int, T: TransferSystem) -> CyclicUniverseIn
     trip through linisom_cyclic is checked before returning.
     """
     modulus = p ** n
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if T.lattice.group.spec != {"kind": "cyclic", "n": modulus}:
         raise ValueError(f"system lives on {T.lattice.group.name}, expected C{modulus}")
@@ -388,7 +392,7 @@ def realize_saturated_cpq(p: int, q: int, T: TransferSystem):
     explicit index-set table, verified by round trip: a miss is a bug in the
     table, raised as `AssertionError`.
     """
-    if not (_is_prime(p) and _is_prime(q) and p < q):
+    if not (is_prime(p) and is_prime(q) and p < q):
         raise ValueError(f"need primes p < q, got ({p}, {q})")
     if T.lattice.group.spec != {"kind": "cyclic", "n": p * q}:
         raise ValueError(f"system lives on {T.lattice.group.name}, expected C{p * q}")

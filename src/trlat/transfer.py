@@ -114,10 +114,6 @@ class TransferSystem:
     def refines(self, other: "TransferSystem") -> bool:
         return self.bits & ~other.bits == 0
 
-    def relabel(self, perm: tuple[int, ...]) -> "TransferSystem":
-        """Push the system forward along a subgroup-index permutation."""
-        return TransferSystem(self.lattice, _relabeler(perm)(self.bits))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, TransferSystem) and self.bits == other.bits
                 and (self.lattice is other.lattice
@@ -130,35 +126,6 @@ class TransferSystem:
         named = [f"({self.lattice.names[k]}->{self.lattice.names[h]})"
                  for k, h in self.pairs()]
         return f"TransferSystem({self.lattice.group.name}: {' '.join(named) or 'diagonal'})"
-
-
-def _relabeler(perm: tuple[int, ...]):
-    """A packed system -> the system pushed forward along a subgroup-index
-    permutation, remembering the image of each row int it has seen."""
-    n = len(perm)
-    full = (1 << n) - 1
-    images = [1 << p for p in perm]
-    shifts = [(k * n, p * n) for k, p in enumerate(perm)]
-    memo: dict[int, int] = {}
-
-    def image(bits: int) -> int:
-        out = memo.get(bits)
-        if out is None:
-            out, rest = 0, bits
-            while rest:
-                low = rest & -rest
-                out |= images[low.bit_length() - 1]
-                rest ^= low
-            memo[bits] = out
-        return out
-
-    def relabel(P: int) -> int:
-        out = 0
-        for source, target in shifts:
-            out |= image(P >> source & full) << target
-        return out
-
-    return relabel
 
 
 # -- validation ---------------------------------------------------------------

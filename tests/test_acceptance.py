@@ -4,6 +4,7 @@ import pytest
 
 from trlat import acceptance
 from trlat.acceptance import CRITERIA
+from trlat.transfer import TransferSystem
 
 
 @pytest.mark.parametrize("number,name,fn", CRITERIA, ids=[f"{n}-{s}" for n, s, _ in CRITERIA])
@@ -18,3 +19,21 @@ def test_criterion(number, name, fn, capsys):
 def test_suite_ignores_search_bound(bound, monkeypatch):
     monkeypatch.setenv("TL_SEARCH_BOUND", bound)
     assert acceptance.run_all(report=lambda line: None)
+
+
+def test_realizability_unions_catch_a_wrong_shipped_list(monkeypatch):
+    """Criterion 3 fails when a shipped orbit rep is missing, or is realized."""
+    shipped = acceptance.unrealized_fixture
+
+    def without_one_q8_rep(name):
+        return shipped(name)[1:] if name == "Q8" else shipped(name)
+
+    def with_a_realized_sym3_system(name):
+        reps = shipped(name)
+        return reps + (TransferSystem.diagonal(reps[0].lattice),) if name == "Sym3" else reps
+
+    assert acceptance.criterion_realizability_unions()[0]
+    for fixture in (without_one_q8_rep, with_a_realized_sym3_system):
+        monkeypatch.setattr(acceptance, "unrealized_fixture", fixture)
+        passed, detail = acceptance.criterion_realizability_unions()
+        assert not passed and "unrealized orbit lists differ" in detail

@@ -2,7 +2,7 @@
 
 import pytest
 
-from trlat.chains import inclusion_partition_identity, layer_subgroups, maximal_chain
+from trlat.chains import layer_subgroups, maximal_chain
 from trlat.groups import cyclic_group, make_group
 from trlat.lattice import subgroup_lattice
 from trlat.transfer import TransferSystem, enumerate_all, validate
@@ -50,7 +50,10 @@ def test_prefixes_downward_closed_and_invariant():
                         assert t in prefix
                 for g in range(L.group.order):
                     assert L.conjugate[g][s] in prefix
-            assert inclusion_partition_identity(L, layers, m)
+            for k in prefix:
+                for h in prefix:
+                    if k != h and L.includes[k][h]:
+                        assert L.class_of[k] < L.class_of[h]
 
 
 def peeled_chain_order(L):

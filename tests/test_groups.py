@@ -8,8 +8,8 @@ import re
 import pytest
 
 from trlat.groups import (FiniteGroup, GroupValidationError, abelian_group,
-                          builtin_group, cyclic_group, dihedral_group, klein_group,
-                          make_group, symmetric_group)
+                          builtin_group, cyclic_group, dihedral_group, is_prime,
+                          klein_group, make_group, symmetric_group)
 
 
 def brute_isomorphism_exists(G, H):
@@ -81,8 +81,18 @@ def test_dihedral():
     assert G.element_order(s) == 2
     # s r s^-1 = r^-1
     assert G.conjugate(s, r) == G.invert(r)
-    with pytest.raises(GroupValidationError):
-        dihedral_group(8)  # p = 4 is not an odd prime
+    for order, message in ((8, "D8 requires an odd prime p, got p=4"),
+                           (4, "D4 requires an odd prime p, got p=2"),
+                           (2, "D2 requires an odd prime p, got p=1"),
+                           (9, "dihedral order must be even, got 9")):
+        with pytest.raises(GroupValidationError) as refused:
+            dihedral_group(order)
+        assert str(refused.value) == message
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 60) if is_prime(n)] == \
+        [n for n in range(2, 60) if all(n % d for d in range(2, n))]
 
 
 def test_bad_tables_rejected():

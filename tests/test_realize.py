@@ -87,7 +87,9 @@ def test_steiner_subset_limit_refuses_up_front():
                        "summands, 2147483648 subsets, above the subset limit 32768"):
         steiner_image(L)
     assert time.perf_counter() - started < 1
-    for G, count in ((abelian_group((2, 4)), 32), (make_group("K4"), 8)):
+    for G, count in ((abelian_group((2, 4)), 32), (make_group("K4"), 8),
+                     (abelian_group((2, 6)), 91), (abelian_group((2, 2, 2)), 128),
+                     (abelian_group((3, 6)), 337)):
         L = subgroup_lattice(G)
         cocyclic = [(s, L.full) for s in range(L.n - 1) if L.cocyclic[s]]
         every_subset = {generate(L, [p for p, b in zip(cocyclic, bits) if b])
@@ -96,13 +98,17 @@ def test_steiner_subset_limit_refuses_up_front():
         assert len(every_subset) == count
 
 
-def test_steiner_image_k4_catalog_agrees_with_abelian_route():
-    L = L_("K4")
-    reps = catalog("K4")
+@pytest.mark.parametrize("name,count", [("K4", 8), ("Q8", 16), ("Sym3", 4)])
+def test_steiner_image_agrees_with_every_catalog_subset(name, count):
+    """One `generate` per subset of catalog summands; for K4, whose image
+    comes from its cocyclic subgroups, this also checks the catalog."""
+    L = L_(name)
+    reps = catalog(name)
     from_catalog = {generate(L, [p for entry in combo for p in entry.orb_pairs])
                     for r in range(len(reps) + 1)
                     for combo in itertools.combinations(reps, r)}
     assert sorted(from_catalog, key=lambda t: t.key) == steiner_image(L)
+    assert len(from_catalog) == count
 
 
 def test_steiner_members_generated_by_top_targeted_pairs():
