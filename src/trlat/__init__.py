@@ -15,8 +15,8 @@ from .universes import (CyclicUniverseIndexSet, induce_lambda, induced_character
 from .realize import (LinIsomFixtureRow, NoRealizabilityData, NotRealizable,
                       RepCatalogEntry, catalog, linisom_cyclic, linisom_fixture,
                       linisom_image, linisom_image_cyclic, minimal_steiner_universe,
-                      realize_saturated_cpn, realize_saturated_cpq, steiner_abelian,
-                      steiner_cyclic, steiner_image, unrealized_fixture)
+                      realize_saturated_cpn, realize_saturated_cpq, steiner_cyclic,
+                      steiner_image, unrealized_fixture)
 from .chains import MaximalChain, layer_subgroups, maximal_chain
 
 __version__ = "0.1.0"

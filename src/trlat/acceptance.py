@@ -21,17 +21,13 @@ from .realize import (_cyclic_lattice, linisom_cyclic, linisom_image, linisom_im
 from .universes import (CHARACTER_TOL, induce_lambda, induced_character,
                         lambda_character)
 
-# every group enumerated here has at most this many pair orbits; passed
-# explicitly so that TL_SEARCH_BOUND cannot change what the suite checks
-BOUND = 24
-
 
 def _lattice(name: str):
     return subgroup_lattice(make_group(name))
 
 
 def _enumerated(name: str) -> list[TransferSystem]:
-    return enumerate_all(_lattice(name), bound=BOUND)
+    return enumerate_all(_lattice(name))
 
 
 def criterion_lattice_counts() -> tuple[bool, str]:
@@ -40,7 +36,7 @@ def criterion_lattice_counts() -> tuple[bool, str]:
     expected = {"C1": 1, "C2": 2, "C3": 2, "C4": 5, "C9": 5, "C8": 14, "C27": 14,
                 "C6": 10, "C15": 10, "K4": 19, "Sym3": 9, "Q8": 68, "D10": 9}
     got = {name: len(_enumerated(name)) for name in expected}
-    rank2 = {p: len(enumerate_all(subgroup_lattice(abelian_group((p, p))), bound=BOUND))
+    rank2 = {p: len(enumerate_all(subgroup_lattice(abelian_group((p, p)))))
              for p in (2, 3)}
     formula_ok = all(rank2[p] == 2 ** (p + 2) + p + 1 for p in (2, 3))
     ok = got == expected and formula_ok
@@ -67,7 +63,7 @@ def criterion_realizability_unions() -> tuple[bool, str]:
     ok = True
     for name, (hits, total) in expected.items():
         L = _lattice(name)
-        tr = enumerate_all(L, bound=BOUND)
+        tr = enumerate_all(L)
         realized = _realized(L)
         details.append(f"{name}: {len(realized)}/{len(tr)}")
         if (len(realized), len(tr)) != (hits, total):
@@ -76,7 +72,7 @@ def criterion_realizability_unions() -> tuple[bool, str]:
         unrealized = [T for T in tr if T not in realized]
         orbits, _ = aut_orbits(unrealized, automorphisms(L.group))
         # the shipped reps' orbits are exactly the unrealized orbits
-        shipped = set(unrealized_fixture(name))
+        shipped = set(unrealized_fixture(L))
         if not (shipped <= set(unrealized)
                 and all(not shipped.isdisjoint(orbit) for orbit in orbits)):
             ok = False
@@ -92,7 +88,7 @@ def criterion_cp2_complete_cp3_excluded() -> tuple[bool, str]:
     for p in (2, 3):
         L2 = subgroup_lattice(cyclic_group(p * p))
         covered = set(steiner_image(L2)) | set(linisom_image_cyclic(p * p))
-        total = set(enumerate_all(L2, bound=BOUND))
+        total = set(enumerate_all(L2))
         if covered != total or len(total) != 5:
             ok = False
         details.append(f"p={p}: covered {len(covered)}/{len(total)}")
@@ -132,7 +128,7 @@ def criterion_cpq_classification() -> tuple[bool, str]:
                                  (3, 5, [(1, 5)]), (5, 7, [])):
         n = p * q
         L, of_order = _cyclic_lattice(n)
-        saturated = {T for T in enumerate_all(L, bound=BOUND) if is_saturated(T)}
+        saturated = {T for T in enumerate_all(L) if is_saturated(T)}
         excluded = {generate(L, [(of_order[d], of_order[e])]) for d, e in missing_orders}
         image = set(linisom_image_cyclic(n))
         eq = image == saturated - excluded
@@ -176,7 +172,7 @@ def criterion_generator_correctness(samples: int = 200) -> tuple[bool, str]:
     for name in ORACLE_GROUPS:
         G = make_group(name)
         L = subgroup_lattice(G)
-        systems = enumerate_all(L, bound=BOUND)
+        systems = enumerate_all(L)
         for _ in range(samples):
             k = rng.randint(0, min(len(L.proper_pairs), 5))
             R = rng.sample(L.proper_pairs, k) if k else []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -14,11 +15,10 @@ from . import acceptance, serialize
 from .groups import GroupValidationError, builtin_group, group_spec, make_group
 from .lattice import automorphisms, subgroup_lattice
 from .transfer import (SearchBoundExceeded, TransferSystem, TransferSystemError, aut_orbits,
-                       enumerate_all, generate, hasse_diagram, is_saturated, non_negative_int,
-                       validate)
+                       enumerate_all, generate, hasse_diagram, is_saturated, validate)
 from .chains import maximal_chain
-from .realize import (NoRealizabilityData, NotRealizable, linisom_image,
-                      minimal_steiner_universe, realize_saturated_cpn,
+from .realize import (NoRealizabilityData, NotRealizable, cpn_modulus, cpq_modulus,
+                      linisom_image, minimal_steiner_universe, realize_saturated_cpn,
                       realize_saturated_cpq, steiner_image)
 
 USAGE_ERROR = 2
@@ -44,6 +44,26 @@ def parse_group(token: str):
         return builtin_group(token)
     except GroupValidationError as exc:
         raise UsageError(str(exc)) from None
+
+
+def non_negative_int(raw: str, what: str) -> int:
+    """A search bound from text; else a ValueError naming `what`, since a
+    negative bound would refuse every search."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {raw!r}")
+    return value
+
+
+def env_search_bound() -> dict:
+    """The enumeration bound as keyword arguments: TL_SEARCH_BOUND if set and
+    non-empty, else none, leaving the library default.  Read only by the
+    commands that enumerate Tr(G)."""
+    raw = os.environ.get("TL_SEARCH_BOUND")
+    return {"bound": non_negative_int(raw, "TL_SEARCH_BOUND")} if raw else {}
 
 
 def _bound(text: str) -> int:
@@ -162,7 +182,8 @@ def cmd_ts_check(ns, out) -> int:
 def cmd_ts_enumerate(ns, out) -> int:
     G = parse_group(ns.group)
     L = subgroup_lattice(G)
-    systems = enumerate_all(L, bound=ns.bound)
+    bound = {"bound": ns.bound} if ns.bound is not None else env_search_bound()
+    systems = enumerate_all(L, **bound)
     results = {"count": len(systems),
                "systems": [_named_pairs(T) for T in systems]}
     if ns.orbits:
@@ -192,10 +213,7 @@ def cmd_image(ns, out) -> int:
 
 
 def cmd_realize(ns, out) -> int:
-    if ns.case == "cpn":
-        n = ns.p ** ns.n
-    else:
-        n = ns.p * ns.q
+    n = cpn_modulus(ns.p, ns.n) if ns.case == "cpn" else cpq_modulus(ns.p, ns.q)
     G = make_group({"kind": "cyclic", "n": n})
     L = subgroup_lattice(G)
     pairs = parse_pairs(L, ns.pairs)
@@ -263,7 +281,7 @@ def cmd_export(ns, out) -> int:
     if ns.format == "json" and chain is not None:
         text = serialize.dumps(serialize.chain_to_json(chain))
     elif ns.format == "json":
-        systems = enumerate_all(L)
+        systems = enumerate_all(L, **env_search_bound())
         text = serialize.dumps({
             "schema_version": serialize.SCHEMA_VERSION,
             "group": group_spec(G),
@@ -272,7 +290,7 @@ def cmd_export(ns, out) -> int:
         })
     else:
         try:
-            hasse = hasse_diagram(L)
+            hasse = hasse_diagram(L, **env_search_bound())
         except SearchBoundExceeded:
             if chain is None:
                 raise
@@ -381,7 +399,6 @@ def main() -> None:
     try:
         sys.exit(run(sys.argv[1:]))
     except BrokenPipeError:
-        import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(0)
 

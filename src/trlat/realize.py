@@ -4,12 +4,12 @@ Two maps out of the cube of universes are computed: the "embedding" map
 (here: steiner_*), whose value on a universe is the join in Tr(G) of the
 systems its irreducible summands generate from their orbit data, and the
 "isometries" map (linisom_*), which for cyclic groups is decided by the
-translation-invariance criterion on reduced index sets.  An abelian group
-takes its summands from its proper cocyclic subgroups; K4's isometries
-values, and both maps for Q8 and Sym3, ship as fixture tables; the module
-refuses to approximate any other group.  Which data a group has is decided
-here alone, from how it was built; a group without data raises
-`NoRealizabilityData`.
+translation-invariance criterion on reduced index sets.  `catalog` is the
+one source of summands: an abelian group's come from its proper cocyclic
+subgroups.  K4's isometries values, and both maps for Q8 and Sym3, ship as
+fixture tables; the module refuses to approximate any other group.  Which
+fixture data a group has is decided by `_fixture` alone, from how the group
+was built; a group without data raises `NoRealizabilityData`.
 """
 
 from __future__ import annotations
@@ -22,18 +22,17 @@ import operator
 from dataclasses import dataclass
 from importlib import resources
 
-from .groups import FiniteGroup, cyclic_group, is_prime, make_group
+from .groups import FiniteGroup, cyclic_group, is_prime
 from .lattice import SubgroupLattice, subgroup_lattice
 from .transfer import (SearchBoundExceeded, TransferSystem, generate, in_key_order,
                        is_saturated, irreducible_pairs, join)
 from .universes import (CyclicUniverseIndexSet, _negation_classes, index_set_count,
                         lambda_kernel_order)
 
-CATALOG_GROUPS = ("K4", "Q8", "Sym3")
 # 2^(n // 2) universes over C_n: the scan reaches every n <= 43
 UNIVERSE_SCAN_LIMIT = 1 << 21
-# 2^k summand subsets for k summands: C2xC2xC6, with 15, is the largest
-# abelian group of order <= 24
+# 2^k subsets of k embedding-map summands, or of k minimal-universe candidate
+# kernels: C2xC2xC6, with 15 summands, is the largest abelian group of order <= 24
 STEINER_SUBSET_LIMIT = 1 << 15
 
 
@@ -43,25 +42,18 @@ class NoRealizabilityData(ValueError):
 
 @dataclass(frozen=True)
 class RepCatalogEntry:
-    """One irreducible summand: its orbit pairs (all targeting G) and dimension."""
+    """One irreducible summand and its orbit pairs, all targeting G."""
 
-    group: str
     rep: str
     orb_pairs: tuple[tuple[int, int], ...]
-    dimension: int
 
 
 @dataclass(frozen=True)
 class LinIsomFixtureRow:
     """Isometries-map value for one universe, given by its summand names."""
 
-    group: str
     universe: tuple[str, ...]
     system: TransferSystem
-
-    @property
-    def universe_label(self) -> str:
-        return "(R+" + "+".join(self.universe) + ")^inf" if self.universe else "R^inf"
 
 
 @dataclass(frozen=True)
@@ -87,43 +79,35 @@ def _resolve_pairs(L: SubgroupLattice, pairs) -> list[tuple[int, int]]:
     return [(L.resolve_name(k), L.resolve_name(h)) for k, h in pairs]
 
 
-def _require_catalog_group(name: str) -> SubgroupLattice:
-    if name not in CATALOG_GROUPS:
-        raise NoRealizabilityData(f"no realizability data for group {name!r}; "
-                                  f"supported: {', '.join(CATALOG_GROUPS)}")
-    return subgroup_lattice(make_group(name))
-
-
-def _catalog_name(G: FiniteGroup, what: str, supported: str) -> str:
-    """The fixture name of a catalog group as its constructor built it; any
-    other group has no `what` data."""
+def _fixture(G: FiniteGroup, what: str, also: str = "") -> dict:
+    """The fixture entry of a group built by its catalog constructor, found
+    from `kind` and `spec`, never the name.  Any other group has no `what`
+    data; the refusal names the groups that have it, after `also` if given."""
+    groups = _fixture_data()["groups"]
     name = G.spec["name"] if G.kind == "builtin" else None
-    if name not in CATALOG_GROUPS:
-        raise NoRealizabilityData(f"no {what} data for {G.name}; supported: {supported} "
-                                  "and " + ", ".join(CATALOG_GROUPS))
-    return name
+    if name not in groups:
+        supported = ", ".join(groups)
+        raise NoRealizabilityData(f"no {what} data for {G.name}; supported: "
+                                  + (f"{also} and {supported}" if also else supported))
+    return groups[name]
 
 
-@functools.lru_cache(maxsize=None)
-def catalog(name: str) -> tuple[RepCatalogEntry, ...]:
-    """Nontrivial irreducible summands with their orbit pairs.
+def catalog(L: SubgroupLattice) -> tuple[RepCatalogEntry, ...]:
+    """Nontrivial irreducible summands with their orbit pairs: the one source
+    of embedding-map summands.
 
-    K4 entries are derived from its proper cocyclic subgroups, each of index
-    2 and the kernel of one sign representation; Q8 and Sym3 entries are
-    fixture data.
+    An abelian group has one summand per proper cocyclic subgroup H, the
+    character with kernel H, named sigma_H with H's display name unbracketed
+    (sigma_a, sigma_b, sigma_c for K4) and orbit pair (H, G): for abelian G
+    the Steiner-realized systems are those generated by cyclic orbits.  Q8
+    and Sym3 entries are fixture data.
     """
-    L = _require_catalog_group(name)
-    raw = _fixture_data()["groups"][name]["catalog"]
-    if raw == "derived":
-        entries = []
-        for s in range(L.n - 1):
-            if not L.cocyclic[s]:
-                continue
-            gen = L.names[s].strip("<>").split(",")[0]
-            entries.append(RepCatalogEntry(name, f"sigma_{gen}", ((s, L.full),), 1))
-        return tuple(entries)
-    entries = tuple(RepCatalogEntry(name, e["rep"], tuple(_resolve_pairs(L, e["orb"])),
-                                    e["dim"]) for e in raw)
+    if L.group.is_abelian:
+        return tuple(RepCatalogEntry(f"sigma_{L.names[s].strip('<>')}", ((s, L.full),))
+                     for s in range(L.n - 1) if L.cocyclic[s])
+    raw = _fixture(L.group, "embedding-map", "abelian groups")["catalog"]
+    entries = tuple(RepCatalogEntry(e["rep"], tuple(_resolve_pairs(L, e["orb"])))
+                    for e in raw)
     for entry in entries:
         for k, h in entry.orb_pairs:
             if h != L.full or k == L.full:
@@ -132,30 +116,26 @@ def catalog(name: str) -> tuple[RepCatalogEntry, ...]:
     return entries
 
 
-@functools.lru_cache(maxsize=None)
-def linisom_fixture(name: str) -> tuple[LinIsomFixtureRow, ...]:
+def linisom_fixture(L: SubgroupLattice) -> tuple[LinIsomFixtureRow, ...]:
     """Fixture table of isometries-map values, one row per universe.
 
     Every row is validated on load: the pair set must already be a transfer
     system, and it must be saturated.
     """
-    L = _require_catalog_group(name)
     rows = []
-    for row in _fixture_data()["groups"][name]["linisom"]:
+    for row in _fixture(L.group, "isometries-map", "cyclic groups")["linisom"]:
         system = TransferSystem.from_pairs(L, _resolve_pairs(L, row["pairs"]))
         if not is_saturated(system):
-            raise AssertionError(f"fixture row {row['universe']} for {name} "
+            raise AssertionError(f"fixture row {row['universe']} for {L.group.name} "
                                  "is not saturated")
-        rows.append(LinIsomFixtureRow(name, tuple(row["universe"]), system))
+        rows.append(LinIsomFixtureRow(tuple(row["universe"]), system))
     return tuple(rows)
 
 
-@functools.lru_cache(maxsize=None)
-def unrealized_fixture(name: str) -> tuple[TransferSystem, ...]:
+def unrealized_fixture(L: SubgroupLattice) -> tuple[TransferSystem, ...]:
     """Orbit representatives of systems hit by neither realizability map."""
-    L = _require_catalog_group(name)
-    return tuple(TransferSystem.from_pairs(L, _resolve_pairs(L, pairs))
-                 for pairs in _fixture_data()["groups"][name]["unrealized_orbit_reps"])
+    reps = _fixture(L.group, "unrealized-system")["unrealized_orbit_reps"]
+    return tuple(TransferSystem.from_pairs(L, _resolve_pairs(L, pairs)) for pairs in reps)
 
 
 # -- the embedding (Steiner-type) map -----------------------------------------
@@ -178,18 +158,6 @@ def steiner_cyclic(n: int, index_set) -> TransferSystem:
     return generate(L, pairs)
 
 
-def steiner_abelian(L: SubgroupLattice, kernels) -> TransferSystem:
-    """Embedding-map value generated by (H_i, G) over the given proper
-    cocyclic subgroup indices H_i of an abelian group."""
-    if not L.group.is_abelian:
-        raise ValueError(f"{L.group.name} is not abelian")
-    kernels = sorted(set(kernels))
-    for s in kernels:
-        if s == L.full or not L.cocyclic[s]:
-            raise ValueError(f"subgroup {L.names[s]} is not proper cocyclic")
-    return generate(L, [(s, L.full) for s in kernels])
-
-
 def steiner_image(L: SubgroupLattice) -> list[TransferSystem]:
     """All embedding-map values, deduplicated and sorted.
 
@@ -197,16 +165,10 @@ def steiner_image(L: SubgroupLattice) -> list[TransferSystem]:
     their orbit pairs.  That is the join of the systems each summand
     generates, since generate(A | B) is the smallest system holding both
     generate(A) and generate(B); so each summand joins its system into
-    every value found so far.  An abelian group has one summand ((H, G),)
-    per proper cocyclic H; a catalog group takes its summands from
-    `catalog`.  Refused before any generation above STEINER_SUBSET_LIMIT
-    subsets.
+    every value found so far.  The summands are `catalog`'s.  Refused before
+    any generation above STEINER_SUBSET_LIMIT subsets.
     """
-    if L.group.is_abelian:
-        summands = [((s, L.full),) for s in range(L.n - 1) if L.cocyclic[s]]
-    else:
-        name = _catalog_name(L.group, "embedding-map", "abelian groups")
-        summands = [entry.orb_pairs for entry in catalog(name)]
+    summands = [entry.orb_pairs for entry in catalog(L)]
     if 1 << len(summands) > STEINER_SUBSET_LIMIT:
         raise SearchBoundExceeded(
             f"{L.group.name} has {len(summands)} embedding-map summands, "
@@ -333,11 +295,25 @@ def linisom_image(L: SubgroupLattice) -> tuple[list[TransferSystem], int]:
     G = L.group
     if G.kind == "cyclic":
         return linisom_image_cyclic(G.order), index_set_count(G.order)
-    rows = linisom_fixture(_catalog_name(G, "isometries-map", "cyclic groups"))
+    rows = linisom_fixture(L)
     return in_key_order({row.system for row in rows}), len(rows)
 
 
 # -- constructing realizing universes ------------------------------------------
+
+def cpn_modulus(p: int, n: int) -> int:
+    """p^n, checked before any group of that order is built: p must be prime."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p ** n
+
+
+def cpq_modulus(p: int, q: int) -> int:
+    """pq, checked before any group of that order is built: p < q, both prime."""
+    if not (is_prime(p) and is_prime(q) and p < q):
+        raise ValueError(f"need primes p < q, got ({p}, {q})")
+    return p * q
+
 
 def realize_saturated_cpn(p: int, n: int, T: TransferSystem) -> CyclicUniverseIndexSet:
     """Index set whose isometries-map value is the given saturated system.
@@ -346,9 +322,7 @@ def realize_saturated_cpn(p: int, n: int, T: TransferSystem) -> CyclicUniverseIn
     sums +-(a_1 p^{k_1} + ... + a_m p^{k_m}) with 0 <= a_i < p.  The round
     trip through linisom_cyclic is checked before returning.
     """
-    modulus = p ** n
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    modulus = cpn_modulus(p, n)
     if T.lattice.group.spec != {"kind": "cyclic", "n": modulus}:
         raise ValueError(f"system lives on {T.lattice.group.name}, expected C{modulus}")
     if not is_saturated(T):
@@ -392,13 +366,11 @@ def realize_saturated_cpq(p: int, q: int, T: TransferSystem):
     explicit index-set table, verified by round trip: a miss is a bug in the
     table, raised as `AssertionError`.
     """
-    if not (is_prime(p) and is_prime(q) and p < q):
-        raise ValueError(f"need primes p < q, got ({p}, {q})")
-    if T.lattice.group.spec != {"kind": "cyclic", "n": p * q}:
-        raise ValueError(f"system lives on {T.lattice.group.name}, expected C{p * q}")
+    n = cpq_modulus(p, q)
+    if T.lattice.group.spec != {"kind": "cyclic", "n": n}:
+        raise ValueError(f"system lives on {T.lattice.group.name}, expected C{n}")
     if not is_saturated(T):
         raise ValueError("system is not saturated; isometries-map values always are")
-    n = p * q
     shape = _shape_of_cpq(T, p, q)
     if shape == "indq" and p <= 3:
         return NotRealizable("indq", f"the single transfer 1 -> C{q} needs p > 3; "
@@ -425,15 +397,24 @@ def realize_saturated_cpq(p: int, q: int, T: TransferSystem):
 def minimal_steiner_universe(L: SubgroupLattice, k: int, h: int) -> list[tuple[int, ...]]:
     """All minimal cocyclic-kernel sets whose embedding map admits K -> H.
 
-    Returns every set {H_1, ..., H_m} of distinct proper cocyclic subgroups
-    with H n H_1 n ... n H_m = K such that omitting any one H_i strictly
-    enlarges the intersection.
+    Returns every set {H_1, ..., H_m} of distinct kernels of `catalog`
+    summands, the proper cocyclic subgroups, with H n H_1 n ... n H_m = K
+    such that omitting any one H_i strictly enlarges the intersection.  Each
+    H_i contains K, and one containing H could be omitted, so only kernels
+    s with K <= s and H not <= s are candidates.  Refused before any search
+    above STEINER_SUBSET_LIMIT candidate subsets.
     """
     if not L.group.is_abelian:
         raise ValueError(f"{L.group.name} is not abelian")
     if k == h or not L.includes[k][h]:
         raise ValueError(f"need {L.names[k]} strictly below {L.names[h]}")
-    candidates = [s for s in range(L.n - 1) if L.cocyclic[s]]
+    candidates = [s for entry in catalog(L) for s, _ in entry.orb_pairs
+                  if L.includes[k][s] and not L.includes[h][s]]
+    if 1 << len(candidates) > STEINER_SUBSET_LIMIT:
+        raise SearchBoundExceeded(
+            f"{L.group.name} has {len(candidates)} candidate kernels for "
+            f"{L.names[k]} -> {L.names[h]}, {1 << len(candidates)} subsets, "
+            f"above the subset limit {STEINER_SUBSET_LIMIT}")
 
     def intersect_with_h(combo) -> int:
         acc = h

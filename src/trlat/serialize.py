@@ -93,19 +93,14 @@ FIXTURES_SCHEMA = {
             "type": "object",
             "additionalProperties": {
                 "type": "object",
-                "required": ["catalog", "linisom", "unrealized_orbit_reps"],
+                "required": ["linisom", "unrealized_orbit_reps"],
                 "properties": {
-                    "catalog": {
-                        "anyOf": [
-                            {"const": "derived"},
-                            {"type": "array",
-                             "items": {"type": "object",
-                                       "required": ["rep", "dim", "orb"],
-                                       "properties": {"rep": {"type": "string"},
-                                                      "dim": {"type": "integer"},
-                                                      "orb": _NAME_PAIRS}}},
-                        ]
-                    },
+                    "catalog": {"type": "array",
+                                "items": {"type": "object",
+                                          "required": ["rep", "dim", "orb"],
+                                          "properties": {"rep": {"type": "string"},
+                                                         "dim": {"type": "integer"},
+                                                         "orb": _NAME_PAIRS}}},
                     "linisom": {"type": "array",
                                 "items": {"type": "object",
                                           "required": ["universe", "pairs"],
@@ -220,7 +215,8 @@ def dot_poset(systems: list[TransferSystem], covers: list[tuple[int, int]],
     """
     keys = [T.key for T in systems]
     marked = {T.key for T in (highlight or [])}
-    lines = [f'digraph "{graph_name}" {{', "  rankdir=BT;",
+    graph_id = graph_name.replace("\\", "\\\\").replace('"', '\\"')
+    lines = [f'digraph "{graph_id}" {{', "  rankdir=BT;",
              '  node [shape=box, fontsize=10];']
     by_size: dict[int, list[str]] = {}
     for T, key in zip(systems, keys):

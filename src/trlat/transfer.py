@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import operator
-import os
 from dataclasses import dataclass
 from .lattice import SubgroupLattice
 
@@ -19,24 +18,6 @@ class TransferSystemError(ValueError):
 
 class SearchBoundExceeded(ValueError):
     """Raised when an enumeration or a scan would exceed its bound."""
-
-
-def non_negative_int(raw: str, what: str) -> int:
-    """A search bound from text; else a ValueError naming `what`, since a
-    negative bound would refuse every search."""
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {raw!r}")
-    return value
-
-
-def env_search_bound(default: int) -> int:
-    """TL_SEARCH_BOUND if set and non-empty, else the default."""
-    raw = os.environ.get("TL_SEARCH_BOUND")
-    return non_negative_int(raw, "TL_SEARCH_BOUND") if raw else default
 
 
 @dataclass(frozen=True)
@@ -379,7 +360,7 @@ def irreducible_pairs(T: TransferSystem) -> list[tuple[int, int]]:
 
 # -- enumeration ---------------------------------------------------------------
 
-def _systems(L: SubgroupLattice, bound: int | None):
+def _systems(L: SubgroupLattice, bound: int):
     """Yield each transfer system over L once, packed, by Fast Close-by-One.
 
     Tr(G) is closed under meets, so it is a closure system on the pair
@@ -391,11 +372,10 @@ def _systems(L: SubgroupLattice, bound: int | None):
     lacks one of the orbits below j' that U holds would fail at j' too, and
     skips that closure.
     """
-    limit = bound if bound is not None else env_search_bound(24)
-    if len(L.pair_orbits) > limit:
+    if len(L.pair_orbits) > bound:
         raise SearchBoundExceeded(
             f"{L.group.name} has {len(L.pair_orbits)} inclusion-pair orbits, "
-            f"above the search bound {limit}")
+            f"above the search bound {bound}")
     n = L.n
     masks = _tables(L).orbits
     low, below = [], 0  # low[j]: the first-pair bits of the orbits before j
@@ -450,20 +430,21 @@ def in_key_order(systems) -> list[TransferSystem]:
                   key=lambda T: T.bits.to_bytes(size, "little").translate(_BIT_REVERSED))
 
 
-def enumerate_all(L: SubgroupLattice, bound: int | None = None) -> list[TransferSystem]:
+def enumerate_all(L: SubgroupLattice, bound: int = 24) -> list[TransferSystem]:
     """Every transfer system over L, in TransferSystem.key order.
 
     Lists each system once by Fast Close-by-One (Outrata and Vychodil,
     "Fast algorithm for computing fixpoints of Galois connections induced by
     object-attribute relational data", Inf. Sci. 185, 2012) over the pair
-    orbits, and sorts them by `in_key_order`'s byte key.  Refuses
-    if the number of inclusion-pair orbits exceeds the search bound
-    (default 24, overridable via TL_SEARCH_BOUND).
+    orbits, and sorts them by `in_key_order`'s byte key.  Refuses, before
+    any closure, if the number of inclusion-pair orbits exceeds `bound`.
+    The result depends on the arguments alone; no environment variable is
+    read.
     """
     return in_key_order(TransferSystem(L, P) for P in _systems(L, bound))
 
 
-def hasse_diagram(L: SubgroupLattice, bound: int | None = None
+def hasse_diagram(L: SubgroupLattice, bound: int = 24
                   ) -> tuple[list[TransferSystem], list[tuple[int, int]]]:
     """Tr(G) as `enumerate_all` lists it, and its covers: the sorted index
     pairs (i, j) with systems[i] covered by systems[j].

@@ -25,12 +25,12 @@ def test_realizability_unions_catch_a_wrong_shipped_list(monkeypatch):
     """Criterion 3 fails when a shipped orbit rep is missing, or is realized."""
     shipped = acceptance.unrealized_fixture
 
-    def without_one_q8_rep(name):
-        return shipped(name)[1:] if name == "Q8" else shipped(name)
+    def without_one_q8_rep(L):
+        return shipped(L)[1:] if L.group.name == "Q8" else shipped(L)
 
-    def with_a_realized_sym3_system(name):
-        reps = shipped(name)
-        return reps + (TransferSystem.diagonal(reps[0].lattice),) if name == "Sym3" else reps
+    def with_a_realized_sym3_system(L):
+        reps = shipped(L)
+        return reps + (TransferSystem.diagonal(L),) if L.group.name == "Sym3" else reps
 
     assert acceptance.criterion_realizability_unions()[0]
     for fixture in (without_one_q8_rep, with_a_realized_sym3_system):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import trlat
@@ -219,6 +220,28 @@ def test_realize_cpq_table_value():
     assert doc["results"]["index_set"] == [0, 1, 5, 10, 15, 20, 25, 30, 34]
 
 
+def test_realize_checks_primes_before_building_the_group(capsys):
+    """C_{4^12} alone would need a Cayley table of 2^48 entries."""
+    for argv, message in ((("cpn", "--p", "4", "--n", "12"), "4 is not prime"),
+                          (("cpq", "--p", "4", "--q", "4194304"),
+                           "need primes p < q, got (4, 4194304)"),
+                          (("cpq", "--p", "7", "--q", "5"), "need primes p < q, got (7, 5)")):
+        started = time.perf_counter()
+        code, out = invoke("realize", *argv)
+        assert (code, out) == (1, "")
+        assert time.perf_counter() - started < 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_minimal_universe_refusal_exits_1(capsys):
+    code, out = invoke("minimal-universe", "--group", "C2xC2xC2xC2xC2",
+                       "--sub", "1", "--sup", "C2xC2xC2xC2xC2")
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: C2xC2xC2xC2xC2 has 31 candidate kernels for 1 -> C2xC2xC2xC2xC2, "
+        "2147483648 subsets, above the subset limit 32768\n")
+
+
 def test_minimal_universe():
     code, doc = invoke_json("minimal-universe", "--group", "K4",
                             "--sub", "1", "--sup", "<a>")
@@ -240,6 +263,26 @@ def test_export_dot(tmp_path):
     text = target.read_text()
     assert text.startswith("digraph")
     assert text.count("->") == 5
+
+
+def test_export_dot_escapes_the_group_name(tmp_path):
+    spec = tmp_path / "group.json"
+    spec.write_text(json.dumps({"schema_version": 1, "kind": "table", "name": 'a"b\\c',
+                                "table": [[0, 1], [1, 0]]}))
+    code, text = invoke("export", "--format", "dot", "--group", f"@{spec}")
+    assert code == 0
+    assert text.splitlines()[0] == 'digraph "Tr_a\\"b\\\\c" {'
+
+
+def test_export_dot_reads_the_env_bound(monkeypatch, capsys):
+    """C2xC6 has 26 pair orbits: over the default bound of 24, within 26."""
+    code, text = invoke("export", "--format", "dot", "--group", "C2xC6")
+    assert (code, text) == (1, "")
+    assert "above the search bound 24" in capsys.readouterr().err
+    monkeypatch.setenv("TL_SEARCH_BOUND", "26")
+    code, text = invoke("export", "--format", "dot", "--group", "C2xC6")
+    assert code == 0
+    assert text.count(" -> ") == 15010
 
 
 def test_export_json_reingests():

@@ -1,5 +1,6 @@
 """Realizability maps, their images, realizing universes, and fixture tables."""
 
+import functools
 import itertools
 import random
 import time
@@ -10,11 +11,11 @@ from trlat.groups import abelian_group, cyclic_group, make_group
 from trlat.lattice import automorphisms, subgroup_lattice
 from trlat.transfer import (SearchBoundExceeded, TransferSystem, aut_orbits,
                             enumerate_all, generate, is_saturated, join, meet)
-from trlat.realize import (NotRealizable, catalog, linisom_cyclic, linisom_fixture,
-                           linisom_image, linisom_image_cyclic,
+from trlat.realize import (NoRealizabilityData, NotRealizable, catalog, linisom_cyclic,
+                           linisom_fixture, linisom_image, linisom_image_cyclic,
                            minimal_steiner_universe, realize_saturated_cpn,
-                           realize_saturated_cpq, steiner_abelian, steiner_cyclic,
-                           steiner_image, unrealized_fixture)
+                           realize_saturated_cpq, steiner_cyclic, steiner_image,
+                           unrealized_fixture)
 from trlat.universes import CyclicUniverseIndexSet
 
 
@@ -47,26 +48,24 @@ def test_steiner_kernel_is_gcd_subgroup():
 
 
 def test_steiner_abelian_k4_rows():
+    """K4's summands keep the names its fixture rows use."""
     L = L_("K4")
-    c = L.resolve_name("<c>")
-    b = L.resolve_name("<b>")
-    assert named(steiner_abelian(L, [c])) == \
+    reps = {e.rep: e.orb_pairs for e in catalog(L)}
+    assert reps == {f"sigma_{x}": ((L.resolve_name(f"<{x}>"), L.full),) for x in "abc"}
+    assert named(generate(L, reps["sigma_c"])) == \
         {("1", "<a>"), ("1", "<b>"), ("<c>", "K4")}
-    assert named(steiner_abelian(L, [])) == set()
-    assert named(steiner_abelian(L, [b, c])) == \
+    assert named(generate(L, reps["sigma_b"] + reps["sigma_c"])) == \
         {("1", "<a>"), ("1", "<b>"), ("1", "<c>"), ("1", "K4"),
          ("<b>", "K4"), ("<c>", "K4")}
 
 
-def test_steiner_abelian_rejects_bad_kernels():
-    L = L_("Sym3")
-    with pytest.raises(ValueError, match="not abelian"):
-        steiner_abelian(L, [0])
-    LK = L_("K4")
-    with pytest.raises(ValueError, match="cocyclic"):
-        steiner_abelian(LK, [0])  # trivial subgroup has non-cyclic quotient
-    with pytest.raises(ValueError, match="cocyclic"):
-        steiner_abelian(LK, [LK.full])  # must be proper
+@pytest.mark.parametrize("G", [cyclic_group(12), abelian_group((2, 4))], ids=["C12", "C2xC4"])
+def test_abelian_catalog_is_the_proper_cocyclic_subgroups(G):
+    L = subgroup_lattice(G)
+    cocyclic = [s for s in range(L.n) if L.cocyclic[s] and s != L.full]
+    assert [e.orb_pairs for e in catalog(L)] == [((s, L.full),) for s in cocyclic]
+    # C12/H is cyclic for every H; C2xC4 has C2xC2 quotients by 1 and <(0,2)>
+    assert len(cocyclic) == 5
 
 
 def test_steiner_image_counts():
@@ -103,7 +102,7 @@ def test_steiner_image_agrees_with_every_catalog_subset(name, count):
     """One `generate` per subset of catalog summands; for K4, whose image
     comes from its cocyclic subgroups, this also checks the catalog."""
     L = L_(name)
-    reps = catalog(name)
+    reps = catalog(L)
     from_catalog = {generate(L, [p for entry in combo for p in entry.orb_pairs])
                     for r in range(len(reps) + 1)
                     for combo in itertools.combinations(reps, r)}
@@ -304,11 +303,37 @@ def test_minimal_universe_admissibility():
     L = L_("K4")
     for k, h in L.proper_pairs:
         for combo in minimal_steiner_universe(L, k, h):
-            T = steiner_abelian(L, combo)
+            T = generate(L, [(s, L.full) for s in combo])
             assert T.contains(k, h)
             for i in range(len(combo)):
-                smaller = steiner_abelian(L, combo[:i] + combo[i + 1:])
+                smaller = generate(L, [(s, L.full) for s in combo[:i] + combo[i + 1:]])
                 assert not smaller.contains(k, h)
+
+
+def test_minimal_universe_refuses_up_front():
+    L = subgroup_lattice(abelian_group((2,) * 5))
+    started = time.perf_counter()
+    with pytest.raises(SearchBoundExceeded, match="has 31 candidate kernels for 1 -> "
+                       "C2xC2xC2xC2xC2, 2147483648 subsets, above the subset limit 32768"):
+        minimal_steiner_universe(L, 0, L.full)
+    assert time.perf_counter() - started < 1
+
+
+def test_minimal_universe_candidates_lose_no_set():
+    """Searching only the kernels s with K <= s and H not <= s finds the same
+    sets as searching every proper cocyclic subgroup."""
+    L = subgroup_lattice(abelian_group((2, 6)))
+    kernels = [s for s in range(L.n - 1) if L.cocyclic[s]]
+    for k, h in L.proper_pairs:
+        def meet_h(combo):
+            return functools.reduce(lambda a, s: L.intersect[a][s], combo, h)
+        minimal = []
+        for r in range(1, len(kernels) + 1):
+            for combo in itertools.combinations(kernels, r):
+                if meet_h(combo) == k and all(meet_h(combo[:i] + combo[i + 1:]) != k
+                                              for i in range(r)):
+                    minimal.append(combo)
+        assert minimal_steiner_universe(L, k, h) == sorted(minimal, key=lambda c: (len(c), c))
 
 
 def test_minimal_universe_errors():
@@ -343,22 +368,38 @@ def test_noncyclic_exclusion():
 # -- fixtures --------------------------------------------------------------------
 
 def test_catalog_contents():
-    q8 = {e.rep: e for e in catalog("Q8")}
     LQ = L_("Q8")
-    assert q8["H"].dimension == 4
+    q8 = {e.rep: e for e in catalog(LQ)}
     assert q8["H"].orb_pairs == ((0, LQ.full),)
     assert q8["sigma_i"].orb_pairs == ((LQ.resolve_name("<i>"), LQ.full),)
-    s3 = {e.rep: e for e in catalog("Sym3")}
     LS = L_("Sym3")
+    s3 = {e.rep: e for e in catalog(LS)}
     assert s3["sigma"].orb_pairs == ((LS.resolve_name("<(123)>"), LS.full),)
     assert len(s3["Delta"].orb_pairs) == 4
-    with pytest.raises(ValueError, match="no realizability data"):
-        catalog("Sym4")
+    with pytest.raises(ValueError, match="no embedding-map data for Sym4; supported: "
+                                         "abelian groups and K4, Q8, Sym3"):
+        catalog(L_("Sym4"))
+
+
+def test_fixture_data_follows_how_the_group_was_built():
+    """Fixture data is keyed on the group's constructor, never its name: a
+    table copy of Q8, or K4 built as C2xC2, has none."""
+    Q8 = make_group("Q8")
+    table = [[Q8.compose(a, b) for b in range(Q8.order)] for a in range(Q8.order)]
+    copy = make_group({"kind": "table", "name": "Q8", "table": table})
+    with pytest.raises(NoRealizabilityData, match="no embedding-map data for Q8"):
+        catalog(subgroup_lattice(copy))
+    with pytest.raises(NoRealizabilityData, match="no unrealized-system data for Q8; "
+                                                  "supported: K4, Q8, Sym3$"):
+        unrealized_fixture(subgroup_lattice(copy))
+    with pytest.raises(NoRealizabilityData, match="no isometries-map data for C2xC2; "
+                                                  "supported: cyclic groups and K4"):
+        linisom_fixture(subgroup_lattice(abelian_group((2, 2))))
 
 
 def test_fixture_rows_validate_and_saturate():
     for name in ("K4", "Q8", "Sym3"):
-        for row in linisom_fixture(name):
+        for row in linisom_fixture(L_(name)):
             assert is_saturated(row.system)  # validity checked on load
 
 
@@ -366,21 +407,20 @@ def test_fixture_refines_matching_steiner_value():
     """Per universe, the isometries value refines the embedding value."""
     for name in ("K4", "Q8", "Sym3"):
         L = L_(name)
-        reps = {e.rep: e for e in catalog(name)}
-        for row in linisom_fixture(name):
+        reps = {e.rep: e for e in catalog(L)}
+        for row in linisom_fixture(L):
             pairs = [p for r in row.universe for p in reps[r].orb_pairs]
             steiner_value = generate(L, pairs)
             assert row.system.refines(steiner_value)
 
 
 def test_q8_fixture_row_for_four_dim_rep():
-    row = next(r for r in linisom_fixture("Q8") if r.universe == ("H",))
+    row = next(r for r in linisom_fixture(L_("Q8")) if r.universe == ("H",))
     assert named(row.system) == {("1", "<-1>")}
-    assert row.universe_label == "(R+H)^inf"
 
 
 def test_k4_fixture_trivial_universe_row():
-    row = next(r for r in linisom_fixture("K4") if r.universe == ())
+    row = next(r for r in linisom_fixture(L_("K4")) if r.universe == ())
     assert row.system.pairs() == []
 
 
@@ -399,7 +439,7 @@ def test_unrealized_lists_match():
         realized = set(steiner_image(L)) | set(linisom_image(L)[0])
         unrealized = [T for T in enumerate_all(L) if T not in realized]
         orbits, _ = aut_orbits(unrealized, automorphisms(G))
-        reps = unrealized_fixture(name)
+        reps = unrealized_fixture(L)
         assert len(orbits) == len(reps)
         for rep in reps:
             assert any(rep in orbit for orbit in orbits)

@@ -261,7 +261,8 @@ def test_sym4_pinned():
 @pytest.mark.parametrize("name,bound,count", [("C24", None, 1623), ("C2xC6", 34, 15010)])
 def test_hasse_cover_counts(name, bound, count):
     # Sym4's 40863 covers are pinned by test_sym4_pinned
-    assert len(hasse_diagram(L_(name), bound)[1]) == count
+    assert len(hasse_diagram(L_(name), **({} if bound is None else {"bound": bound}))[1]) \
+        == count
 
 
 @pytest.mark.parametrize("name", ["Sym4", "C2xC2xC2", "C4xC4", "C2xC2xC6"])
@@ -286,7 +287,7 @@ def test_rank_two_formula():
                                         ("Sym4", 34)])
 def test_enumeration_in_key_order(name, bound):
     """The byte sort key orders as the bit-string key does, over 25 to 900 bits."""
-    systems = enumerate_all(L_(name), bound)
+    systems = enumerate_all(L_(name), **({} if bound is None else {"bound": bound}))
     assert systems == sorted(systems, key=lambda T: T.key)
     assert in_key_order(reversed(systems)) == systems
 
@@ -326,16 +327,18 @@ def test_enumeration_bound_refusal():
 
 
 def test_env_bound_override(monkeypatch):
+    """Library calls take the bound from their arguments alone; only the CLI
+    reads TL_SEARCH_BOUND."""
     monkeypatch.setenv("TL_SEARCH_BOUND", "5")
-    with pytest.raises(SearchBoundExceeded):
-        enumerate_all(L_("Q8"))
+    assert len(enumerate_all(L_("Q8"))) == 68
     monkeypatch.setenv("TL_SEARCH_BOUND", "40")
-    L = L_("Q8")
-    assert len(enumerate_all(L)) == 68
-    for bad in ("abc", "-1"):
-        monkeypatch.setenv("TL_SEARCH_BOUND", bad)
-        with pytest.raises(ValueError, match="TL_SEARCH_BOUND must be a non-negative"):
-            enumerate_all(L)
+    with pytest.raises(SearchBoundExceeded, match="above the search bound 24"):
+        enumerate_all(L_("Sym4"))
+    with pytest.raises(SearchBoundExceeded, match="above the search bound 24"):
+        hasse_diagram(L_("Sym4"))
+    assert len(enumerate_all(L_("Sym4"), bound=34)) == 8691
+    monkeypatch.setenv("TL_SEARCH_BOUND", "abc")
+    assert len(hasse_diagram(L_("Q8"))[0]) == 68
 
 
 # -- orbit partitions -----------------------------------------------------------
