@@ -117,7 +117,6 @@ def _report(ns, group=None, results=None, checks=None) -> dict:
     }
     if group is not None:
         doc["group"] = group_spec(group)
-    serialize.validate_document(doc, serialize.REPORT_SCHEMA)
     return doc
 
 
@@ -286,7 +285,7 @@ def cmd_export(ns, out) -> int:
             "schema_version": serialize.SCHEMA_VERSION,
             "group": group_spec(G),
             "count": len(systems),
-            "systems": [serialize.system_to_json(T)["pairs"] for T in systems],
+            "systems": [[[k, h] for k, h in T.pairs()] for T in systems],
         })
     else:
         try:

@@ -142,12 +142,6 @@ def validate_document(doc: dict, schema: dict) -> None:
         raise error
 
 
-def group_to_json(G: FiniteGroup) -> dict:
-    doc = {"schema_version": SCHEMA_VERSION, **group_spec(G)}
-    validate_document(doc, GROUP_SCHEMA)
-    return doc
-
-
 def group_from_json(doc: dict) -> FiniteGroup:
     validate_document(doc, GROUP_SCHEMA)
     spec = {k: v for k, v in doc.items() if k != "schema_version"}
@@ -155,7 +149,7 @@ def group_from_json(doc: dict) -> FiniteGroup:
 
 
 def lattice_to_json(L: SubgroupLattice) -> dict:
-    doc = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "group": group_spec(L.group),
         "subgroups": [sorted(s) for s in L.subgroups],
@@ -165,19 +159,15 @@ def lattice_to_json(L: SubgroupLattice) -> dict:
         "class_of": list(L.class_of),
         "pair_orbits": [[list(p) for p in orbit] for orbit in L.pair_orbits],
     }
-    validate_document(doc, LATTICE_SCHEMA)
-    return doc
 
 
 def system_to_json(T: TransferSystem) -> dict:
-    doc = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "group": group_spec(T.lattice.group),
         "subgroup_count": T.lattice.n,
         "pairs": [[k, h] for k, h in T.pairs()],
     }
-    validate_document(doc, SYSTEM_SCHEMA)
-    return doc
 
 
 def system_from_json(doc: dict) -> TransferSystem:
@@ -191,15 +181,13 @@ def system_from_json(doc: dict) -> TransferSystem:
 
 def chain_to_json(chain) -> dict:
     L = chain.systems[0].lattice
-    doc = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "group": group_spec(L.group),
         "layer_choices": list(chain.layer_choices),
         "orbit_order": [[list(p) for p in orbit] for orbit in chain.orbit_order],
         "systems": [[[k, h] for k, h in T.pairs()] for T in chain.systems],
     }
-    validate_document(doc, CHAIN_SCHEMA)
-    return doc
 
 
 # -- DOT export ----------------------------------------------------------------

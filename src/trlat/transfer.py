@@ -237,15 +237,6 @@ def _violations(L: SubgroupLattice, P: int) -> list[Violation]:
     return out
 
 
-def _checked(L: SubgroupLattice, P: int, what: str) -> TransferSystem:
-    """The system packed as P, for a construction that guarantees the
-    axioms: a violation means a bug in it, raised as `what: <violation>`."""
-    bad = _violations(L, P)
-    if bad:
-        raise AssertionError(f"{what}: {bad[0].describe(L)}")
-    return TransferSystem(L, P)
-
-
 def validate(L: SubgroupLattice, relation) -> list[Violation]:
     """Check the transfer-system axioms on a pair set; [] means valid."""
     return _violations(L, _bits_of(L, relation))
@@ -297,6 +288,8 @@ def generate(L: SubgroupLattice, relation) -> TransferSystem:
     Closes under conjugation, then restriction, by taking the edges of each
     pair's orbit, then takes the reflexive-transitive closure.  Pairs that
     do not refine inclusion are rejected with the first offending pair named.
+    The result is a transfer system because the transitive closure of a
+    conjugation- and restriction-closed relation is one (Rubin, 1903.08723).
     """
     n = L.n
     tables = _tables(L)
@@ -312,7 +305,7 @@ def generate(L: SubgroupLattice, relation) -> TransferSystem:
     P = _packing(n)[0]
     for j in seeds:
         P = _close(P, tables.orbits[j][1], n)
-    return _checked(L, P, "closure produced an invalid system")
+    return TransferSystem(L, P)
 
 
 # -- lattice operations on Tr(G) ---------------------------------------------
@@ -323,16 +316,18 @@ def _require_same_lattice(T1: TransferSystem, T2: TransferSystem) -> None:
 
 
 def meet(T1: TransferSystem, T2: TransferSystem) -> TransferSystem:
-    """Pairwise intersection; always a transfer system."""
+    """Pairwise intersection; a transfer system, because each axiom asks a
+    relation to be closed under a rule, and that holds for an intersection
+    of closed relations."""
     _require_same_lattice(T1, T2)
-    return _checked(T1.lattice, T1.bits & T2.bits, "meet produced an invalid system")
+    return TransferSystem(T1.lattice, T1.bits & T2.bits)
 
 
 def join(T1: TransferSystem, T2: TransferSystem) -> TransferSystem:
-    """Smallest transfer system containing both."""
+    """Smallest transfer system containing both: the transitive closure of
+    their union, which is closed under conjugation and restriction."""
     _require_same_lattice(T1, T2)
-    closed = _close(T1.bits, enumerate(T2.rows), T1.lattice.n)
-    return _checked(T1.lattice, closed, "join produced an invalid system")
+    return TransferSystem(T1.lattice, _close(T1.bits, enumerate(T2.rows), T1.lattice.n))
 
 
 def is_saturated(T: TransferSystem) -> bool:
@@ -596,7 +591,7 @@ def closed_form_normal_source(L: SubgroupLattice, k: int, hs) -> TransferSystem:
             raise ValueError(f"source {L.names[k]} is not contained in {L.names[h]}")
     _check_conjugation_closed(L, hs, "target")
     pairs = [(L.intersect[m][k], m) for h in hs for m in range(L.n) if L.includes[m][h]]
-    return _checked(L, _bits_of(L, pairs), "closed form invalid")
+    return TransferSystem.from_pairs(L, pairs)
 
 
 def closed_form_normal_target(L: SubgroupLattice, ks, h: int) -> TransferSystem:
@@ -619,4 +614,4 @@ def closed_form_normal_target(L: SubgroupLattice, ks, h: int) -> TransferSystem:
         meets |= new
         frontier = new
     pairs = [(L.intersect[m][kk], m) for m in range(L.n) if L.includes[m][h] for kk in meets]
-    return _checked(L, _bits_of(L, pairs), "closed form invalid")
+    return TransferSystem.from_pairs(L, pairs)

@@ -45,9 +45,6 @@ class CyclicUniverseIndexSet:
     def reduction(self, e: int) -> frozenset[int]:
         return frozenset(i % e for i in self.members)
 
-    def is_complete(self) -> bool:
-        return len(self.members) == self.modulus
-
     def sorted(self) -> list[int]:
         return sorted(self.members)
 

@@ -21,14 +21,16 @@ def invoke(*argv):
 
 
 def invoke_json(*argv):
+    """Run a command whose output is one run report, and check its schema."""
     code, text = invoke(*argv)
-    return code, json.loads(text)
+    doc = json.loads(text)
+    serialize.validate_document(doc, serialize.REPORT_SCHEMA)
+    return code, doc
 
 
 def test_group_info():
     code, doc = invoke_json("group", "info", "--group", "C8")
     assert code == 0
-    serialize.validate_document(doc, serialize.REPORT_SCHEMA)
     assert doc["results"]["subgroup_count"] == 4
     assert doc["group"] == {"kind": "cyclic", "n": 8}
 
@@ -335,3 +337,15 @@ def test_verify_paper():
     lines = [l for l in text.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 11
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_verify_paper_json_report():
+    code, text = invoke("verify-paper", "--json")
+    assert code == 0
+    lines = text.splitlines()
+    start = lines.index("{")
+    assert start == 11  # one PASS line per criterion, then the report
+    report = json.loads("\n".join(lines[start:]))
+    serialize.validate_document(report, serialize.REPORT_SCHEMA)
+    assert report["results"] == {"passed": True}
+    assert [c["passed"] for c in report["checks"]] == [True] * 11

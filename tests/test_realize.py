@@ -172,7 +172,7 @@ def test_free_transfer_forces_complete_universe():
                   for s in ([], [1], [2], range(n))]:
             T = linisom_cyclic(n, I)
             if T.contains(0, L.full):
-                assert I.is_complete()
+                assert len(I.members) == I.modulus
 
 
 def test_linisom_image_counts():

@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 
 from trlat.chains import maximal_chain
-from trlat.groups import abelian_group, cyclic_group, make_group
+from trlat.groups import abelian_group, cyclic_group, group_spec, make_group
 from trlat.lattice import subgroup_lattice
 from trlat.transfer import TransferSystem, enumerate_all, hasse_diagram
 from trlat import serialize
@@ -20,7 +20,7 @@ def L_(name):
 def test_group_json_round_trip():
     for name in ("C8", "K4", "Q8", "Sym3", "D10"):
         G = make_group(name)
-        doc = serialize.group_to_json(G)
+        doc = {"schema_version": serialize.SCHEMA_VERSION, **group_spec(G)}
         G2 = serialize.group_from_json(json.loads(json.dumps(doc)))
         assert G2 is G  # the recorded spec rebuilds the constructor's own group
         assert all(G2.compose(a, b) == G.compose(a, b)
@@ -41,7 +41,7 @@ def test_table_group_round_trip():
              (dihedral_8_table(), "D8")]
     for table, name in cases:
         G = make_group({"kind": "table", "table": table, "name": name})
-        doc = serialize.group_to_json(G)
+        doc = {"schema_version": serialize.SCHEMA_VERSION, **group_spec(G)}
         assert doc["kind"] == "table"  # a table stays a table, whatever its name
         G2 = serialize.group_from_json(json.loads(json.dumps(doc)))
         assert (G2.order, G2.name) == (len(table), name)
@@ -54,6 +54,7 @@ def test_system_json_round_trip_bit_for_bit():
         L = L_(name)
         for T in enumerate_all(L):
             doc = serialize.system_to_json(T)
+            serialize.validate_document(doc, serialize.SYSTEM_SCHEMA)
             T2 = serialize.system_from_json(json.loads(json.dumps(doc)))
             assert T2.key == T.key
             assert serialize.system_to_json(T2) == doc
@@ -94,6 +95,7 @@ def test_lattice_dump_validates():
 def test_chain_json():
     chain = maximal_chain(L_("K4"))
     doc = serialize.chain_to_json(chain)
+    serialize.validate_document(doc, serialize.CHAIN_SCHEMA)
     assert len(doc["systems"]) == 8
     assert json.loads(serialize.dumps(doc)) == doc
 

@@ -12,11 +12,12 @@ import random
 
 import pytest
 
+from trlat.chains import maximal_chain
 from trlat.groups import abelian_group, make_group
 from trlat.lattice import subgroup_lattice
 from trlat.serialize import SCHEMA_VERSION, group_spec, system_from_json
 from trlat.transfer import (TransferSystem, TransferSystemError, Violation, _violations,
-                            generate, validate)
+                            generate, join, meet, validate)
 
 
 def reference_violations(L, rows):
@@ -159,6 +160,22 @@ def test_generate_matches_reference(name):
         with pytest.raises(TransferSystemError) as want:
             reference_generate(L, relation)
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_lattice_operations_match_reference(name):
+    """join, meet and each step of maximal_chain build systems unchecked;
+    the references confirm that they are the systems the axioms ask for."""
+    L = subgroup_lattice(table_built(name, seed=len(name)))
+    rng = random.Random(f"lattice operations {name}")
+    for _ in range(25):
+        r1, r2 = (rng.sample(L.proper_pairs, rng.randint(0, min(4, len(L.proper_pairs))))
+                  for _ in range(2))
+        T1, T2 = generate(L, r1), generate(L, r2)
+        assert join(T1, T2).rows == reference_generate(L, r1 + r2), (r1, r2)
+        assert reference_violations(L, meet(T1, T2).rows) == [], (r1, r2)
+    for T in maximal_chain(L).systems:
+        assert reference_violations(L, T.rows) == [], T
 
 
 def test_pair_indices_outside_the_lattice_rejected():
