@@ -9,9 +9,7 @@ from .transfer import (SearchBoundExceeded, TransferSystem,
                        closed_form_normal_source, closed_form_normal_target,
                        enumerate_all, generate, hasse_diagram, irreducible_pairs,
                        is_saturated, join, meet, validate)
-from .bridge import HSetSpec, OrbitMapSpec, admits, morphism_in_category
-from .universes import (CyclicUniverseIndexSet, induce_lambda, induced_character,
-                        lambda_character, lambda_kernel_order)
+from .universes import CyclicUniverseIndexSet, induce_lambda, lambda_kernel_order
 from .realize import (LinIsomFixtureRow, NoRealizabilityData, NotRealizable,
                       RepCatalogEntry, catalog, linisom_cyclic, linisom_fixture,
                       linisom_image, linisom_image_cyclic, minimal_steiner_universe,

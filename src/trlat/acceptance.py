@@ -18,8 +18,7 @@ from .chains import maximal_chain
 from .realize import (_cyclic_lattice, linisom_cyclic, linisom_image, linisom_image_cyclic,
                       realize_saturated_cpn, steiner_cyclic, steiner_image,
                       unrealized_fixture)
-from .universes import (CHARACTER_TOL, induce_lambda, induced_character,
-                        lambda_character)
+from .universes import CyclicUniverseIndexSet, _negation_classes, induce_lambda
 
 
 def _lattice(name: str):
@@ -237,22 +236,26 @@ def criterion_filtration() -> tuple[bool, str]:
 
 
 def criterion_character_identities() -> tuple[bool, str]:
-    """Induced rotation characters match their closed form at every element,
-    for every divisor pair with n <= 12, within 1e-9."""
-    worst = 0.0
+    """Blumberg-Hill's induction criterion equals linisom_cyclic's translation
+    criterion on every universe I of C_n, n <= 12: C_d -> C_e holds iff,
+    for each label i in I, Ind_{C_d}^{C_e} of its restriction i mod d has
+    all its labels in I mod e."""
+    universes = 0
     for n in range(1, 13):
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            for m in range(n):
-                labels = induce_lambda(d, n, m)
-                for j in range(n):
-                    total = sum(lambda_character(n, lab, j) for lab in labels)
-                    err = abs(total - induced_character(d, n, m, j))
-                    worst = max(worst, err)
-                    if err > CHARACTER_TOL:
-                        return False, f"character mismatch d={d} n={n} m={m} j={j}: {err}"
-    return True, f"worst deviation {worst:.2e} (tolerance {CHARACTER_TOL})"
+        L, _ = _cyclic_lattice(n)
+        classes = _negation_classes(n)
+        for chosen in range(1 << len(classes)):
+            I = CyclicUniverseIndexSet.canonical(
+                n, [i for b, c in enumerate(classes) if chosen >> b & 1 for i in c])
+            induced = set()
+            for k, h in L.proper_pairs:
+                d, e = L.order_of(k), L.order_of(h)
+                if all(set(induce_lambda(d, e, i % d)) <= I.reduction(e) for i in I.members):
+                    induced.add((k, h))
+            if induced != set(linisom_cyclic(n, I).pairs()):
+                return False, f"induction criterion differs from linisom_cyclic on {I!r}"
+            universes += 1
+    return True, f"equal to linisom_cyclic on all {universes} universes of C_n, n <= 12"
 
 
 def criterion_noncyclic_exclusion() -> tuple[bool, str]:

@@ -300,9 +300,12 @@ def linisom_image(L: SubgroupLattice) -> tuple[list[TransferSystem], int]:
 # -- constructing realizing universes ------------------------------------------
 
 def cpn_modulus(p: int, n: int) -> int:
-    """p^n, checked before any group of that order is built: p must be prime."""
+    """p^n, checked before any group of that order is built: p must be prime
+    and n >= 0."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if n < 0:
+        raise ValueError(f"exponent n must be >= 0, got {n}")
     return p ** n
 
 

@@ -132,11 +132,11 @@ _VALIDATORS: dict[int, tuple] = {}  # id(schema) -> (schema, validator); holding
 
 
 def validate_document(doc: dict, schema: dict) -> None:
-    """Raise the error `jsonschema.validate` would, checking each schema only once."""
+    """Raise the error `jsonschema.validate` would, building each validator
+    once.  The schemas are this module's constants, which a test checks
+    against their metaschema, so they are not checked here."""
     if id(schema) not in _VALIDATORS:
-        cls = jsonschema.validators.validator_for(schema)
-        cls.check_schema(schema)
-        _VALIDATORS[id(schema)] = (schema, cls(schema))
+        _VALIDATORS[id(schema)] = (schema, jsonschema.validators.validator_for(schema)(schema))
     error = jsonschema.exceptions.best_match(_VALIDATORS[id(schema)][1].iter_errors(doc))
     if error is not None:
         raise error

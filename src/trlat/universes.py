@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-CHARACTER_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class CyclicUniverseIndexSet:
@@ -31,17 +29,6 @@ class CyclicUniverseIndexSet:
         reduced |= {(-i) % modulus for i in reduced}
         return cls(modulus, frozenset(reduced))
 
-    @classmethod
-    def strict(cls, modulus: int, members) -> "CyclicUniverseIndexSet":
-        """Reject input that is not already canonical."""
-        given = {int(i) for i in members}
-        out = cls.canonical(modulus, given)
-        if given != set(out.members):
-            raise ValueError(
-                f"index set {sorted(given)} is not canonical mod {modulus}: "
-                "it must contain 0, lie in 0..n-1, and be closed under negation")
-        return out
-
     def reduction(self, e: int) -> frozenset[int]:
         return frozenset(i % e for i in self.members)
 
@@ -52,25 +39,11 @@ class CyclicUniverseIndexSet:
         return f"U({self.modulus}; {{{','.join(map(str, self.sorted()))}}})"
 
 
-def lambda_character(n: int, m: int, j: int) -> float:
-    """Character of the label-m rotation representation of C_n at g^j."""
-    return 2.0 * math.cos(2.0 * math.pi * m * j / n)
-
-
 def induce_lambda(d: int, n: int, m: int) -> list[int]:
     """Induction from C_d to C_n of label m: labels m + d*a for 0 <= a < n/d."""
     if n % d != 0:
         raise ValueError(f"{d} does not divide {n}")
     return sorted((m + d * a) % n for a in range(n // d))
-
-
-def induced_character(d: int, n: int, m: int, j: int) -> float:
-    """Closed form for the character of the induced representation at g^j."""
-    if n % d != 0:
-        raise ValueError(f"{d} does not divide {n}")
-    if j % (n // d) != 0:
-        return 0.0
-    return (n // d) * lambda_character(n, m, j)
 
 
 def lambda_kernel_order(n: int, i: int) -> int:

@@ -235,6 +235,14 @@ def test_realize_checks_primes_before_building_the_group(capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_realize_refuses_a_negative_exponent(capsys):
+    """2^-1 is not a group order; n = 0 gives C1."""
+    assert invoke("realize", "cpn", "--p", "2", "--n", "-1") == (1, "")
+    assert capsys.readouterr().err == "error: exponent n must be >= 0, got -1\n"
+    code, doc = invoke_json("realize", "cpn", "--p", "2", "--n", "0")
+    assert code == 0 and doc["results"] == {"index_set": [0], "modulus": 1}
+
+
 def test_minimal_universe_refusal_exits_1(capsys):
     code, out = invoke("minimal-universe", "--group", "C2xC2xC2xC2xC2",
                        "--sub", "1", "--sup", "C2xC2xC2xC2xC2")

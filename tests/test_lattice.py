@@ -1,13 +1,14 @@
 """Subgroup lattice enumeration, conjugation data, automorphisms."""
 
 import itertools
-import random
 
 import pytest
 
 from trlat.groups import (abelian_group, cyclic_group, dihedral_group, klein_group,
                           make_group, quaternion_group, symmetric_group)
 from trlat.lattice import automorphisms, subgroup_lattice
+
+from tables import dihedral_8, relabeled
 
 
 def brute_force_subgroups(G):
@@ -130,23 +131,13 @@ def brute_force_automorphisms(G):
     return sorted(out)
 
 
-def relabeled_d8(seed):
-    """D8 as a bare Cayley table, (rotation mod 4, reflection bit) pairs in a
-    seeded element order."""
-    items = [(r, s) for s in range(2) for r in range(4)]
-    random.Random(seed).shuffle(items)
-    table = [[items.index(((x[0] + (y[0] if x[1] == 0 else -y[0])) % 4, (x[1] + y[1]) % 2))
-              for y in items] for x in items]
-    return make_group({"kind": "table", "table": table, "name": "D8"})
-
-
 # every builtin token of order <= 8 (at most 7! candidate permutations each)
 SMALL_BUILTINS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "K4", "Q8", "Sym3", "D6",
                   "C2xC2", "C2xC3", "C2xC4", "C2xC2xC2")
 
 
-@pytest.mark.parametrize("G", [make_group(name) for name in SMALL_BUILTINS] + [relabeled_d8(8)],
-                         ids=lambda g: g.name)
+@pytest.mark.parametrize("G", [make_group(name) for name in SMALL_BUILTINS]
+                         + [relabeled(dihedral_8(), 8)], ids=lambda g: g.name)
 def test_automorphisms_match_brute_force(G):
     assert automorphisms(G) == brute_force_automorphisms(G)
 

@@ -12,6 +12,8 @@ from trlat.lattice import subgroup_lattice
 from trlat.transfer import TransferSystem, enumerate_all, hasse_diagram
 from trlat import serialize
 
+from tables import dihedral_8
+
 
 def L_(name):
     return subgroup_lattice(make_group(name))
@@ -27,18 +29,11 @@ def test_group_json_round_trip():
                    for a in range(G.order) for b in range(G.order))
 
 
-def dihedral_8_table():
-    items = [(a, b) for b in (0, 1) for a in range(4)]
-    op = {(x, y): ((x[0] + (y[0] if x[1] == 0 else -y[0])) % 4, (x[1] + y[1]) % 2)
-          for x in items for y in items}
-    return [[items.index(op[x, y]) for y in items] for x in items]
-
-
 def test_table_group_round_trip():
-    k4 = make_group("K4")
+    k4, d8 = make_group("K4"), dihedral_8()
     cases = [([[0, 1], [1, 0]], "Z2"),
              ([[k4.compose(a, b) for b in range(4)] for a in range(4)], "Q8"),
-             (dihedral_8_table(), "D8")]
+             ([[d8.compose(a, b) for b in range(8)] for a in range(8)], "D8")]
     for table, name in cases:
         G = make_group({"kind": "table", "table": table, "name": name})
         doc = {"schema_version": serialize.SCHEMA_VERSION, **group_spec(G)}
@@ -74,6 +69,14 @@ def test_system_json_rejects_invalid_pairs():
     doc["pairs"] = [[0, 2]]
     with pytest.raises(Exception, match="restriction"):
         serialize.system_from_json(doc)
+
+
+def test_every_schema_is_valid_against_its_metaschema():
+    """validate_document trusts the module's schemas; this checks them."""
+    schemas = [value for name, value in vars(serialize).items() if name.endswith("_SCHEMA")]
+    assert len(schemas) == 6
+    for schema in schemas:
+        jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
 def test_schema_rejects_malformed_documents():

@@ -12,7 +12,7 @@ from trlat.transfer import (SearchBoundExceeded, TransferSystem,
                             enumerate_all, generate, hasse_diagram, in_key_order,
                             irreducible_pairs, is_saturated, join, meet, validate)
 
-from test_lattice import relabeled_d8
+from tables import dihedral_8, relabeled
 
 
 def L_(name):
@@ -36,6 +36,34 @@ def test_restriction_violation_witness():
     # 1 -> C4 without 1 -> C2: restriction along C2 is missing
     bad = validate(L, [(0, 2)])
     assert any(v.axiom == "restriction" and v.pair == (0, 1) for v in bad)
+
+
+def test_round_trip_over_tr_k4():
+    L = L_("K4")
+    for T in enumerate_all(L):
+        assert TransferSystem.from_pairs(L, T.pairs()) == T
+
+
+def test_diagonal_round_trip():
+    L = L_("Q8")
+    d = TransferSystem.diagonal(L)
+    assert d.pairs() == []
+    assert TransferSystem.from_pairs(L, []) == d
+
+
+def test_maximum_c6_pair_count():
+    # divisor chain pairs of 6: (1,2), (1,3), (1,6), (2,6), (3,6)
+    L = subgroup_lattice(cyclic_group(6))
+    top = TransferSystem.maximum(L)
+    pairs = set(top.pairs())
+    assert len(pairs) == 5
+    assert TransferSystem.from_pairs(L, sorted(pairs)) == top
+
+
+def test_system_from_orbits_reports_violations():
+    L = L_("C4")
+    with pytest.raises(TransferSystemError, match="restriction"):
+        TransferSystem.from_pairs(L, [(0, 2)])
 
 
 # -- generate -------------------------------------------------------------------
@@ -224,13 +252,6 @@ def test_enumeration_matches_orbit_union_oracle(name):
     assert oracle == set(enumerate_all(L))
 
 
-def dihedral_8():
-    items = [(a, b) for b in (0, 1) for a in range(4)]
-    table = [[items.index(((x[0] + (y[0] if x[1] == 0 else -y[0])) % 4, (x[1] + y[1]) % 2))
-              for y in items] for x in items]
-    return make_group({"kind": "table", "table": table, "name": "D8"})
-
-
 @pytest.mark.parametrize("G", [dihedral_8(), make_group("C24"), abelian_group((2, 4)),
                                abelian_group((3, 3)), make_group("D10")],
                          ids=["D8", "C24", "C2xC4", "C3xC3", "D10"])
@@ -361,7 +382,7 @@ def test_k4_orbit_count():
                                           ("D8-relabeled", None)])
 def test_orbits_match_brute_force_relabeling(name, profile):
     """Relabel every system's pairs under every automorphism, inner ones included."""
-    L = subgroup_lattice(relabeled_d8(5) if name == "D8-relabeled" else make_group(name))
+    L = subgroup_lattice(relabeled(dihedral_8(), 5) if name == "D8-relabeled" else make_group(name))
     systems = enumerate_all(L, bound=26)
     orbits, got_profile = aut_orbits(systems, automorphisms(L.group))
     images = [tuple(L.index_of[frozenset(sigma[x] for x in s)] for s in L.subgroups)

@@ -1,4 +1,4 @@
-"""Index sets and rotation-representation identities."""
+"""Index sets, induced rotation labels and kernels."""
 
 import math
 
@@ -6,9 +6,8 @@ import pytest
 
 from trlat.groups import cyclic_group
 from trlat.lattice import subgroup_lattice
-from trlat.universes import (CHARACTER_TOL, CyclicUniverseIndexSet, _negation_classes,
-                             index_set_count, induce_lambda, induced_character,
-                             lambda_character, lambda_kernel_order)
+from trlat.universes import (CyclicUniverseIndexSet, _negation_classes, index_set_count,
+                             induce_lambda, lambda_kernel_order)
 
 
 def test_canonicalization():
@@ -17,45 +16,26 @@ def test_canonicalization():
     assert CyclicUniverseIndexSet.canonical(6, [-1]).sorted() == [0, 1, 5]
 
 
-def test_strict_mode_rejects_non_canonical():
-    assert CyclicUniverseIndexSet.strict(4, [0, 1, 3]).sorted() == [0, 1, 3]
-    with pytest.raises(ValueError, match="not canonical"):
-        CyclicUniverseIndexSet.strict(4, [0, 1])  # missing -1 = 3
-    with pytest.raises(ValueError, match="not canonical"):
-        CyclicUniverseIndexSet.strict(4, [1, 3])  # missing 0
-
-
 def test_index_set_enumeration_count():
     for n in (1, 2, 5, 6, 9, 12):
         # the isometries-image scan picks a subset of the negation classes
         assert index_set_count(n) == 2 ** (n // 2) == 2 ** len(_negation_classes(n))
 
 
-def test_trivial_character_is_two():
-    for n in (3, 7, 12):
-        for j in range(n):
-            assert lambda_character(n, 0, j) == pytest.approx(2.0)
-
-
 def test_induce_from_trivial_group():
     assert induce_lambda(1, 2, 0) == [0, 1]
-    chars = [sum(lambda_character(2, m, j) for m in (0, 1)) for j in (0, 1)]
-    assert chars[0] == pytest.approx(4.0)
-    assert chars[1] == pytest.approx(0.0)
+    assert induce_lambda(1, 5, 3) == [0, 1, 2, 3, 4]
 
 
-def test_induced_character_identity_up_to_12():
-    worst = 0.0
+def test_induced_labels_are_one_residue_class_up_to_12():
+    """Ind from C_d to C_n of label m is the labels congruent to m mod d,
+    once each: the labels whose restriction to C_d is m."""
     for n in range(1, 13):
         for d in (d for d in range(1, n + 1) if n % d == 0):
             for m in range(n):
-                labels = induce_lambda(d, n, m)
-                assert len(labels) == n // d
-                for j in range(n):
-                    got = sum(lambda_character(n, lab, j) for lab in labels)
-                    want = induced_character(d, n, m, j)
-                    worst = max(worst, abs(got - want))
-    assert worst <= CHARACTER_TOL
+                assert induce_lambda(d, n, m) == [x for x in range(n) if x % d == m % d]
+    with pytest.raises(ValueError, match="does not divide"):
+        induce_lambda(4, 6, 1)
 
 
 def test_kernel_order_is_gcd():
