@@ -58,6 +58,25 @@ def test_trivial_orbits_always_admissible():
         assert oracle(L).generate(trivial) == set(generate(L, trivial).pairs()) == set()
 
 
+def test_empty_relation_generates_the_diagonal():
+    """The empty H-set has no orbits to close: the least family is the
+    diagonal."""
+    L = subgroup_lattice(make_group("C4"))
+    O = oracle(L)
+    assert O.close(()) == frozenset()
+    assert O.generate([]) == set(generate(L, []).pairs()) == set(TransferSystem.diagonal(L).pairs())
+
+
+def test_identity_orbits_add_nothing_to_any_system():
+    """An identity map H/H -> H/H lies in every system: adding the orbit
+    H/H to the orbits of any T in Tr(Sym3) closes to T again."""
+    L = subgroup_lattice(make_group("Sym3"))
+    O = oracle(L)
+    for T in enumerate_all(L):
+        for s in range(L.n):
+            assert O.generate(T.pairs() + [(s, s)]) == set(T.pairs())
+
+
 def test_admitted_orbits_reconstruct_uniquely():
     L = subgroup_lattice(make_group("Sym3"))
     O = oracle(L)
