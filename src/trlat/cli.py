@@ -14,8 +14,9 @@ import jsonschema
 from . import acceptance, serialize
 from .groups import GroupValidationError, builtin_group, group_spec, make_group
 from .lattice import automorphisms, subgroup_lattice
-from .transfer import (SearchBoundExceeded, TransferSystem, TransferSystemError, aut_orbits,
-                       enumerate_all, generate, hasse_diagram, is_saturated, validate)
+from .transfer import (SearchBoundExceeded, TransferSystem, TransferSystemError, _bits_of,
+                       _violations, aut_orbits, enumerate_all, generate, hasse_diagram,
+                       is_saturated)
 from .chains import maximal_chain
 from .realize import (NoRealizabilityData, NotRealizable, cpn_modulus, cpq_modulus,
                       linisom_image, minimal_steiner_universe, realize_saturated_cpn,
@@ -166,13 +167,12 @@ def cmd_ts_generate(ns, out) -> int:
 def cmd_ts_check(ns, out) -> int:
     G = parse_group(ns.group)
     L = subgroup_lattice(G)
-    pairs = parse_pairs(L, ns.pairs)
-    violations = validate(L, pairs)
+    bits = _bits_of(L, parse_pairs(L, ns.pairs))
+    violations = _violations(L, bits)
     results = {"valid": not violations,
                "violations": [v.describe(L) for v in violations]}
     if not violations:
-        T = TransferSystem.from_pairs(L, pairs)
-        results["saturated"] = is_saturated(T)
+        results["saturated"] = is_saturated(TransferSystem(L, bits))
     checks = [{"claim": "relation is a transfer system", "passed": not violations}]
     _emit(_report(ns, G, results, checks), out)
     return 0 if not violations else VALIDATION_ERROR

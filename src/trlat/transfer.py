@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 from .lattice import SubgroupLattice
 
 
@@ -20,8 +20,7 @@ class SearchBoundExceeded(ValueError):
     """Raised when an enumeration or a scan would exceed its bound."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     axiom: str
     pair: tuple[int, int]
     forced_by: tuple[int, int] | None = None
@@ -111,6 +110,20 @@ class TransferSystem:
 
 # -- validation ---------------------------------------------------------------
 
+class _Lazy(dict):
+    """A dict that fills a missing key with build(key), once."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 class _Tables:
     """What validation and closure need of a lattice over n subgroups; pairs
     are indexed k*n + h, their bit in a packed system.
@@ -121,20 +134,30 @@ class _Tables:
       and restriction axioms ask of a system holding (k, h), its conjugates
       (c[k], c[h]) and its restrictions (L_l n K_k, L_l) for L_l <= H_h;
       0 for any other pair.
+    conjugates[k*n + h], for a proper pair, built on first use: its
+      conjugates (c[k], c[h]) in L.conjugate order with repeats dropped.
+      They are the tuples L.pair_orbits holds, so a listing adds only its
+      references.
+    below[h]: the l with L_l <= H_h, ascending, so (L_l n K_k, L_l) for l in
+      below[h] are the restrictions of (k, h).
     orbit_of[k*n + h]: the index in L.pair_orbits of a proper pair, else -1.
     orbit_pairs[j]: the packed pairs of orbit j.
     orbits: per pair orbit, the packed bit of its first pair and the nonzero
       (row, bits) of its members' demands together, which is what the orbit
       adds under conjugation, then restriction: every pair of an orbit
       closes to the same system, and a system holds a whole orbit or none.
+    generated[j], built on first use: the packed system orbit j generates.
     """
 
-    __slots__ = ("incl", "maximum", "demand", "orbit_of", "orbit_pairs", "orbits")
+    __slots__ = ("lattice", "incl", "maximum", "demand", "conjugates", "below", "orbit_of",
+                 "orbit_pairs", "orbits", "generated")
 
     def __init__(self, L: SubgroupLattice):
         n = L.n
+        self.lattice = L
         self.incl = [sum(1 << h for h in range(n) if L.includes[k][h]) for k in range(n)]
         self.maximum = sum(r << k * n for k, r in enumerate(self.incl))
+        self.below = [tuple(l for l in range(n) if L.includes[l][h]) for h in range(n)]
         self.demand, self.orbit_of, self.orbits = [0] * (n * n), [-1] * (n * n), []
         self.orbit_pairs = []
         for j, orbit in enumerate(L.pair_orbits):
@@ -143,14 +166,25 @@ class _Tables:
             union = 0
             for k, h in orbit:
                 need = conjugates
-                for l in range(n):
-                    if L.includes[l][h]:
-                        need |= 1 << L.intersect[l][k] * n + l
+                for l in self.below[h]:
+                    need |= 1 << L.intersect[l][k] * n + l
                 self.demand[k * n + h], self.orbit_of[k * n + h] = need, j
                 union |= need
             k, h = orbit[0]
             self.orbits.append((1 << k * n + h,
                                 [(i, r) for i, r in enumerate(_unpack(union, n)) if r]))
+        self.conjugates = _Lazy(self._conjugates)
+        self.generated = _Lazy(self._generated)
+
+    def _conjugates(self, p: int) -> tuple[tuple[int, int], ...]:
+        L, n = self.lattice, self.lattice.n
+        k, h = divmod(p, n)
+        orbit = {pair: pair for pair in L.pair_orbits[self.orbit_of[p]]}
+        return tuple(orbit[q] for q in dict.fromkeys((c[k], c[h]) for c in L.conjugate))
+
+    def _generated(self, j: int) -> int:
+        n = self.lattice.n
+        return _close(_packing(n)[0], self.orbits[j][1], n)
 
 
 def _tables(L: SubgroupLattice) -> _Tables:
@@ -187,53 +221,58 @@ def _violations(L: SubgroupLattice, P: int) -> list[Violation]:
     by ascending l, and (k, h2) for each h2 that h reaches and k does not,
     ascending.
 
-    Exact with one test per held pair: the conjugation and restriction
-    loops of (k, h) test exactly the pairs of its demand mask, and the
-    transitivity loop lists the bits of rows[h] & ~rows[k].  A held pair
-    whose demand mask lies inside P, and whose target row lies inside its
-    source row, appends nothing to any of the three loops, so only the
-    other pairs run them.
+    Exact with few tests.  The first loop runs only if P lacks a reflexive
+    pair or holds one outside inclusion.  A held pair's listing, its
+    distinct conjugates (`_Tables.conjugates`) and then its restrictions
+    (one per l in `_Tables.below[h]`), holds the pairs of its demand mask
+    in the order above, so a pair whose mask lies inside P lists nothing
+    and is not walked; its transitive steps are the bits of rows[h] that
+    row k lacks.  A pair already listed for an axiom is not listed again:
+    each axiom keeps its own copy of the rows, P plus the pairs listed for
+    it so far, and a pair is listed iff that copy lacks it.
     """
     n = L.n
     tables = _tables(L)
-    incl, demand = tables.incl, tables.demand
+    incl, demand, conjugates, below = tables.incl, tables.demand, tables.conjugates, tables.below
     rows = _unpack(P, n)
     out: list[Violation] = []
-    seen: set[tuple[str, tuple[int, int]]] = set()
-
-    def note(axiom: str, pair: tuple[int, int], forced_by=None) -> None:
-        if (axiom, pair) not in seen:
-            seen.add((axiom, pair))
-            out.append(Violation(axiom, pair, forced_by))
-
-    for k, bits in enumerate(rows):
-        if not bits >> k & 1:
-            note("reflexivity", (k, k))
-        outside = bits & ~incl[k]
-        while outside:
-            low = outside & -outside
-            outside ^= low
-            note("refines-inclusion", (k, low.bit_length() - 1))
+    if _packing(n)[0] & ~P or P & ~tables.maximum:
+        for k, bits in enumerate(rows):
+            if not bits >> k & 1:
+                out.append(Violation("reflexivity", (k, k)))
+            outside = bits & ~incl[k]
+            while outside:
+                low = outside & -outside
+                outside ^= low
+                out.append(Violation("refines-inclusion", (k, low.bit_length() - 1)))
     absent = ~P
+    conjugated, restricted, composed = list(rows), list(rows), list(rows)
     for k, bits in enumerate(rows):
         held = bits & incl[k] & ~(1 << k)
         while held:
             low = held & -held
             held ^= low
             h = low.bit_length() - 1
-            reached = rows[h] & ~bits
-            if not (demand[k * n + h] & absent or reached):
-                continue
-            for c in L.conjugate:
-                if not rows[c[k]] >> c[h] & 1:
-                    note("conjugation", (c[k], c[h]), (k, h))
-            for l in range(n):
-                if L.includes[l][h] and not rows[L.intersect[l][k]] >> l & 1:
-                    note("restriction", (L.intersect[l][k], l), (k, h))
-            while reached:
-                low = reached & -reached
-                reached ^= low
-                note("transitivity", (k, low.bit_length() - 1), (k, h))
+            forced = (k, h)
+            if demand[k * n + h] & absent:
+                for pair in conjugates[k * n + h]:
+                    a, b = pair
+                    if not conjugated[a] >> b & 1:
+                        conjugated[a] |= 1 << b
+                        out.append(Violation("conjugation", pair, forced))
+                meets = L.intersect[k]
+                for l in below[h]:
+                    a = meets[l]
+                    if not restricted[a] >> l & 1:
+                        restricted[a] |= 1 << l
+                        out.append(Violation("restriction", (a, l), forced))
+            reached = rows[h] & ~composed[k]
+            if reached:
+                composed[k] |= reached
+                while reached:
+                    low = reached & -reached
+                    reached ^= low
+                    out.append(Violation("transitivity", (k, low.bit_length() - 1), forced))
     return out
 
 
@@ -290,6 +329,16 @@ def generate(L: SubgroupLattice, relation) -> TransferSystem:
     do not refine inclusion are rejected with the first offending pair named.
     The result is a transfer system because the transitive closure of a
     conjugation- and restriction-closed relation is one (Rubin, 1903.08723).
+
+    The seeds are the indices in L.pair_orbits of the orbits the relation
+    meets.  The system the largest seed generates is kept on
+    `_Tables.generated`; the other seeds, in descending order, close it
+    further with their edges.  A seed whose first pair is already held is
+    skipped, which is exact: the system so far is a transfer system, and
+    one holding a pair of an orbit holds the whole orbit and everything
+    the orbit demands.  Closing a transfer system with an orbit's edges
+    gives the join of the two, so the order of the seeds changes only how
+    many are skipped.
     """
     n = L.n
     tables = _tables(L)
@@ -302,9 +351,14 @@ def generate(L: SubgroupLattice, relation) -> TransferSystem:
         elif not L.includes[k][h]:
             raise TransferSystemError(
                 f"pair ({L.names[k]}, {L.names[h]}) does not refine inclusion")
-    P = _packing(n)[0]
-    for j in seeds:
-        P = _close(P, tables.orbits[j][1], n)
+    if not seeds:
+        return TransferSystem(L, _packing(n)[0])
+    seeds = sorted(seeds, reverse=True)
+    P = tables.generated[seeds[0]]
+    for j in seeds[1:]:
+        bit, edges = tables.orbits[j]
+        if not P & bit:
+            P = _close(P, edges, n)
     return TransferSystem(L, P)
 
 
@@ -453,16 +507,14 @@ def hasse_diagram(L: SubgroupLattice, bound: int = 24
     candidate orbit S holds closes T to S.  Refuses as `enumerate_all` does.
     """
     systems = enumerate_all(L, bound)
-    masks = _tables(L).orbits
-    diagonal = _packing(L.n)[0]
-    generated = [_close(diagonal, edges, L.n) for _, edges in masks]
+    tables = _tables(L)
+    masks = [(bit, edges, tables.generated[j]) for j, (bit, edges) in enumerate(tables.orbits)]
     index = {T.bits: i for i, T in enumerate(systems)}
     covers = []
     for i, T in enumerate(systems):
         P = T.bits
-        lacking = sum(bit for bit, _ in masks if not P & bit)
-        succ = [(bit, _close(P, edges, L.n))
-                for (bit, edges), g in zip(masks, generated) if g & lacking == bit]
+        lacking = sum(bit for bit, _, _ in masks if not P & bit)
+        succ = [(bit, _close(P, edges, L.n)) for bit, edges, g in masks if g & lacking == bit]
         for S in {N for _, N in succ}:
             if all(N == S for bit, N in succ if S & bit):
                 covers.append((i, index[S]))
@@ -470,11 +522,11 @@ def hasse_diagram(L: SubgroupLattice, bound: int = 24
     return systems, covers
 
 
-class _OrbitImages(dict):
+def _orbit_images(L: SubgroupLattice, p: tuple[int, ...], key: int) -> int:
     """The action of a subgroup permutation p induced by an automorphism on
     codes, ints whose bit j stands for pair orbit j of L, read 8 bits at a
-    time: self[i << 8 | c] is the packed pairs of the images of the orbits
-    8i + b for the bits b of c, computed on first use.
+    time: for key = i << 8 | c, the packed pairs of the images of the orbits
+    8i + b for the bits b of c.
 
     An automorphism normalizes Inn(G), so p maps conjugation orbits of
     pairs onto conjugation orbits, and sends orbit j to the orbit of the
@@ -482,25 +534,16 @@ class _OrbitImages(dict):
     diagonal plus the pairs of the orbits it holds, so its image is the
     diagonal OR the images of its code's chunks.
     """
-
-    __slots__ = ("lattice", "perm")
-
-    def __init__(self, L: SubgroupLattice, perm: tuple[int, ...]):
-        super().__init__()
-        self.lattice, self.perm = L, perm
-
-    def __missing__(self, key: int) -> int:
-        L, p, n = self.lattice, self.perm, self.lattice.n
-        tables = _tables(L)
-        out, j, chunk = 0, key >> 8 << 3, key & 255
-        while chunk:
-            if chunk & 1:
-                k, h = L.pair_orbits[j][0]
-                out |= tables.orbit_pairs[tables.orbit_of[p[k] * n + p[h]]]
-            chunk >>= 1
-            j += 1
-        self[key] = out
-        return out
+    n = L.n
+    tables = _tables(L)
+    out, j, chunk = 0, key >> 8 << 3, key & 255
+    while chunk:
+        if chunk & 1:
+            k, h = L.pair_orbits[j][0]
+            out |= tables.orbit_pairs[tables.orbit_of[p[k] * n + p[h]]]
+        chunk >>= 1
+        j += 1
+    return out
 
 
 def aut_orbits(systems, automorphism_perms):
@@ -514,9 +557,9 @@ def aut_orbits(systems, automorphism_perms):
     Inner automorphisms (subgroup permutations L.conjugate[g]) fix every
     conjugation-closed system, so only one subgroup permutation per coset
     of Inn(G) other than Inn(G) itself relabels.  It acts on pair orbits
-    (see `_OrbitImages`), so each representative's held orbits are read
-    once, as a code, and each relabeling ORs together the images of the
-    code's 8-bit chunks.
+    (see `_orbit_images`, whose values each action keeps), so each
+    representative's held orbits are read once, as a code, and each
+    relabeling ORs together the images of the code's 8-bit chunks.
     """
     if not systems:
         return [], []
@@ -525,7 +568,7 @@ def aut_orbits(systems, automorphism_perms):
     actions, covered = [], set(inner)
     for p in {L.subgroup_perm(sigma) for sigma in automorphism_perms}:
         if p not in covered:
-            actions.append(_OrbitImages(L, p))
+            actions.append(_Lazy(functools.partial(_orbit_images, L, p)))
             covered |= {tuple(p[s] for s in c) for c in inner}
     n = L.n
     width, size = f"0{n * n}b", -(-len(L.pair_orbits) // 8)

@@ -1,17 +1,18 @@
-"""Cayley tables shared by the tests: D8, and any group under a seeded
-relabeling of its elements."""
+"""Cayley tables shared by the tests: the dihedral groups, and any group
+under a seeded relabeling of its elements."""
 
 import random
 
 from trlat.groups import make_group
 
 
-def dihedral_8():
-    """D8 as a bare Cayley table on (rotation mod 4, reflection bit) pairs."""
-    items = [(r, s) for s in range(2) for r in range(4)]
-    table = [[items.index(((x[0] + (y[0] if x[1] == 0 else -y[0])) % 4, (x[1] + y[1]) % 2))
+def dihedral(m):
+    """The dihedral group of order 2m as a bare Cayley table on (rotation
+    mod m, reflection bit) pairs, named D<2m>."""
+    items = [(r, s) for s in range(2) for r in range(m)]
+    table = [[items.index(((x[0] + (y[0] if x[1] == 0 else -y[0])) % m, (x[1] + y[1]) % 2))
               for y in items] for x in items]
-    return make_group({"kind": "table", "table": table, "name": "D8"})
+    return make_group({"kind": "table", "table": table, "name": f"D{2 * m}"})
 
 
 def relabeled(G, seed):

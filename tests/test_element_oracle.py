@@ -13,7 +13,7 @@ from trlat.lattice import subgroup_lattice
 from trlat.transfer import TransferSystem, enumerate_all, generate, join
 
 from element_oracle import ElementOracle
-from tables import dihedral_8, relabeled
+from tables import dihedral, relabeled
 
 
 def oracle(L):
@@ -24,7 +24,7 @@ def oracle(L):
                                          subgroups=L.subgroups))
 
 
-SOURCES = {"Sym4": lambda: make_group("Sym4"), "D8": lambda: relabeled(dihedral_8(), 17),
+SOURCES = {"Sym4": lambda: make_group("Sym4"), "D8": lambda: relabeled(dihedral(4), 17),
            "Q8": lambda: make_group("Q8"), "D10": lambda: make_group("D10"),
            "C2xC2xC2": lambda: abelian_group((2, 2, 2))}
 

@@ -14,7 +14,7 @@ from trlat.lattice import automorphisms, subgroup_lattice
 from trlat.realize import steiner_image
 from trlat.transfer import SearchBoundExceeded, aut_orbits, enumerate_all, generate
 
-from tables import dihedral_8, relabeled
+from tables import dihedral, relabeled
 
 # one builtin token per isomorphism type of order <= 24 that the builtins
 # build, but C2xC2xC6 and C2xC2xC2xC2: each of their Steiner images takes
@@ -58,7 +58,7 @@ def test_system_json_round_trip_after_relabeling(name):
 
 
 @pytest.mark.parametrize("G", [make_group("Q8"), make_group("Sym4"), make_group("C2xC4"),
-                               make_group("C2xC2xC2"), relabeled(dihedral_8(), 11)],
+                               make_group("C2xC2xC2"), relabeled(dihedral(4), 11)],
                          ids=["Q8", "Sym4", "C2xC4", "C2xC2xC2", "D8"])
 def test_generate_commutes_with_automorphisms(G):
     """generate(sigma R) is sigma(generate(R)), sigma acting on the pairs."""

@@ -12,7 +12,7 @@ from trlat.lattice import subgroup_lattice
 from trlat.transfer import TransferSystem, enumerate_all, hasse_diagram
 from trlat import serialize
 
-from tables import dihedral_8
+from tables import dihedral
 
 
 def L_(name):
@@ -30,7 +30,7 @@ def test_group_json_round_trip():
 
 
 def test_table_group_round_trip():
-    k4, d8 = make_group("K4"), dihedral_8()
+    k4, d8 = make_group("K4"), dihedral(4)
     cases = [([[0, 1], [1, 0]], "Z2"),
              ([[k4.compose(a, b) for b in range(4)] for a in range(4)], "Q8"),
              ([[d8.compose(a, b) for b in range(8)] for a in range(8)], "D8")]

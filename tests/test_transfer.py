@@ -12,7 +12,7 @@ from trlat.transfer import (SearchBoundExceeded, TransferSystem,
                             enumerate_all, generate, hasse_diagram, in_key_order,
                             irreducible_pairs, is_saturated, join, meet, validate)
 
-from tables import dihedral_8, relabeled
+from tables import dihedral, relabeled
 
 
 def L_(name):
@@ -252,7 +252,7 @@ def test_enumeration_matches_orbit_union_oracle(name):
     assert oracle == set(enumerate_all(L))
 
 
-@pytest.mark.parametrize("G", [dihedral_8(), make_group("C24"), abelian_group((2, 4)),
+@pytest.mark.parametrize("G", [dihedral(4), make_group("C24"), abelian_group((2, 4)),
                                abelian_group((3, 3)), make_group("D10")],
                          ids=["D8", "C24", "C2xC4", "C3xC3", "D10"])
 def test_enumeration_matches_join_oracle(G):
@@ -382,7 +382,7 @@ def test_k4_orbit_count():
                                           ("D8-relabeled", None)])
 def test_orbits_match_brute_force_relabeling(name, profile):
     """Relabel every system's pairs under every automorphism, inner ones included."""
-    L = subgroup_lattice(relabeled(dihedral_8(), 5) if name == "D8-relabeled" else make_group(name))
+    L = subgroup_lattice(relabeled(dihedral(4), 5) if name == "D8-relabeled" else make_group(name))
     systems = enumerate_all(L, bound=26)
     orbits, got_profile = aut_orbits(systems, automorphisms(L.group))
     images = [tuple(L.index_of[frozenset(sigma[x] for x in s)] for s in L.subgroups)

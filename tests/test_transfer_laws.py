@@ -1,4 +1,5 @@
-"""Lattice laws of join and meet on Tr(G), over random triples of systems."""
+"""Lattice laws of join and meet on Tr(G), over random triples of systems,
+and the laws of `generate` over random relations."""
 
 import functools
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from trlat.groups import make_group
 from trlat.lattice import subgroup_lattice
-from trlat.transfer import enumerate_all, join, meet
+from trlat.transfer import enumerate_all, generate, join, meet
 
 
 @functools.cache
@@ -33,3 +34,23 @@ def test_join_and_meet_are_lattice_operations(name, data):
     assert j in listed and meet(a, b) in listed
     assert a.refines(j) and b.refines(j)
     assert all(j.refines(S) for S in systems if a.refines(S) and b.refines(S))
+
+
+@functools.cache
+def lattice(name):
+    return subgroup_lattice(make_group(name))
+
+
+@pytest.mark.parametrize("name", ["Q8", "C2xC6", "Sym4"])
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_generate_is_a_closure_that_sends_unions_to_joins(name, data):
+    """What `generate` rests on when it starts from one seed orbit's cached
+    system and closes it with the others: the system of a union is the join
+    of the systems, and adding pairs a system already holds changes nothing."""
+    L = lattice(name)
+    r1, r2 = (data.draw(st.lists(st.sampled_from(L.proper_pairs), max_size=4))
+              for _ in range(2))
+    T1 = generate(L, r1)
+    assert generate(L, r1 + r2) == join(T1, generate(L, r2))
+    assert generate(L, r1 + T1.pairs()) == T1

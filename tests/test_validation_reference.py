@@ -19,7 +19,7 @@ from trlat.serialize import SCHEMA_VERSION, group_spec, system_from_json
 from trlat.transfer import (TransferSystem, TransferSystemError, Violation, _violations,
                             generate, join, meet, validate)
 
-from tables import dihedral_8, relabeled
+from tables import dihedral, relabeled
 
 
 def reference_violations(L, rows):
@@ -78,7 +78,10 @@ def reference_generate(L, relation):
     return tuple(rows)
 
 
-SOURCES = {"Sym4": lambda: make_group("Sym4"), "D8": dihedral_8, "Q8": lambda: make_group("Q8"),
+# D24 (34 subgroups) is the largest lattice the closure benchmark queries; its
+# centre has order 2, so each subgroup permutation appears twice in L.conjugate
+SOURCES = {"Sym4": lambda: make_group("Sym4"), "D8": lambda: dihedral(4),
+           "D24": lambda: dihedral(12), "Q8": lambda: make_group("Q8"),
            "C24": lambda: make_group("C24"), "C2xC2xC2": lambda: abelian_group((2, 2, 2))}
 
 
