@@ -26,8 +26,7 @@ from .groups import FiniteGroup, cyclic_group, is_prime
 from .lattice import SubgroupLattice, subgroup_lattice
 from .transfer import (SearchBoundExceeded, TransferSystem, generate, in_key_order,
                        is_saturated, irreducible_pairs, join)
-from .universes import (CyclicUniverseIndexSet, _negation_classes, index_set_count,
-                        lambda_kernel_order)
+from .universes import CyclicUniverseIndexSet, index_set_count, lambda_kernel_order
 
 # 2^(n // 2) universes over C_n: the scan reaches every n <= 43
 UNIVERSE_SCAN_LIMIT = 1 << 21
@@ -207,83 +206,52 @@ def linisom_cyclic(n: int, index_set) -> TransferSystem:
     return TransferSystem.from_pairs(L, pairs)
 
 
-def _unions(base: int, parts) -> list[int]:
-    """base | (the OR of S) for every subset S of parts; subset j, as a bit
-    vector over parts, at position j."""
-    masks = [base]
-    for part in parts:
-        masks += [m | part for m in masks]
-    return masks
-
-
-def _stabilizer_table(e: int, order_pairs) -> dict[int, int]:
-    """Signature bits of the pairs (d, e) that each reduced index set mod e
-    satisfies, keyed by its bitmask.
-
-    Only masks invariant under translation by e/p, for a prime p | e, get an
-    entry: the negation-closed unions, containing 0, of cosets of the order-p
-    subgroup.  That is exact, since invariance under d < e with d | e implies
-    invariance under e/p for each prime p | e/d, a multiple of d; every other
-    mask satisfies no pair.
-    """
-    full = (1 << e) - 1
-    targets = [(idx, d) for idx, (d, f) in enumerate(order_pairs) if f == e]
-    table = {}
-    for p in range(2, e + 1):
-        if e % p or not is_prime(p):
-            continue
-        m = e // p
-        # the class {j, -j} of Z/m lifted to Z/e, j = 0 first
-        lifted = [sum(1 << x for x in range(e) if x % m in (j, m - j))
-                  for j in range(m // 2 + 1)]
-        for mask in _unions(lifted[0], lifted[1:]):
-            table[mask] = sum(1 << idx for idx, d in targets
-                              if ((mask << d | mask >> (e - d)) & full) == mask)
-    return table
-
-
 def linisom_image_cyclic(n: int) -> list[TransferSystem]:
     """All isometries-map values on C_n, over every index set.
 
-    An index set's value depends only on its reduction mod each divisor
-    e > 1, looked up in that divisor's `_stabilizer_table`; the signature is
-    the OR of the lookups.  An index set is a subset of the first 12
-    negation classes (low) joined with a subset of the rest (high); each high
-    subset takes one pass of lookups over every low one, so the masks held
-    per divisor stay at 2^12 plus the high subsets.  Signatures are
-    deduplicated before any transfer system is materialized.  Refused above
-    UNIVERSE_SCAN_LIMIT universes.
+    The universes are decided all at once, as bit positions: universe u is
+    {0} with the negation classes {c, -c} for which bit c-1 of u is set.
+    Per divisor e > 1, member[y] is the bitmap of universes whose reduction
+    mod e holds y, and the pair (d, e) holds on the universes where no
+    member[y] differs from member[y + d].  Refining the partition of all
+    universes by each pair's bitmap leaves one cell per distinct value.
+    Refused above UNIVERSE_SCAN_LIMIT universes.
     """
     if index_set_count(n) > UNIVERSE_SCAN_LIMIT:
         raise SearchBoundExceeded(f"C{n} has {index_set_count(n)} universes, above "
                                   f"the scan limit {UNIVERSE_SCAN_LIMIT}")
+    # bit u of columns[c - 1] is bit c-1 of u, built by doubling the universe count
+    every, columns = 1, []
+    for b in range(n // 2):
+        width = 1 << b
+        columns = [col | col << width for col in columns] + [every << width]
+        every |= every << width
     divisors = [d for d in range(1, n + 1) if n % d == 0]
-    order_pairs = [(d, e) for d in divisors for e in divisors if d < e and e % d == 0]
-    moduli = divisors[1:]
-    tables = [_stabilizer_table(e, order_pairs) for e in moduli]
-    classes = _negation_classes(n)
-
-    def reduced(part):
-        """Per modulus e, the masks mod e of {0} with every subset of `part`."""
-        return [_unions(1, [sum({1 << (x % e) for x in cls}) for cls in part])
-                for e in moduli]
-
-    low, high = reduced(classes[:12]), reduced(classes[12:])
-    zero = itertools.repeat(0)
-    # {0} satisfies no pair; over C1, with no modulus to scan, it is the only index set
-    signatures = {0}
-    for his in zip(*high):
-        sigs = zero
-        for table, lows, hi in zip(tables, low, his):
-            sigs = map(operator.or_, sigs, map(table.get, map(hi.__or__, lows), zero))
-        signatures.update(sigs)
     L, of_order = _cyclic_lattice(n)
-    values = set()
-    for sig in signatures:
-        pairs = [(of_order[d], of_order[e])
-                 for idx, (d, e) in enumerate(order_pairs) if sig >> idx & 1]
-        values.add(TransferSystem.from_pairs(L, pairs))
-    return in_key_order(values)
+    # each cell: universes, and the pairs held by every one of them
+    cells = [(every, ())]
+    for e in divisors[1:]:
+        member = [0] * e
+        for c, col in enumerate(columns, 1):
+            member[c % e] |= col
+            member[-c % e] |= col
+        member[0] = every
+        for d in divisors:
+            if d >= e or e % d:
+                continue
+            moved = functools.reduce(operator.or_,
+                                     map(operator.xor, member, member[d:] + member[:d]))
+            holds = every & ~moved
+            pair = (of_order[d], of_order[e])
+            refined = []
+            for a, pairs in cells:
+                C = a & holds
+                if C:
+                    refined.append((C, pairs + (pair,)))
+                if a != C:
+                    refined.append((a ^ C, pairs))
+            cells = refined
+    return in_key_order({TransferSystem.from_pairs(L, pairs) for _, pairs in cells})
 
 
 def linisom_image(L: SubgroupLattice) -> tuple[list[TransferSystem], int]:

@@ -235,16 +235,19 @@ def _violations(L: SubgroupLattice, P: int) -> list[Violation]:
     tables = _tables(L)
     incl, demand, conjugates, below = tables.incl, tables.demand, tables.conjugates, tables.below
     rows = _unpack(P, n)
+    # tuple.__new__ skips the NamedTuple's generated __new__, the larger cost here
+    new = tuple.__new__
     out: list[Violation] = []
     if _packing(n)[0] & ~P or P & ~tables.maximum:
         for k, bits in enumerate(rows):
             if not bits >> k & 1:
-                out.append(Violation("reflexivity", (k, k)))
+                out.append(new(Violation, ("reflexivity", (k, k), None)))
             outside = bits & ~incl[k]
             while outside:
                 low = outside & -outside
                 outside ^= low
-                out.append(Violation("refines-inclusion", (k, low.bit_length() - 1)))
+                out.append(new(Violation,
+                               ("refines-inclusion", (k, low.bit_length() - 1), None)))
     absent = ~P
     conjugated, restricted, composed = list(rows), list(rows), list(rows)
     for k, bits in enumerate(rows):
@@ -259,20 +262,21 @@ def _violations(L: SubgroupLattice, P: int) -> list[Violation]:
                     a, b = pair
                     if not conjugated[a] >> b & 1:
                         conjugated[a] |= 1 << b
-                        out.append(Violation("conjugation", pair, forced))
+                        out.append(new(Violation, ("conjugation", pair, forced)))
                 meets = L.intersect[k]
                 for l in below[h]:
                     a = meets[l]
                     if not restricted[a] >> l & 1:
                         restricted[a] |= 1 << l
-                        out.append(Violation("restriction", (a, l), forced))
+                        out.append(new(Violation, ("restriction", (a, l), forced)))
             reached = rows[h] & ~composed[k]
             if reached:
                 composed[k] |= reached
                 while reached:
                     low = reached & -reached
                     reached ^= low
-                    out.append(Violation("transitivity", (k, low.bit_length() - 1), forced))
+                    out.append(new(Violation,
+                                   ("transitivity", (k, low.bit_length() - 1), forced)))
     return out
 
 

@@ -176,20 +176,29 @@ def test_free_transfer_forces_complete_universe():
 
 
 def test_linisom_image_counts():
-    # C40 (60) and C42 (33) are left out as too slow here
-    counts = {4: 4, 6: 5, 5: 2, 7: 2, 12: 14, 18: 14, 20: 19, 28: 19, 30: 33, 35: 7, 36: 60}
+    counts = {4: 4, 6: 5, 5: 2, 7: 2, 12: 14, 18: 14, 20: 19, 28: 19, 30: 33, 35: 7, 36: 60,
+              40: 60, 42: 33}
     assert {n: len(linisom_image_cyclic(n)) for n in counts} == counts
     assert linisom_image(subgroup_lattice(cyclic_group(6))) == (linisom_image_cyclic(6), 8)
     systems, universes = linisom_image(L_("Q8"))
     assert (len(systems), universes) == (12, 16)
 
 
-@pytest.mark.parametrize("n", [12, 16, 18, 20, 24])
+@pytest.mark.parametrize("n", [12, 15, 16, 18, 20, 21, 24, 25, 27])
 def test_linisom_image_matches_every_universe(n):
     every = {linisom_cyclic(n, CyclicUniverseIndexSet.canonical(
                  n, [i for i, b in zip(range(1, n // 2 + 1), bits) if b]))
              for bits in itertools.product((0, 1), repeat=n // 2)}
     assert set(linisom_image_cyclic(n)) == every
+
+
+@pytest.mark.parametrize("n", [30, 36])
+def test_linisom_image_holds_sampled_universes(n):
+    rng = random.Random(n)
+    image = set(linisom_image_cyclic(n))
+    for _ in range(500):
+        I = [i for i in range(1, n // 2 + 1) if rng.random() < 0.5]
+        assert linisom_cyclic(n, I) in image
 
 
 def test_linisom_scan_limit_is_fixed(monkeypatch):
