@@ -286,10 +286,6 @@ CRITERIA = [
 ]
 
 
-def run_all(report=print) -> bool:
-    all_ok = True
-    for number, name, fn in CRITERIA:
-        passed, detail = fn()
-        all_ok = all_ok and passed
-        report(f"{'PASS' if passed else 'FAIL'}  criterion {number} ({name}): {detail}")
-    return all_ok
+def run_all() -> list[tuple[str, str, bool, str]]:
+    """(number, name, passed, detail) for each criterion of CRITERIA, in order."""
+    return [(number, name, *fn()) for number, name, fn in CRITERIA]

@@ -12,11 +12,11 @@ import time
 import jsonschema
 
 from . import acceptance, serialize
-from .groups import GroupValidationError, builtin_group, group_spec, make_group
+from .groups import GroupValidationError, builtin_group, cyclic_group, group_spec
 from .lattice import automorphisms, subgroup_lattice
-from .transfer import (SearchBoundExceeded, TransferSystem, TransferSystemError, _bits_of,
-                       _violations, aut_orbits, enumerate_all, generate, hasse_diagram,
-                       is_saturated)
+from .transfer import (SEARCH_BOUND, SearchBoundExceeded, TransferSystem, TransferSystemError,
+                       aut_orbits, enumerate_all, generate, hasse_diagram, is_saturated,
+                       validate)
 from .chains import maximal_chain
 from .realize import (NoRealizabilityData, NotRealizable, cpn_modulus, cpq_modulus,
                       linisom_image, minimal_steiner_universe, realize_saturated_cpn,
@@ -47,31 +47,15 @@ def parse_group(token: str):
         raise UsageError(str(exc)) from None
 
 
-def non_negative_int(raw: str, what: str) -> int:
-    """A search bound from text; else a ValueError naming `what`, since a
-    negative bound would refuse every search."""
+def _bound(text: str) -> int:
+    """A search bound from text; a negative one would refuse every search."""
     try:
-        value = int(raw)
+        value = int(text)
     except ValueError:
         value = -1
     if value < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"bound must be a non-negative integer, got {text!r}")
     return value
-
-
-def env_search_bound() -> dict:
-    """The enumeration bound as keyword arguments: TL_SEARCH_BOUND if set and
-    non-empty, else none, leaving the library default.  Read only by the
-    commands that enumerate Tr(G)."""
-    raw = os.environ.get("TL_SEARCH_BOUND")
-    return {"bound": non_negative_int(raw, "TL_SEARCH_BOUND")} if raw else {}
-
-
-def _bound(text: str) -> int:
-    try:
-        return non_negative_int(text, "bound")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_pairs(L, text: str) -> list[tuple[int, int]]:
@@ -107,33 +91,14 @@ def parse_pairs(L, text: str) -> list[tuple[int, int]]:
     return out
 
 
-def _report(ns, group=None, results=None, checks=None) -> dict:
-    """The run report, timed from when `run` started the command."""
-    doc = {
-        "schema_version": serialize.SCHEMA_VERSION,
-        "command": list(ns.argv),
-        "results": results or {},
-        "checks": checks or [],
-        "timing_seconds": round(time.perf_counter() - ns.started, 6),
-    }
-    if group is not None:
-        doc["group"] = group_spec(group)
-    return doc
-
-
-def _emit(doc: dict, out) -> None:
-    print(serialize.dumps(doc), file=out)
-
-
 def _named_pairs(T: TransferSystem) -> list[list[str]]:
     L = T.lattice
     return [[L.names[k], L.names[h]] for k, h in T.pairs()]
 
 
-def cmd_group_info(ns, out) -> int:
-    G = parse_group(ns.group)
-    L = subgroup_lattice(G)
-    results = {
+def cmd_group_info(ns, L):
+    G = L.group
+    return {
         "order": G.order,
         "abelian": G.is_abelian,
         "subgroup_count": L.n,
@@ -143,59 +108,41 @@ def cmd_group_info(ns, out) -> int:
         "pair_orbit_count": len(L.pair_orbits),
         "automorphism_count": len(automorphisms(G)),
         "lattice": serialize.lattice_to_json(L),
-    }
-    _emit(_report(ns, G, results), out)
-    return 0
+    }, []
 
 
-def cmd_ts_generate(ns, out) -> int:
-    G = parse_group(ns.group)
-    L = subgroup_lattice(G)
+def cmd_ts_generate(ns, L):
     pairs = parse_pairs(L, ns.pairs)
     try:
         T = generate(L, pairs)
     except TransferSystemError as exc:
-        _emit(_report(ns, G, {"error": str(exc)},
-                      [{"claim": "relation refines inclusion", "passed": False}]), out)
-        return VALIDATION_ERROR
-    results = {"pairs": _named_pairs(T), "pair_count": T.pair_count(),
-               "saturated": is_saturated(T), "system": serialize.system_to_json(T)}
-    _emit(_report(ns, G, results), out)
-    return 0
+        return {"error": str(exc)}, [{"claim": "relation refines inclusion", "passed": False}]
+    return {"pairs": _named_pairs(T), "pair_count": T.pair_count(),
+            "saturated": is_saturated(T), "system": serialize.system_to_json(T)}, []
 
 
-def cmd_ts_check(ns, out) -> int:
-    G = parse_group(ns.group)
-    L = subgroup_lattice(G)
-    bits = _bits_of(L, parse_pairs(L, ns.pairs))
-    violations = _violations(L, bits)
+def cmd_ts_check(ns, L):
+    pairs = parse_pairs(L, ns.pairs)
+    violations = validate(L, pairs)
     results = {"valid": not violations,
                "violations": [v.describe(L) for v in violations]}
     if not violations:
-        results["saturated"] = is_saturated(TransferSystem(L, bits))
-    checks = [{"claim": "relation is a transfer system", "passed": not violations}]
-    _emit(_report(ns, G, results, checks), out)
-    return 0 if not violations else VALIDATION_ERROR
+        results["saturated"] = is_saturated(generate(L, pairs))
+    return results, [{"claim": "relation is a transfer system", "passed": not violations}]
 
 
-def cmd_ts_enumerate(ns, out) -> int:
-    G = parse_group(ns.group)
-    L = subgroup_lattice(G)
-    bound = {"bound": ns.bound} if ns.bound is not None else env_search_bound()
-    systems = enumerate_all(L, **bound)
+def cmd_ts_enumerate(ns, L):
+    systems = enumerate_all(L, ns.bound)
     results = {"count": len(systems),
                "systems": [_named_pairs(T) for T in systems]}
     if ns.orbits:
-        orbits, profile = aut_orbits(systems, automorphisms(G))
+        orbits, profile = aut_orbits(systems, automorphisms(L.group))
         results["orbit_count"] = len(orbits)
         results["orbit_profile"] = [list(sc) for sc in profile]
-    _emit(_report(ns, G, results), out)
-    return 0
+    return results, []
 
 
-def cmd_image(ns, out) -> int:
-    G = parse_group(ns.group)
-    L = subgroup_lattice(G)
+def cmd_image(ns, L):
     try:
         if ns.which == "steiner":
             systems, universes = steiner_image(L), None
@@ -207,101 +154,75 @@ def cmd_image(ns, out) -> int:
                "systems": [_named_pairs(T) for T in systems]}
     if universes is not None:
         results["universe_count"] = universes
-    _emit(_report(ns, G, results), out)
-    return 0
+    return results, []
 
 
-def cmd_realize(ns, out) -> int:
-    n = cpn_modulus(ns.p, ns.n) if ns.case == "cpn" else cpq_modulus(ns.p, ns.q)
-    G = make_group({"kind": "cyclic", "n": n})
-    L = subgroup_lattice(G)
-    pairs = parse_pairs(L, ns.pairs)
-    T = generate(L, pairs)
+def cmd_realize(ns, L):
+    T = generate(L, parse_pairs(L, ns.pairs))
     if not is_saturated(T):
-        _emit(_report(ns, G, {"error": "system is not saturated"},
-                      [{"claim": "input system is saturated", "passed": False}]), out)
-        return VALIDATION_ERROR
+        return ({"error": "system is not saturated"},
+                [{"claim": "input system is saturated", "passed": False}])
     if ns.case == "cpn":
         I = realize_saturated_cpn(ns.p, ns.n, T)
-        results = {"index_set": I.sorted(), "modulus": I.modulus}
-    else:
-        verdict = realize_saturated_cpq(ns.p, ns.q, T)
-        if isinstance(verdict, NotRealizable):
-            results = {"realizable": False, "tag": verdict.tag, "reason": verdict.reason}
-        else:
-            results = {"realizable": True, "index_set": verdict.sorted(),
-                       "modulus": verdict.modulus}
-    _emit(_report(ns, G, results), out)
-    return 0
+        return {"index_set": I.sorted(), "modulus": I.modulus}, []
+    verdict = realize_saturated_cpq(ns.p, ns.q, T)
+    if isinstance(verdict, NotRealizable):
+        return {"realizable": False, "tag": verdict.tag, "reason": verdict.reason}, []
+    return {"realizable": True, "index_set": verdict.sorted(), "modulus": verdict.modulus}, []
 
 
-def cmd_minimal_universe(ns, out) -> int:
-    G = parse_group(ns.group)
-    L = subgroup_lattice(G)
+def cmd_minimal_universe(ns, L):
     try:
         k = L.resolve_name(ns.sub)
         h = L.resolve_name(ns.sup)
     except KeyError as exc:
         raise UsageError(str(exc)) from None
     sets = minimal_steiner_universe(L, k, h)
-    results = {"transfer": [L.names[k], L.names[h]],
-               "minimal_kernel_sets": [[L.names[s] for s in combo] for combo in sets]}
-    _emit(_report(ns, G, results), out)
-    return 0
+    return {"transfer": [L.names[k], L.names[h]],
+            "minimal_kernel_sets": [[L.names[s] for s in combo] for combo in sets]}, []
 
 
-def cmd_chain(ns, out) -> int:
-    G = parse_group(ns.group)
-    L = subgroup_lattice(G)
+def cmd_chain(ns, L):
     chain = maximal_chain(L)
-    results = {"length": len(chain),
-               "pair_orbit_count": len(L.pair_orbits),
-               "layer_choices": [L.names[s] for s in chain.layer_choices],
-               "systems": [_named_pairs(T) for T in chain.systems],
-               "chain": serialize.chain_to_json(chain)}
-    _emit(_report(ns, G, results), out)
-    return 0
+    return {"length": len(chain),
+            "pair_orbit_count": len(L.pair_orbits),
+            "layer_choices": [L.names[s] for s in chain.layer_choices],
+            "systems": [_named_pairs(T) for T in chain.systems],
+            "chain": serialize.chain_to_json(chain)}, []
 
 
-def cmd_verify_paper(ns, out) -> int:
-    lines = []
-    ok = acceptance.run_all(report=lambda line: (lines.append(line), print(line, file=out)))
-    checks = [{"claim": f"criterion {num} ({name})", "passed": line.startswith("PASS")}
-              for (num, name, _), line in zip(acceptance.CRITERIA, lines)]
-    if ns.json:
-        _emit(_report(ns, results={"passed": ok}, checks=checks), out)
-    return 0 if ok else VALIDATION_ERROR
+def cmd_verify_paper(ns, L):
+    """Print one line per criterion; the report only with --json."""
+    outcomes = acceptance.run_all()
+    for number, name, passed, detail in outcomes:
+        print(f"{'PASS' if passed else 'FAIL'}  criterion {number} ({name}): {detail}",
+              file=ns.stdout)
+    checks = [{"claim": f"criterion {number} ({name})", "passed": passed}
+              for number, name, passed, _ in outcomes]
+    return ({"passed": all(c["passed"] for c in checks)} if ns.json else None), checks
 
 
-def cmd_export(ns, out) -> int:
-    G = parse_group(ns.group)
-    L = subgroup_lattice(G)
+def cmd_export(ns, L) -> str:
+    """The artifact's text."""
     chain = maximal_chain(L) if ns.what == "chain" else None
     if ns.format == "json" and chain is not None:
-        text = serialize.dumps(serialize.chain_to_json(chain))
-    elif ns.format == "json":
-        systems = enumerate_all(L, **env_search_bound())
-        text = serialize.dumps({
+        return serialize.dumps(serialize.chain_to_json(chain))
+    if ns.format == "json":
+        systems = enumerate_all(L, ns.bound)
+        return serialize.dumps({
             "schema_version": serialize.SCHEMA_VERSION,
-            "group": group_spec(G),
+            "group": group_spec(L.group),
             "count": len(systems),
             "systems": [[[k, h] for k, h in T.pairs()] for T in systems],
         })
-    else:
-        try:
-            hasse = hasse_diagram(L, **env_search_bound())
-        except SearchBoundExceeded:
-            if chain is None:
-                raise
-            hasse = None  # the chain alone, without Tr(G) behind it
-        text = (serialize.dot_poset(*hasse, graph_name=f"Tr_{G.name}") if chain is None
-                else serialize.dot_chain(chain, hasse))
-    if ns.out:
-        with open(ns.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text, file=out)
-    return 0
+    try:
+        hasse = hasse_diagram(L, ns.bound)
+    except SearchBoundExceeded:
+        if chain is None:
+            raise
+        hasse = None  # the chain alone, without Tr(G) behind it
+    return (serialize.dot_poset(*hasse, graph_name=f"Tr_{L.group.name}") if chain is None
+            else serialize.dot_chain(chain, hasse))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,18 +240,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     ts = sub.add_parser("ts", help="transfer-system operations")
     tsub = ts.add_subparsers(dest="subcommand", required=True)
-    gen = tsub.add_parser("generate", help="close a relation into a transfer system")
-    gen.add_argument("--group", required=True)
-    gen.add_argument("--pairs", default="")
-    gen.set_defaults(fn=cmd_ts_generate)
-    chk = tsub.add_parser("check", help="validate a pair set against the axioms")
-    chk.add_argument("--group", required=True)
-    chk.add_argument("--pairs", default="")
-    chk.set_defaults(fn=cmd_ts_check)
+    for name, fn, text in (("generate", cmd_ts_generate, "close a relation into a transfer system"),
+                           ("check", cmd_ts_check, "validate a pair set against the axioms")):
+        pairs = tsub.add_parser(name, help=text)
+        pairs.add_argument("--group", required=True)
+        pairs.add_argument("--pairs", default="")
+        pairs.set_defaults(fn=fn)
     enum = tsub.add_parser("enumerate", help="list every transfer system")
     enum.add_argument("--group", required=True)
     enum.add_argument("--orbits", action="store_true")
-    enum.add_argument("--bound", type=_bound, default=None)
+    enum.add_argument("--bound", type=_bound, default=SEARCH_BOUND)
     enum.set_defaults(fn=cmd_ts_enumerate)
 
     image = sub.add_parser("image", help="realizable transfer systems")
@@ -340,16 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     realize = sub.add_parser("realize", help="find a realizing universe index set")
     rsub = realize.add_subparsers(dest="case", required=True)
-    cpn = rsub.add_parser("cpn", help="prime-power cyclic groups")
-    cpn.add_argument("--p", type=int, required=True)
-    cpn.add_argument("--n", type=int, required=True)
-    cpn.add_argument("--pairs", default="")
-    cpn.set_defaults(fn=cmd_realize, case="cpn")
-    cpq = rsub.add_parser("cpq", help="order-pq cyclic groups")
-    cpq.add_argument("--p", type=int, required=True)
-    cpq.add_argument("--q", type=int, required=True)
-    cpq.add_argument("--pairs", default="")
-    cpq.set_defaults(fn=cmd_realize, case="cpq")
+    for case, second, text in (("cpn", "--n", "prime-power cyclic groups"),
+                               ("cpq", "--q", "order-pq cyclic groups")):
+        cyclic = rsub.add_parser(case, help=text)
+        cyclic.add_argument("--p", type=int, required=True)
+        cyclic.add_argument(second, type=int, required=True)
+        cyclic.add_argument("--pairs", default="")
+        cyclic.set_defaults(fn=cmd_realize)
 
     mu = sub.add_parser("minimal-universe", help="minimal kernel sets admitting a transfer")
     mu.add_argument("--group", required=True)
@@ -370,21 +286,55 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--format", choices=["dot", "json"], required=True)
     export.add_argument("--group", required=True)
     export.add_argument("--out", default=None)
+    export.add_argument("--bound", type=_bound, default=SEARCH_BOUND)
     export.set_defaults(fn=cmd_export)
 
     return parser
 
 
+def _group(ns):
+    """The command's group: `realize` checks its primes before it builds C_n;
+    `verify-paper` has none."""
+    if ns.command == "realize":
+        return cyclic_group(cpn_modulus(ns.p, ns.n) if ns.case == "cpn"
+                            else cpq_modulus(ns.p, ns.q))
+    return parse_group(ns.group) if "group" in ns else None
+
+
 def run(argv: list[str], out=None) -> int:
+    """Run one command: resolve its group and lattice, then print its report
+    (or, for `export`, write its artifact).  The exit code is 1 exactly when
+    a check the command returned failed."""
     out = out or sys.stdout
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    ns.argv, ns.started = argv, time.perf_counter()
+    started, ns.stdout = time.perf_counter(), out
     try:
-        return ns.fn(ns, out)
+        G = _group(ns)
+        L = subgroup_lattice(G) if G is not None else None
+        if ns.command == "export":
+            text = ns.fn(ns, L)
+            if not ns.out:
+                print(text, file=out)
+                return 0
+            try:
+                with open(ns.out, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise UsageError(f"--out {ns.out}: {exc}") from None
+            return 0
+        results, checks = ns.fn(ns, L)
+        if results is not None:
+            doc = {"schema_version": serialize.SCHEMA_VERSION, "command": list(argv),
+                   "results": results, "checks": checks,
+                   "timing_seconds": round(time.perf_counter() - started, 6)}
+            if G is not None:
+                doc["group"] = group_spec(G)
+            print(serialize.dumps(doc), file=out)
+        return 0 if all(c["passed"] for c in checks) else VALIDATION_ERROR
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

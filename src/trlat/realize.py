@@ -67,11 +67,9 @@ class NotRealizable:
 
 @functools.lru_cache(maxsize=None)
 def _fixture_data() -> dict:
-    from .serialize import FIXTURES_SCHEMA, validate_document
+    """The shipped tables; the tests check them against FIXTURES_SCHEMA."""
     with resources.files("trlat").joinpath("data/fixtures.json").open() as fh:
-        data = json.load(fh)
-    validate_document(data, FIXTURES_SCHEMA)
-    return data
+        return json.load(fh)
 
 
 def _resolve_pairs(L: SubgroupLattice, pairs) -> list[tuple[int, int]]:
@@ -105,30 +103,19 @@ def catalog(L: SubgroupLattice) -> tuple[RepCatalogEntry, ...]:
         return tuple(RepCatalogEntry(f"sigma_{L.names[s].strip('<>')}", ((s, L.full),))
                      for s in range(L.n - 1) if L.cocyclic[s])
     raw = _fixture(L.group, "embedding-map", "abelian groups")["catalog"]
-    entries = tuple(RepCatalogEntry(e["rep"], tuple(_resolve_pairs(L, e["orb"])))
-                    for e in raw)
-    for entry in entries:
-        for k, h in entry.orb_pairs:
-            if h != L.full or k == L.full:
-                raise AssertionError(f"catalog orbit pair for {entry.rep} must join a "
-                                     "proper subgroup to the whole group")
-    return entries
+    return tuple(RepCatalogEntry(e["rep"], tuple(_resolve_pairs(L, e["orb"]))) for e in raw)
 
 
 def linisom_fixture(L: SubgroupLattice) -> tuple[LinIsomFixtureRow, ...]:
     """Fixture table of isometries-map values, one row per universe.
 
-    Every row is validated on load: the pair set must already be a transfer
-    system, and it must be saturated.
+    Each row's pair set must already be a transfer system (`from_pairs`
+    checks it on load); the tests check that every row is saturated.
     """
-    rows = []
-    for row in _fixture(L.group, "isometries-map", "cyclic groups")["linisom"]:
-        system = TransferSystem.from_pairs(L, _resolve_pairs(L, row["pairs"]))
-        if not is_saturated(system):
-            raise AssertionError(f"fixture row {row['universe']} for {L.group.name} "
-                                 "is not saturated")
-        rows.append(LinIsomFixtureRow(tuple(row["universe"]), system))
-    return tuple(rows)
+    rows = _fixture(L.group, "isometries-map", "cyclic groups")["linisom"]
+    return tuple(LinIsomFixtureRow(tuple(row["universe"]),
+                                   TransferSystem.from_pairs(L, _resolve_pairs(L, row["pairs"])))
+                 for row in rows)
 
 
 def unrealized_fixture(L: SubgroupLattice) -> tuple[TransferSystem, ...]:

@@ -413,6 +413,11 @@ def irreducible_pairs(T: TransferSystem) -> list[tuple[int, int]]:
 
 # -- enumeration ---------------------------------------------------------------
 
+# the default maximum number of inclusion-pair orbits a Tr(G) walk attempts:
+# C24 (22 orbits) fits, C2xC6 (26) and Sym4 (34) are refused
+SEARCH_BOUND = 24
+
+
 def _systems(L: SubgroupLattice, bound: int):
     """Yield each transfer system over L once, packed, by Fast Close-by-One.
 
@@ -483,7 +488,7 @@ def in_key_order(systems) -> list[TransferSystem]:
                   key=lambda T: T.bits.to_bytes(size, "little").translate(_BIT_REVERSED))
 
 
-def enumerate_all(L: SubgroupLattice, bound: int = 24) -> list[TransferSystem]:
+def enumerate_all(L: SubgroupLattice, bound: int = SEARCH_BOUND) -> list[TransferSystem]:
     """Every transfer system over L, in TransferSystem.key order.
 
     Lists each system once by Fast Close-by-One (Outrata and Vychodil,
@@ -497,7 +502,7 @@ def enumerate_all(L: SubgroupLattice, bound: int = 24) -> list[TransferSystem]:
     return in_key_order(TransferSystem(L, P) for P in _systems(L, bound))
 
 
-def hasse_diagram(L: SubgroupLattice, bound: int = 24
+def hasse_diagram(L: SubgroupLattice, bound: int = SEARCH_BOUND
                   ) -> tuple[list[TransferSystem], list[tuple[int, int]]]:
     """Tr(G) as `enumerate_all` lists it, and its covers: the sorted index
     pairs (i, j) with systems[i] covered by systems[j].

@@ -8,6 +8,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import trlat
 
 from trlat.cli import run
@@ -117,25 +119,45 @@ def test_ts_enumerate_q8_with_orbits():
 
 
 def test_ts_enumerate_bound_refusal(capsys):
-    code, _ = invoke("ts", "enumerate", "--group", "Sym4")
-    assert code == 1
-    capsys.readouterr()
-    code, out = invoke("ts", "enumerate", "--group", "Q8", "--bound", "-1")
-    assert code == 2 and out == ""
-    assert "--bound: bound must be a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert invoke("ts", "enumerate", "--group", "Sym4") == (1, "")
+    assert capsys.readouterr().err == ("error: Sym4 has 34 inclusion-pair orbits, "
+                                       "above the search bound 24\n")
 
 
-def test_env_bound_override(monkeypatch, capsys):
-    monkeypatch.setenv("TL_SEARCH_BOUND", "3")
-    code, _ = invoke("ts", "enumerate", "--group", "Q8")
-    assert code == 1
-    for bad in ("abc", "-1"):
-        monkeypatch.setenv("TL_SEARCH_BOUND", bad)
+@pytest.mark.parametrize("argv,refused", [
+    (["ts", "enumerate"], True), (["export", "--format", "dot"], True),
+    (["export", "--format", "json"], True),
+    (["export", "--what", "chain", "--format", "dot"], False)])  # the chain alone instead
+def test_bound_flag(argv, refused, capsys):
+    """Every command that enumerates Tr(G) takes --bound, checked alike; Q8
+    has 12 pair orbits."""
+    code, out = invoke(*argv, "--group", "Q8", "--bound", "12")
+    assert code == 0 and out
+    code, out = invoke(*argv, "--group", "Q8", "--bound", "11")
+    if refused:
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == ("error: Q8 has 12 inclusion-pair orbits, "
+                                           "above the search bound 11\n")
+    else:
+        assert code == 0 and out.startswith('digraph "Chain" {')
+    for bad in ("-1", "abc"):
         capsys.readouterr()
-        code, out = invoke("ts", "enumerate", "--group", "Q8")
-        assert code == 1 and out == ""
-        assert f"TL_SEARCH_BOUND must be a non-negative integer, got {bad!r}" \
+        code, out = invoke(*argv, "--group", "Q8", "--bound", bad)
+        assert (code, out) == (2, "")
+        assert f"--bound: bound must be a non-negative integer, got {bad!r}" \
             in capsys.readouterr().err
+
+
+def test_search_bound_environment_is_ignored(monkeypatch, capsys):
+    monkeypatch.setenv("TL_SEARCH_BOUND", "3")
+    code, doc = invoke_json("ts", "enumerate", "--group", "Q8")
+    assert code == 0 and doc["results"]["count"] == 68
+    code, text = invoke("export", "--format", "dot", "--group", "Q8")
+    assert code == 0 and text.count(" -> ") == 149
+    monkeypatch.setenv("TL_SEARCH_BOUND", "40")
+    capsys.readouterr()
+    assert invoke("ts", "enumerate", "--group", "Sym4") == (1, "")
+    assert "above the search bound 24" in capsys.readouterr().err
 
 
 def test_module_entry_point():
@@ -284,15 +306,37 @@ def test_export_dot_escapes_the_group_name(tmp_path):
     assert text.splitlines()[0] == 'digraph "Tr_a\\"b\\\\c" {'
 
 
-def test_export_dot_reads_the_env_bound(monkeypatch, capsys):
+def test_export_dot_bound(capsys):
     """C2xC6 has 26 pair orbits: over the default bound of 24, within 26."""
     code, text = invoke("export", "--format", "dot", "--group", "C2xC6")
     assert (code, text) == (1, "")
     assert "above the search bound 24" in capsys.readouterr().err
-    monkeypatch.setenv("TL_SEARCH_BOUND", "26")
-    code, text = invoke("export", "--format", "dot", "--group", "C2xC6")
+    code, text = invoke("export", "--format", "dot", "--group", "C2xC6", "--bound", "26")
     assert code == 0
     assert text.count(" -> ") == 15010
+
+
+def test_export_chain_dot_without_tr_behind_it():
+    """Past the bound, the chain DOT is the bare chain; within it, the chain
+    in bold over the Hasse diagram of Tr(G)."""
+    code, text = invoke("export", "--what", "chain", "--format", "dot", "--group", "C2xC6")
+    assert code == 0
+    assert text.startswith('digraph "Chain" {')
+    assert text.count(" -> ") == 26 and "style=bold" in text
+    code, text = invoke("export", "--what", "chain", "--format", "dot", "--group", "C2xC6",
+                        "--bound", "26")
+    assert code == 0
+    assert text.startswith('digraph "TrChain" {')
+    assert (text.count(" -> "), text.count("style=bold")) == (15010, 53)
+
+
+def test_export_to_a_path_that_cannot_be_opened(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.dot"
+    code, out = invoke("export", "--format", "dot", "--group", "C4", "--out", str(target))
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: --out {target}: ") and err.count("\n") == 1, err
+    assert not target.parent.exists()
 
 
 def test_export_json_reingests():

@@ -2,11 +2,14 @@
 
 import functools
 import itertools
+import json
 import random
 import time
+from importlib import resources
 
 import pytest
 
+from trlat import serialize
 from trlat.groups import abelian_group, cyclic_group, make_group
 from trlat.lattice import automorphisms, subgroup_lattice
 from trlat.transfer import (SearchBoundExceeded, TransferSystem, aut_orbits,
@@ -404,6 +407,19 @@ def test_fixture_data_follows_how_the_group_was_built():
     with pytest.raises(NoRealizabilityData, match="no isometries-map data for C2xC2; "
                                                   "supported: cyclic groups and K4"):
         linisom_fixture(subgroup_lattice(abelian_group((2, 2))))
+
+
+def test_shipped_fixtures_match_their_schema():
+    """The program reads data/fixtures.json without a schema check; this is it."""
+    with resources.files("trlat").joinpath("data/fixtures.json").open() as fh:
+        serialize.validate_document(json.load(fh), serialize.FIXTURES_SCHEMA)
+
+
+@pytest.mark.parametrize("name", ["Q8", "Sym3"])
+def test_catalog_pairs_join_a_proper_subgroup_to_the_group(name):
+    L = L_(name)
+    pairs = [pair for entry in catalog(L) for pair in entry.orb_pairs]
+    assert pairs and all(h == L.full and k != L.full for k, h in pairs)
 
 
 def test_fixture_rows_validate_and_saturate():

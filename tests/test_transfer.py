@@ -348,8 +348,8 @@ def test_enumeration_bound_refusal():
 
 
 def test_env_bound_override(monkeypatch):
-    """Library calls take the bound from their arguments alone; only the CLI
-    reads TL_SEARCH_BOUND."""
+    """Library calls take the bound from their arguments alone; no
+    environment variable is read."""
     monkeypatch.setenv("TL_SEARCH_BOUND", "5")
     assert len(enumerate_all(L_("Q8"))) == 68
     monkeypatch.setenv("TL_SEARCH_BOUND", "40")
