@@ -9,12 +9,11 @@ from .transfer import (SearchBoundExceeded, TransferSystem,
                        closed_form_normal_source, closed_form_normal_target,
                        enumerate_all, generate, hasse_diagram, irreducible_pairs,
                        is_saturated, join, meet, validate)
-from .universes import CyclicUniverseIndexSet, induce_lambda, lambda_kernel_order
 from .realize import (LinIsomFixtureRow, NoRealizabilityData, NotRealizable,
-                      RepCatalogEntry, catalog, linisom_cyclic, linisom_fixture,
+                      RepCatalogEntry, catalog, index_set, linisom_cyclic, linisom_fixture,
                       linisom_image, linisom_image_cyclic, minimal_steiner_universe,
-                      realize_saturated_cpn, realize_saturated_cpq, steiner_cyclic,
-                      steiner_image, unrealized_fixture)
+                      realize_saturated, steiner_cyclic, steiner_image, universe,
+                      unrealized_fixture)
 from .chains import MaximalChain, layer_subgroups, maximal_chain
 
 __version__ = "0.1.0"

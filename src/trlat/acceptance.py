@@ -15,10 +15,9 @@ from .transfer import (TransferSystem, _conjugation_gap, aut_orbits,
                        closed_form_normal_source, closed_form_normal_target,
                        enumerate_all, generate, is_saturated, meet, validate)
 from .chains import maximal_chain
-from .realize import (_cyclic_lattice, linisom_cyclic, linisom_image, linisom_image_cyclic,
-                      realize_saturated_cpn, steiner_cyclic, steiner_image,
-                      unrealized_fixture)
-from .universes import CyclicUniverseIndexSet, _negation_classes, induce_lambda
+from .realize import (_cyclic_lattice, index_set, linisom_cyclic, linisom_image,
+                      linisom_image_cyclic, realize_saturated, steiner_cyclic, steiner_image,
+                      universe, unrealized_fixture)
 
 
 def _lattice(name: str):
@@ -106,13 +105,11 @@ def criterion_prime_power_classification() -> tuple[bool, str]:
     systems, and every saturated system round-trips through its index set."""
     details = []
     ok = True
-    for p, e in ((2, 3), (3, 2), (2, 4), (3, 3)):
-        n = p ** e
+    for n in (8, 9, 16, 27):
         saturated = {T for T in _enumerated(f"C{n}") if is_saturated(T)}
         image = set(linisom_image_cyclic(n))
         eq = saturated == image
-        trips = all(linisom_cyclic(n, realize_saturated_cpn(p, e, T)) == T
-                    for T in saturated)
+        trips = all(linisom_cyclic(n, realize_saturated(T)) == T for T in saturated)
         ok = ok and eq and trips
         details.append(f"C{n}: image==saturated {eq} ({len(image)}), round trips {trips}")
     return ok, "; ".join(details)
@@ -141,17 +138,17 @@ def criterion_cpq_classification() -> tuple[bool, str]:
 def criterion_counterexamples() -> tuple[bool, str]:
     """C5: the embedding map fails to preserve meets.  C9: the isometries map
     sends nested universes to incomparable systems."""
-    t1 = steiner_cyclic(5, {0, 1, 4})
-    t2 = steiner_cyclic(5, {0, 2, 3})
+    t1 = steiner_cyclic(5, universe(5, {1, 4}))
+    t2 = steiner_cyclic(5, universe(5, {2, 3}))
     t_meet_of_images = meet(t1, t2)
-    t_image_of_meet = steiner_cyclic(5, {0})
+    t_image_of_meet = steiner_cyclic(5, universe(5, {0}))
     L5 = t1.lattice
     meets_fail = (t_meet_of_images == TransferSystem.maximum(L5)
                   and t_image_of_meet == TransferSystem.diagonal(L5)
                   and t_meet_of_images != t_image_of_meet)
-    u1 = linisom_cyclic(9, {0, 3, 6})
-    u2 = linisom_cyclic(9, {0, 1, 3, 6, 8})
-    nested = {0, 3, 6} < {0, 1, 3, 6, 8}
+    small, large = universe(9, {3, 6}), universe(9, {1, 3, 6, 8})
+    u1, u2 = linisom_cyclic(9, small), linisom_cyclic(9, large)
+    nested = set(index_set(9, small)) < set(index_set(9, large))
     incomparable = nested and not u1.refines(u2) and not u2.refines(u1)
     ok = meets_fail and incomparable
     return ok, f"meet failure {meets_fail}; order failure {incomparable}"
@@ -243,19 +240,24 @@ def criterion_character_identities() -> tuple[bool, str]:
     universes = 0
     for n in range(1, 13):
         L, _ = _cyclic_lattice(n)
-        classes = _negation_classes(n)
-        for chosen in range(1 << len(classes)):
-            I = CyclicUniverseIndexSet.canonical(
-                n, [i for b, c in enumerate(classes) if chosen >> b & 1 for i in c])
+        for u in range(1 << n // 2):
+            I = index_set(n, u)
             induced = set()
             for k, h in L.proper_pairs:
                 d, e = L.order_of(k), L.order_of(h)
-                if all(set(induce_lambda(d, e, i % d)) <= I.reduction(e) for i in I.members):
+                reduced = {i % e for i in I}
+                if all(set(_induce_lambda(d, e, i % d)) <= reduced for i in I):
                     induced.add((k, h))
-            if induced != set(linisom_cyclic(n, I).pairs()):
-                return False, f"induction criterion differs from linisom_cyclic on {I!r}"
+            if induced != set(linisom_cyclic(n, u).pairs()):
+                return False, f"induction criterion differs from linisom_cyclic on C{n}, {I}"
             universes += 1
     return True, f"equal to linisom_cyclic on all {universes} universes of C_n, n <= 12"
+
+
+def _induce_lambda(d: int, n: int, m: int) -> list[int]:
+    """Induction from C_d to C_n of label m, for d dividing n: labels m + d*a
+    for 0 <= a < n/d."""
+    return sorted((m + d * a) % n for a in range(n // d))
 
 
 def criterion_noncyclic_exclusion() -> tuple[bool, str]:

@@ -18,9 +18,8 @@ from .transfer import (SEARCH_BOUND, SearchBoundExceeded, TransferSystem, Transf
                        aut_orbits, enumerate_all, generate, hasse_diagram, is_saturated,
                        validate)
 from .chains import maximal_chain
-from .realize import (NoRealizabilityData, NotRealizable, cpn_modulus, cpq_modulus,
-                      linisom_image, minimal_steiner_universe, realize_saturated_cpn,
-                      realize_saturated_cpq, steiner_image)
+from .realize import (NoRealizabilityData, NotRealizable, cpn_modulus, cpq_modulus, index_set,
+                      linisom_image, minimal_steiner_universe, realize_saturated, steiner_image)
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
@@ -87,7 +86,7 @@ def parse_pairs(L, text: str) -> list[tuple[int, int]]:
         try:
             out.append((L.resolve_name(a), L.resolve_name(b)))
         except KeyError as exc:
-            raise UsageError(str(exc)) from None
+            raise UsageError(exc.args[0]) from None
     return out
 
 
@@ -162,13 +161,11 @@ def cmd_realize(ns, L):
     if not is_saturated(T):
         return ({"error": "system is not saturated"},
                 [{"claim": "input system is saturated", "passed": False}])
-    if ns.case == "cpn":
-        I = realize_saturated_cpn(ns.p, ns.n, T)
-        return {"index_set": I.sorted(), "modulus": I.modulus}, []
-    verdict = realize_saturated_cpq(ns.p, ns.q, T)
+    verdict = realize_saturated(T)
     if isinstance(verdict, NotRealizable):
         return {"realizable": False, "tag": verdict.tag, "reason": verdict.reason}, []
-    return {"realizable": True, "index_set": verdict.sorted(), "modulus": verdict.modulus}, []
+    n = L.group.order
+    return {"realizable": True, "index_set": index_set(n, verdict), "modulus": n}, []
 
 
 def cmd_minimal_universe(ns, L):
@@ -176,7 +173,7 @@ def cmd_minimal_universe(ns, L):
         k = L.resolve_name(ns.sub)
         h = L.resolve_name(ns.sup)
     except KeyError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(exc.args[0]) from None
     sets = minimal_steiner_universe(L, k, h)
     return {"transfer": [L.names[k], L.names[h]],
             "minimal_kernel_sets": [[L.names[s] for s in combo] for combo in sets]}, []
@@ -292,6 +289,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """Refuse, before any work, an `export --out` path that is a directory or
+    whose directory is missing or not writable; `run` also refuses a failed open."""
+    parent = os.path.dirname(path) or "."
+    for failed, problem in ((os.path.isdir(path), "is a directory"),
+                            (not os.path.isdir(parent), f"no directory {parent}"),
+                            (not os.access(parent, os.W_OK | os.X_OK), f"{parent} is not writable")):
+        if failed:
+            raise UsageError(f"--out {path}: {problem}")
+
+
 def _group(ns):
     """The command's group: `realize` checks its primes before it builds C_n;
     `verify-paper` has none."""
@@ -313,6 +321,8 @@ def run(argv: list[str], out=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     started, ns.stdout = time.perf_counter(), out
     try:
+        if ns.command == "export" and ns.out:
+            _check_out(ns.out)
         G = _group(ns)
         L = subgroup_lattice(G) if G is not None else None
         if ns.command == "export":

@@ -52,7 +52,8 @@ class FiniteGroup:
         else:
             names = tuple(str(s) for s in names)
             if len(names) != n:
-                raise GroupValidationError("element_names length does not match order")
+                raise GroupValidationError(
+                    f"names has length {len(names)}, but the table has order {n}")
         self.element_names = names
         self.name = name
 

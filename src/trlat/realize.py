@@ -9,7 +9,9 @@ one source of summands: an abelian group's come from its proper cocyclic
 subgroups.  K4's isometries values, and both maps for Q8 and Sym3, ship as
 fixture tables; the module refuses to approximate any other group.  Which
 fixture data a group has is decided by `_fixture` alone, from how the group
-was built; a group without data raises `NoRealizabilityData`.
+was built; a group without data raises `NoRealizabilityData`.  A universe
+over C_n is one int, its class bitmask (see `universe`), and no other module
+reads its bits.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .groups import FiniteGroup, cyclic_group, is_prime
 from .lattice import SubgroupLattice, subgroup_lattice
 from .transfer import (SearchBoundExceeded, TransferSystem, generate, in_key_order,
                        is_saturated, irreducible_pairs, join)
-from .universes import CyclicUniverseIndexSet, index_set_count, lambda_kernel_order
 
 # 2^(n // 2) universes over C_n: the scan reaches every n <= 43
 UNIVERSE_SCAN_LIMIT = 1 << 21
@@ -124,6 +125,39 @@ def unrealized_fixture(L: SubgroupLattice) -> tuple[TransferSystem, ...]:
     return tuple(TransferSystem.from_pairs(L, _resolve_pairs(L, pairs)) for pairs in reps)
 
 
+# -- universes over C_n -------------------------------------------------------
+
+def universe(n: int, residues) -> int:
+    """The universe over C_n holding the given residues, as its class bitmask.
+
+    A universe is an index set I of Z/n with 0 in I and -I = I; member i
+    stands for infinitely many copies of the rotation representation of
+    label i.  Its class bitmask u has bit c-1 (1 <= c <= n//2) set when c
+    and -c are in I.  The residues are reduced mod n, 0 is added, and I is
+    closed under negation.
+    """
+    if n < 1:
+        raise ValueError(f"modulus must be positive, got {n}")
+    u = 0
+    for i in residues:
+        c = min(i % n, -i % n)
+        if c:
+            u |= 1 << c - 1
+    return u
+
+
+def index_set(n: int, u: int) -> list[int]:
+    """The sorted index set of universe u over C_n: 0, and c and -c mod n
+    for each set bit c-1 of u.  Anything but the class bitmask of a universe
+    over C_n is refused."""
+    if not isinstance(u, int):
+        raise TypeError(f"a universe over C{n} is an int class bitmask, got {type(u).__name__}")
+    if not 0 <= u < 1 << n // 2:
+        raise ValueError(f"universe {u} is outside 0 <= u < {1 << n // 2} for C{n}")
+    return sorted({0} | {r for c in range(1, n // 2 + 1) if u >> c - 1 & 1
+                         for r in (c, n - c)})
+
+
 # -- the embedding (Steiner-type) map -----------------------------------------
 
 def _cyclic_lattice(n: int) -> tuple[SubgroupLattice, dict[int, int]]:
@@ -132,15 +166,14 @@ def _cyclic_lattice(n: int) -> tuple[SubgroupLattice, dict[int, int]]:
     return L, {L.order_of(s): s for s in range(L.n)}
 
 
-def steiner_cyclic(n: int, index_set) -> TransferSystem:
-    """Embedding-map value on C_n for the universe with the given index set.
+def steiner_cyclic(n: int, u: int) -> TransferSystem:
+    """Embedding-map value on C_n for universe u.
 
-    Generated by (ker lambda(i), C_n) over i in the set; the kernel of the
-    label-i rotation is the unique subgroup of order gcd(i, n).
+    Generated by (ker lambda(i), C_n) over i in the index set; the kernel of
+    the label-i rotation is the unique subgroup of order gcd(i, n).
     """
-    I = _as_index_set(n, index_set)
     L, of_order = _cyclic_lattice(n)
-    pairs = {(of_order[lambda_kernel_order(n, i)], L.full) for i in I.members}
+    pairs = {(of_order[math.gcd(n, i)], L.full) for i in index_set(n, u)}
     return generate(L, pairs)
 
 
@@ -168,44 +201,35 @@ def steiner_image(L: SubgroupLattice) -> list[TransferSystem]:
 
 # -- the isometries map --------------------------------------------------------
 
-def _as_index_set(n: int, index_set) -> CyclicUniverseIndexSet:
-    if isinstance(index_set, CyclicUniverseIndexSet):
-        if index_set.modulus != n:
-            raise ValueError(f"index set has modulus {index_set.modulus}, expected {n}")
-        return index_set
-    return CyclicUniverseIndexSet.canonical(n, index_set)
-
-
-def linisom_cyclic(n: int, index_set) -> TransferSystem:
-    """Isometries-map value on C_n for the given index set.
+def linisom_cyclic(n: int, u: int) -> TransferSystem:
+    """Isometries-map value on C_n for universe u.
 
     C_d -> C_e holds (d | e | n) iff the reduction of the index set mod e is
     invariant under translation by d.  The result is always saturated.
     """
-    I = _as_index_set(n, index_set)
+    I = index_set(n, u)
     L, _ = _cyclic_lattice(n)
     pairs = []
     for k, h in L.proper_pairs:
         d, e = L.order_of(k), L.order_of(h)
-        reduced = I.reduction(e)
+        reduced = {i % e for i in I}
         if {(x + d) % e for x in reduced} == reduced:
             pairs.append((k, h))
     return TransferSystem.from_pairs(L, pairs)
 
 
 def linisom_image_cyclic(n: int) -> list[TransferSystem]:
-    """All isometries-map values on C_n, over every index set.
+    """All isometries-map values on C_n, over every universe.
 
-    The universes are decided all at once, as bit positions: universe u is
-    {0} with the negation classes {c, -c} for which bit c-1 of u is set.
-    Per divisor e > 1, member[y] is the bitmap of universes whose reduction
-    mod e holds y, and the pair (d, e) holds on the universes where no
-    member[y] differs from member[y + d].  Refining the partition of all
-    universes by each pair's bitmap leaves one cell per distinct value.
-    Refused above UNIVERSE_SCAN_LIMIT universes.
+    The universes are decided all at once, as bit positions: bit u of a
+    bitmap stands for universe u.  Per divisor e > 1, member[y] is the
+    bitmap of universes whose reduction mod e holds y, and the pair (d, e)
+    holds on the universes where no member[y] differs from member[y + d].
+    Refining the partition of all universes by each pair's bitmap leaves
+    one cell per distinct value.  Refused above UNIVERSE_SCAN_LIMIT universes.
     """
-    if index_set_count(n) > UNIVERSE_SCAN_LIMIT:
-        raise SearchBoundExceeded(f"C{n} has {index_set_count(n)} universes, above "
+    if 1 << n // 2 > UNIVERSE_SCAN_LIMIT:
+        raise SearchBoundExceeded(f"C{n} has {1 << n // 2} universes, above "
                                   f"the scan limit {UNIVERSE_SCAN_LIMIT}")
     # bit u of columns[c - 1] is bit c-1 of u, built by doubling the universe count
     every, columns = 1, []
@@ -247,7 +271,7 @@ def linisom_image(L: SubgroupLattice) -> tuple[list[TransferSystem], int]:
     group."""
     G = L.group
     if G.kind == "cyclic":
-        return linisom_image_cyclic(G.order), index_set_count(G.order)
+        return linisom_image_cyclic(G.order), 1 << G.order // 2
     rows = linisom_fixture(L)
     return in_key_order({row.system for row in rows}), len(rows)
 
@@ -271,83 +295,57 @@ def cpq_modulus(p: int, q: int) -> int:
     return p * q
 
 
-def realize_saturated_cpn(p: int, n: int, T: TransferSystem) -> CyclicUniverseIndexSet:
-    """Index set whose isometries-map value is the given saturated system.
+def realize_saturated(T: TransferSystem) -> int | NotRealizable:
+    """A universe whose isometries-map value is the saturated system T on C_n,
+    or a NotRealizable verdict; n is read from T's group.
 
-    Built from the exponents k_i of T's irreducible relations as all signed
-    sums +-(a_1 p^{k_1} + ... + a_m p^{k_m}) with 0 <= a_i < p.  The round
-    trip through linisom_cyclic is checked before returning.
+    For n = p^e, the universe holds the signed sums +-(a_1 p^{k_1} + ... +
+    a_m p^{k_m}) with 0 <= a_i < p over the exponents k_i of T's irreducible
+    relations.  For n = pq with primes p < q, it comes from a table with one
+    index set per saturated shape; the single-edge system into C_q is out of
+    reach when p <= 3, and the one into C_p also when (p, q) = (2, 3).  The
+    round trip through linisom_cyclic is checked: a miss is a bug, raised as
+    `AssertionError`.  Any other n raises `NoRealizabilityData`.
     """
-    modulus = cpn_modulus(p, n)
-    if T.lattice.group.spec != {"kind": "cyclic", "n": modulus}:
-        raise ValueError(f"system lives on {T.lattice.group.name}, expected C{modulus}")
+    L = T.lattice
+    if L.group.kind != "cyclic":
+        raise ValueError(f"system lives on {L.group.name}, which was not built as C_n")
+    n = L.group.order
+    primes = [d for d in range(2, n + 1) if n % d == 0 and is_prime(d)]
+    if len(primes) > 2 or len(primes) == 2 and n != primes[0] * primes[1]:
+        raise NoRealizabilityData(f"no realizing construction for C{n}: {n} is neither "
+                                  "a prime power nor a product of two distinct primes")
     if not is_saturated(T):
         raise ValueError("system is not saturated; isometries-map values always are")
-    levels = sorted(round(math.log(T.lattice.order_of(k), p))
-                    for k, h in irreducible_pairs(T))
-    members = {0}
-    for digits in itertools.product(range(p), repeat=len(levels)):
-        total = sum(a * p ** k for a, k in zip(digits, levels))
-        members.add(total % modulus)
-        members.add(-total % modulus)
-    I = CyclicUniverseIndexSet.canonical(modulus, members)
-    back = linisom_cyclic(modulus, I)
-    if back != T:
-        raise AssertionError(f"round trip failed for {T!r} with {I!r}")
-    return I
-
-
-def _shape_of_cpq(T: TransferSystem, p: int, q: int) -> str:
-    by_order = {(T.lattice.order_of(k), T.lattice.order_of(h)) for k, h in T.pairs()}
-    shapes = {
-        frozenset(): "trivial",
-        frozenset({(1, p)}): "indp",
-        frozenset({(1, q)}): "indq",
-        frozenset({(1, p), (1, q)}): "indpq",
-        frozenset({(1, q), (p, p * q)}): "indpqp",
-        frozenset({(1, p), (q, p * q)}): "indpqq",
-        frozenset({(1, p), (1, q), (1, p * q), (p, p * q), (q, p * q)}): "complete",
-    }
-    try:
-        return shapes[frozenset(by_order)]
-    except KeyError:
-        raise AssertionError(f"unexpected saturated shape {sorted(by_order)}") from None
-
-
-def realize_saturated_cpq(p: int, q: int, T: TransferSystem):
-    """Index set realizing a saturated system on C_pq, or a NotRealizable tag.
-
-    The single-edge system into C_q is out of reach when p <= 3, and the one
-    into C_p additionally when (p, q) = (2, 3); everything else comes from an
-    explicit index-set table, verified by round trip: a miss is a bug in the
-    table, raised as `AssertionError`.
-    """
-    n = cpq_modulus(p, q)
-    if T.lattice.group.spec != {"kind": "cyclic", "n": n}:
-        raise ValueError(f"system lives on {T.lattice.group.name}, expected C{n}")
-    if not is_saturated(T):
-        raise ValueError("system is not saturated; isometries-map values always are")
-    shape = _shape_of_cpq(T, p, q)
-    if shape == "indq" and p <= 3:
-        return NotRealizable("indq", f"the single transfer 1 -> C{q} needs p > 3; "
-                                     f"here p = {p}")
-    if shape == "indp" and (p, q) == (2, 3):
-        return NotRealizable("indp", "the single transfer 1 -> C2 is out of reach "
-                                     "over C6")
-    table = {
-        "trivial": {0},
-        "indp": set(range(-(p // 2), p // 2 + 1)),
-        "indpq": set(range(-(q // 2), q // 2 + 1)),
-        "indpqp": {p * t for t in range(q)},
-        "indpqq": {q * t for t in range(p)},
-        "indq": {0, 1, -1} | {p * t for t in range(q)},
-        "complete": set(range(n)),
-    }
-    I = CyclicUniverseIndexSet.canonical(n, table[shape])
-    if linisom_cyclic(n, I) != T:
-        raise AssertionError(f"table index set {I!r} for shape {shape} on C{n} "
-                             "fails the round trip")
-    return I
+    if len(primes) == 2:
+        p, q = primes
+        # the seven saturated systems, keyed by the orders in their pairs: the
+        # shape's name and an index set realizing it
+        shapes = {
+            frozenset(): ("trivial", {0}),
+            frozenset({(1, p)}): ("indp", range(-(p // 2), p // 2 + 1)),
+            frozenset({(1, q)}): ("indq", {0, 1, -1} | {p * t for t in range(q)}),
+            frozenset({(1, p), (1, q)}): ("indpq", range(-(q // 2), q // 2 + 1)),
+            frozenset({(1, q), (p, n)}): ("indpqp", {p * t for t in range(q)}),
+            frozenset({(1, p), (q, n)}): ("indpqq", {q * t for t in range(p)}),
+            frozenset({(1, p), (1, q), (1, n), (p, n), (q, n)}): ("complete", range(n)),
+        }
+        shape, residues = shapes[frozenset((L.order_of(k), L.order_of(h)) for k, h in T.pairs())]
+        if shape == "indq" and p <= 3:
+            return NotRealizable("indq", f"the single transfer 1 -> C{q} needs p > 3; "
+                                         f"here p = {p}")
+        if shape == "indp" and (p, q) == (2, 3):
+            return NotRealizable("indp", "the single transfer 1 -> C2 is out of reach "
+                                         "over C6")
+    else:
+        p = min(primes, default=1)  # C1 has no relations to read p from
+        levels = [round(math.log(L.order_of(k), p)) for k, h in irreducible_pairs(T)]
+        residues = {sum(a * p ** k for a, k in zip(digits, levels))
+                    for digits in itertools.product(range(p), repeat=len(levels))}
+    u = universe(n, residues)
+    if linisom_cyclic(n, u) != T:
+        raise AssertionError(f"index set {index_set(n, u)} for {T!r} fails the round trip")
+    return u
 
 
 def minimal_steiner_universe(L: SubgroupLattice, k: int, h: int) -> list[tuple[int, ...]]:

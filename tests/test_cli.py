@@ -55,6 +55,34 @@ def test_ts_generate_unknown_subgroup_is_usage_error():
     assert code == 2
 
 
+def test_subgroup_name_errors_print_the_message_itself(tmp_path, capsys):
+    """Unknown and ambiguous names, without the quotes str() puts around a
+    KeyError's message."""
+    code, _ = invoke("ts", "generate", "--group", "C4", "--pairs", "(1,C5)")
+    assert code == 2
+    assert capsys.readouterr().err == ("usage error: no subgroup named 'C5'; "
+                                       "known names: 1, C2, C4\n")
+    for sub, sup in (("<d>", "K4"), ("1", "<d>")):
+        code, _ = invoke("minimal-universe", "--group", "K4", "--sub", sub, "--sup", sup)
+        assert code == 2
+        assert capsys.readouterr().err == ("usage error: no subgroup named '<d>'; "
+                                           "known names: 1, <a>, <b>, <c>, K4\n")
+    spec = tmp_path / "one.json"
+    spec.write_text(json.dumps({"schema_version": 1, "kind": "table", "name": "1",
+                                "table": [[0, 1], [1, 0]]}))
+    code, _ = invoke("ts", "generate", "--group", f"@{spec}", "--pairs", "(1,1)")
+    assert code == 2
+    assert capsys.readouterr().err == ("usage error: ambiguous subgroup name '1'; "
+                                       "candidates at indices [0, 1]\n")
+
+
+def test_ts_generate_outside_inclusion_is_a_failed_check():
+    code, doc = invoke_json("ts", "generate", "--group", "C4", "--pairs", "(C2,1)")
+    assert code == 1
+    assert doc["results"] == {"error": "pair (C2, 1) does not refine inclusion"}
+    assert doc["checks"] == [{"claim": "relation refines inclusion", "passed": False}]
+
+
 def test_ts_generate_garbage_pairs_is_usage_error():
     code, _ = invoke("ts", "generate", "--group", "C8", "--pairs", "1,C4")
     assert code == 2
@@ -72,6 +100,10 @@ def test_arrow_pair_syntax_handles_parenthesized_names():
                             "--pairs", "1->C2; C2->C4")
     assert code == 0
     assert doc["results"]["pair_count"] == 3
+    # stray separators around and between arrow pairs are skipped
+    code, doc = invoke_json("ts", "generate", "--group", "C4", "--pairs", "; 1->C4 ;")
+    assert code == 0
+    assert doc["results"]["pairs"] == [["1", "C2"], ["1", "C4"]]
 
 
 def test_unknown_group_is_usage_error(tmp_path, capsys):
@@ -93,6 +125,23 @@ def test_unknown_group_is_usage_error(tmp_path, capsys):
         assert (code, out) == (2, ""), name
         assert err.startswith("usage error: ") and err.count("\n") == 1, (name, err)
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"table": [[0, 1], [1, 0]], "names": ["e"]}, "names has length 1, but the table has order 2"),
+    ({"table": []}, "empty Cayley table"),
+    ({"table": [[0, 1], [1, 2]]}, "table entry 2 outside 0..1"),
+], ids=["names-length", "empty-table", "entry-out-of-range"])
+def test_table_spec_refusals(spec, message, tmp_path, capsys):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": "table", **spec}))
+    assert invoke("group", "info", "--group", f"@{path}") == (2, "")
+    assert capsys.readouterr().err == f"usage error: group spec {path}: {message}\n"
+
+
+def test_cyclic_token_of_order_zero_is_usage_error(capsys):
+    assert invoke("group", "info", "--group", "C0") == (2, "")
+    assert capsys.readouterr().err == "usage error: cyclic order must be >= 1, got 0\n"
 
 
 def test_unknown_flag_is_usage_error():
@@ -219,7 +268,7 @@ def test_realize_cpn():
     code, doc = invoke_json("realize", "cpn", "--p", "2", "--n", "2",
                             "--pairs", "(1,C2)")
     assert code == 0
-    assert doc["results"]["index_set"] == [0, 1, 3]
+    assert doc["results"] == {"realizable": True, "index_set": [0, 1, 3], "modulus": 4}
 
 
 def test_realize_cpn_unsaturated_exits_1():
@@ -262,7 +311,7 @@ def test_realize_refuses_a_negative_exponent(capsys):
     assert invoke("realize", "cpn", "--p", "2", "--n", "-1") == (1, "")
     assert capsys.readouterr().err == "error: exponent n must be >= 0, got -1\n"
     code, doc = invoke_json("realize", "cpn", "--p", "2", "--n", "0")
-    assert code == 0 and doc["results"] == {"index_set": [0], "modulus": 1}
+    assert code == 0 and doc["results"] == {"realizable": True, "index_set": [0], "modulus": 1}
 
 
 def test_minimal_universe_refusal_exits_1(capsys):
@@ -337,6 +386,39 @@ def test_export_to_a_path_that_cannot_be_opened(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith(f"usage error: --out {target}: ") and err.count("\n") == 1, err
     assert not target.parent.exists()
+
+
+def test_export_refuses_an_unwritable_out_before_any_work(tmp_path, monkeypatch, capsys):
+    def ran(*args, **kwargs):
+        raise AssertionError("the export ran")
+
+    monkeypatch.setattr("trlat.cli.hasse_diagram", ran)
+    monkeypatch.setattr("trlat.cli.enumerate_all", ran)
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    cases = [(tmp_path / "missing" / "x.dot", f"no directory {tmp_path / 'missing'}"),
+             (plain / "x.dot", f"no directory {plain}"),
+             (tmp_path, "is a directory")]
+    for target, problem in cases:
+        for fmt in ("dot", "json"):
+            argv = ("export", "--format", fmt, "--group", "Sym4", "--bound", "34",
+                    "--out", str(target))
+            assert invoke(*argv) == (2, "")
+            assert capsys.readouterr().err == f"usage error: --out {target}: {problem}\n"
+    monkeypatch.setattr("os.access", lambda *args: False)
+    target = tmp_path / "x.dot"
+    assert invoke("export", "--format", "dot", "--group", "Sym4", "--out", str(target)) == (2, "")
+    assert capsys.readouterr().err == f"usage error: --out {target}: {tmp_path} is not writable\n"
+    assert list(tmp_path.iterdir()) == [plain]
+
+
+def test_export_chain_json_is_the_chain_report():
+    code, text = invoke("export", "--what", "chain", "--format", "json", "--group", "Q8")
+    assert code == 0
+    doc = json.loads(text)
+    serialize.validate_document(doc, serialize.CHAIN_SCHEMA)
+    _, report = invoke_json("chain", "--group", "Q8")
+    assert doc == report["results"]["chain"]
 
 
 def test_export_json_reingests():

@@ -14,12 +14,10 @@ from trlat.groups import abelian_group, cyclic_group, make_group
 from trlat.lattice import automorphisms, subgroup_lattice
 from trlat.transfer import (SearchBoundExceeded, TransferSystem, aut_orbits,
                             enumerate_all, generate, is_saturated, join, meet)
-from trlat.realize import (NoRealizabilityData, NotRealizable, catalog, linisom_cyclic,
-                           linisom_fixture, linisom_image, linisom_image_cyclic,
-                           minimal_steiner_universe, realize_saturated_cpn,
-                           realize_saturated_cpq, steiner_cyclic, steiner_image,
-                           unrealized_fixture)
-from trlat.universes import CyclicUniverseIndexSet
+from trlat.realize import (NoRealizabilityData, NotRealizable, catalog, index_set,
+                           linisom_cyclic, linisom_fixture, linisom_image, linisom_image_cyclic,
+                           minimal_steiner_universe, realize_saturated, steiner_cyclic,
+                           steiner_image, universe, unrealized_fixture)
 
 
 def L_(name):
@@ -37,14 +35,14 @@ def by_order(L, d):
 # -- embedding (Steiner-type) map ------------------------------------------------
 
 def test_steiner_cyclic_examples():
-    assert named(steiner_cyclic(4, {0, 1, 3})) == {("1", "C2"), ("1", "C4")}
-    assert steiner_cyclic(10, {0}).pairs() == []
+    assert named(steiner_cyclic(4, universe(4, {1, 3}))) == {("1", "C2"), ("1", "C4")}
+    assert steiner_cyclic(10, universe(10, {0})).pairs() == []
     L5 = subgroup_lattice(cyclic_group(5))
-    assert steiner_cyclic(5, {0, 1, 4}) == TransferSystem.maximum(L5)
+    assert steiner_cyclic(5, universe(5, {1, 4})) == TransferSystem.maximum(L5)
 
 
 def test_steiner_kernel_is_gcd_subgroup():
-    T = steiner_cyclic(12, {0, 8})
+    T = steiner_cyclic(12, universe(12, {8}))
     # gcd(8, 12) = 4: generated by (C4, C12)
     assert named(T) == named(generate(T.lattice, [(by_order(T.lattice, 4),
                                                    T.lattice.full)]))
@@ -124,46 +122,44 @@ def test_steiner_monotone_and_join():
     rng = random.Random(2)
     for n in (6, 8, 9, 12):
         for _ in range(20):
-            I = CyclicUniverseIndexSet.canonical(n, rng.sample(range(n), rng.randint(0, n // 2)))
-            J = CyclicUniverseIndexSet.canonical(n, set(I.members)
-                                                 | {rng.randrange(n)})
+            I = universe(n, rng.sample(range(n), rng.randint(0, n // 2)))
+            J = universe(n, index_set(n, I) + [rng.randrange(n)])
             assert steiner_cyclic(n, I).refines(steiner_cyclic(n, J))
-            K = CyclicUniverseIndexSet.canonical(n, rng.sample(range(n), rng.randint(0, n // 2)))
-            union = CyclicUniverseIndexSet.canonical(n, set(I.members) | set(K.members))
+            K = universe(n, rng.sample(range(n), rng.randint(0, n // 2)))
+            union = universe(n, index_set(n, I) + index_set(n, K))
             assert steiner_cyclic(n, union) == join(steiner_cyclic(n, I),
                                                     steiner_cyclic(n, K))
 
 
 def test_steiner_meet_failure_on_c5():
-    t1 = steiner_cyclic(5, {0, 1, 4})
-    t2 = steiner_cyclic(5, {0, 2, 3})
+    t1 = steiner_cyclic(5, universe(5, {1, 4}))
+    t2 = steiner_cyclic(5, universe(5, {2, 3}))
     L5 = t1.lattice
     assert meet(t1, t2) == TransferSystem.maximum(L5)
-    assert steiner_cyclic(5, {0}) == TransferSystem.diagonal(L5)
-    assert meet(t1, t2) != steiner_cyclic(5, {0})
+    assert steiner_cyclic(5, universe(5, {0})) == TransferSystem.diagonal(L5)
+    assert meet(t1, t2) != steiner_cyclic(5, universe(5, {0}))
 
 
 # -- isometries map --------------------------------------------------------------
 
 def test_linisom_cyclic_examples():
-    assert named(linisom_cyclic(9, {0, 3, 6})) == {("C3", "C9")}
-    assert named(linisom_cyclic(9, {0, 1, 3, 6, 8})) == {("1", "C3")}
-    assert named(linisom_cyclic(6, {0, 2, 4})) == {("1", "C3"), ("C2", "C6")}
+    assert named(linisom_cyclic(9, universe(9, {3, 6}))) == {("C3", "C9")}
+    assert named(linisom_cyclic(9, universe(9, {1, 3, 6, 8}))) == {("1", "C3")}
+    assert named(linisom_cyclic(6, universe(6, {2, 4}))) == {("1", "C3"), ("C2", "C6")}
 
 
 def test_linisom_always_saturated():
     rng = random.Random(17)
     for n in (4, 6, 9, 12, 18):
         for _ in range(25):
-            I = CyclicUniverseIndexSet.canonical(
-                n, rng.sample(range(n), rng.randint(0, n - 1)))
+            I = universe(n, rng.sample(range(n), rng.randint(0, n - 1)))
             assert is_saturated(linisom_cyclic(n, I))
 
 
 def test_linisom_non_monotone_on_c9():
-    u1 = linisom_cyclic(9, {0, 3, 6})
-    u2 = linisom_cyclic(9, {0, 1, 3, 6, 8})
-    assert {0, 3, 6} < {0, 1, 3, 6, 8}
+    small, large = universe(9, {3, 6}), universe(9, {1, 3, 6, 8})
+    u1, u2 = linisom_cyclic(9, small), linisom_cyclic(9, large)
+    assert set(index_set(9, small)) < set(index_set(9, large))
     assert not u1.refines(u2) and not u2.refines(u1)
 
 
@@ -171,11 +167,10 @@ def test_free_transfer_forces_complete_universe():
     """If 1 -> C_n is admitted, the index set must be all of Z/n."""
     for n in (4, 6, 9, 10, 12):
         L = subgroup_lattice(cyclic_group(n))
-        for I in [CyclicUniverseIndexSet.canonical(n, s)
-                  for s in ([], [1], [2], range(n))]:
-            T = linisom_cyclic(n, I)
+        for u in [universe(n, s) for s in ([], [1], [2], range(n))]:
+            T = linisom_cyclic(n, u)
             if T.contains(0, L.full):
-                assert len(I.members) == I.modulus
+                assert index_set(n, u) == list(range(n))
 
 
 def test_linisom_image_counts():
@@ -189,8 +184,7 @@ def test_linisom_image_counts():
 
 @pytest.mark.parametrize("n", [12, 15, 16, 18, 20, 21, 24, 25, 27])
 def test_linisom_image_matches_every_universe(n):
-    every = {linisom_cyclic(n, CyclicUniverseIndexSet.canonical(
-                 n, [i for i, b in zip(range(1, n // 2 + 1), bits) if b]))
+    every = {linisom_cyclic(n, universe(n, [i for i, b in zip(range(1, n // 2 + 1), bits) if b]))
              for bits in itertools.product((0, 1), repeat=n // 2)}
     assert set(linisom_image_cyclic(n)) == every
 
@@ -201,7 +195,7 @@ def test_linisom_image_holds_sampled_universes(n):
     image = set(linisom_image_cyclic(n))
     for _ in range(500):
         I = [i for i in range(1, n // 2 + 1) if rng.random() < 0.5]
-        assert linisom_cyclic(n, I) in image
+        assert linisom_cyclic(n, universe(n, I)) in image
 
 
 def test_linisom_scan_limit_is_fixed(monkeypatch):
@@ -229,58 +223,62 @@ def test_linisom_image_c6_misses_single_edges():
 
 def test_realize_cpn_examples():
     L4 = subgroup_lattice(cyclic_group(4))
-    assert realize_saturated_cpn(2, 2, generate(L4, [(0, 1)])).sorted() == [0, 1, 3]
-    assert realize_saturated_cpn(2, 2, TransferSystem.diagonal(L4)).sorted() == [0]
+    assert index_set(4, realize_saturated(generate(L4, [(0, 1)]))) == [0, 1, 3]
+    assert index_set(4, realize_saturated(TransferSystem.diagonal(L4))) == [0]
     L8 = subgroup_lattice(cyclic_group(8))
-    assert realize_saturated_cpn(2, 3, TransferSystem.maximum(L8)).sorted() == \
-        list(range(8))
+    assert index_set(8, realize_saturated(TransferSystem.maximum(L8))) == list(range(8))
+    assert realize_saturated(TransferSystem.diagonal(subgroup_lattice(cyclic_group(1)))) == 0
 
 
 def test_realize_cpn_rejects_unsaturated():
     L8 = subgroup_lattice(cyclic_group(8))
     with pytest.raises(ValueError, match="saturated"):
-        realize_saturated_cpn(2, 3, generate(L8, [(0, 2)]))
+        realize_saturated(generate(L8, [(0, 2)]))
 
 
 def test_realize_rejects_systems_not_built_cyclic():
     # same order as C_4 and C_6, so only how the group was built tells them apart
-    with pytest.raises(ValueError, match="expected C4"):
-        realize_saturated_cpn(2, 2, TransferSystem.diagonal(L_("K4")))
-    L = subgroup_lattice(abelian_group((2, 3)))
-    with pytest.raises(ValueError, match="expected C6"):
-        realize_saturated_cpq(2, 3, TransferSystem.diagonal(L))
+    for G in (make_group("K4"), abelian_group((2, 3))):
+        with pytest.raises(ValueError, match=f"system lives on {G.name}, which was not "
+                                             "built as C_n"):
+            realize_saturated(TransferSystem.diagonal(subgroup_lattice(G)))
+
+
+@pytest.mark.parametrize("n", [12, 30])
+def test_realize_needs_a_prime_power_or_pq(n):
+    L = subgroup_lattice(cyclic_group(n))
+    with pytest.raises(NoRealizabilityData, match=f"no realizing construction for C{n}: "):
+        realize_saturated(TransferSystem.diagonal(L))
 
 
 def test_realize_cpn_round_trips():
-    for p, e in ((2, 3), (3, 2), (2, 4), (3, 3)):
-        n = p ** e
+    for n in (8, 9, 16, 27):
         L = subgroup_lattice(cyclic_group(n))
         for T in enumerate_all(L):
             if is_saturated(T):
-                I = realize_saturated_cpn(p, e, T)
-                assert linisom_cyclic(n, I) == T
+                assert linisom_cyclic(n, realize_saturated(T)) == T
 
 
 def test_realize_cpq_table():
     L35 = subgroup_lattice(cyclic_group(35))
     T = generate(L35, [(0, by_order(L35, 7))])
-    I = realize_saturated_cpq(5, 7, T)
-    assert I.sorted() == [0, 1, 5, 10, 15, 20, 25, 30, 34]
-    assert linisom_cyclic(35, I) == T
+    u = realize_saturated(T)
+    assert index_set(35, u) == [0, 1, 5, 10, 15, 20, 25, 30, 34]
+    assert linisom_cyclic(35, u) == T
 
 
 def test_realize_cpq_exclusions():
     L6 = subgroup_lattice(cyclic_group(6))
-    verdict = realize_saturated_cpq(2, 3, generate(L6, [(0, 2)]))
+    verdict = realize_saturated(generate(L6, [(0, 2)]))
     assert isinstance(verdict, NotRealizable) and verdict.tag == "indq"
-    verdict = realize_saturated_cpq(2, 3, generate(L6, [(0, 1)]))
+    verdict = realize_saturated(generate(L6, [(0, 1)]))
     assert isinstance(verdict, NotRealizable) and verdict.tag == "indp"
     L10 = subgroup_lattice(cyclic_group(10))
-    verdict = realize_saturated_cpq(2, 5, generate(L10, [(0, by_order(L10, 5))]))
+    verdict = realize_saturated(generate(L10, [(0, by_order(L10, 5))]))
     assert isinstance(verdict, NotRealizable) and verdict.tag == "indq"
     # 1 -> C2 over C10 is realizable, unlike over C6
-    I = realize_saturated_cpq(2, 5, generate(L10, [(0, by_order(L10, 2))]))
-    assert isinstance(I, CyclicUniverseIndexSet)
+    u = realize_saturated(generate(L10, [(0, by_order(L10, 2))]))
+    assert index_set(10, u) == [0, 1, 9]
 
 
 def test_realize_cpq_all_saturated_round_trip():
@@ -289,7 +287,7 @@ def test_realize_cpq_all_saturated_round_trip():
         for T in enumerate_all(L):
             if not is_saturated(T):
                 continue
-            verdict = realize_saturated_cpq(p, q, T)
+            verdict = realize_saturated(T)
             if isinstance(verdict, NotRealizable):
                 assert T not in set(linisom_image_cyclic(p * q))
             else:
@@ -298,7 +296,7 @@ def test_realize_cpq_all_saturated_round_trip():
 
 def test_realize_cpq_diagonal():
     L6 = subgroup_lattice(cyclic_group(6))
-    assert realize_saturated_cpq(2, 3, TransferSystem.diagonal(L6)).sorted() == [0]
+    assert index_set(6, realize_saturated(TransferSystem.diagonal(L6))) == [0]
 
 
 # -- minimal universes -----------------------------------------------------------

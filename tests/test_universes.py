@@ -1,30 +1,49 @@
-"""Index sets, induced rotation labels and kernels."""
+"""Universes over C_n as class bitmasks, their kernels, and induced rotation labels."""
 
 import math
 
 import pytest
 
+from trlat.acceptance import _induce_lambda
 from trlat.groups import cyclic_group
 from trlat.lattice import subgroup_lattice
-from trlat.universes import (CyclicUniverseIndexSet, _negation_classes, index_set_count,
-                             induce_lambda, lambda_kernel_order)
+from trlat.realize import index_set, linisom_cyclic, steiner_cyclic, universe
+from trlat.transfer import generate
 
 
 def test_canonicalization():
-    I = CyclicUniverseIndexSet.canonical(9, [3])
-    assert I.sorted() == [0, 3, 6]
-    assert CyclicUniverseIndexSet.canonical(6, [-1]).sorted() == [0, 1, 5]
+    assert index_set(9, universe(9, [3])) == [0, 3, 6]
+    assert index_set(6, universe(6, [-1])) == [0, 1, 5]
+    assert universe(6, [7, 0, 12]) == universe(6, [5]) == universe(6, {1, 5})
+    assert universe(4, [2]) == 0b10 and universe(5, []) == universe(5, [0]) == 0
 
 
 def test_index_set_enumeration_count():
-    for n in (1, 2, 5, 6, 9, 12):
-        # the isometries-image scan picks a subset of the negation classes
-        assert index_set_count(n) == 2 ** (n // 2) == 2 ** len(_negation_classes(n))
+    """The 2^(n//2) universes over C_n are 2^(n//2) distinct index sets, each
+    holding 0 and closed under negation, and universe() undoes index_set()."""
+    for n in range(1, 25):
+        sets = [index_set(n, u) for u in range(1 << n // 2)]
+        assert len({tuple(I) for I in sets}) == 1 << n // 2
+        for u, I in enumerate(sets):
+            assert I == sorted(set(I)) and 0 in I
+            assert {-i % n for i in I} == set(I)
+            assert universe(n, I) == u
+
+
+def test_a_universe_is_only_a_class_bitmask_in_range():
+    for n, u in ((6, 8), (6, -1), (1, 1), (9, 16)):
+        with pytest.raises(ValueError, match=f"universe {u} is outside 0 <= u < "):
+            index_set(n, u)
+    for fn in (index_set, steiner_cyclic, linisom_cyclic):
+        with pytest.raises(TypeError, match="is an int class bitmask, got set"):
+            fn(5, {0, 1, 4})
+    with pytest.raises(ValueError, match="modulus must be positive, got 0"):
+        universe(0, [1])
 
 
 def test_induce_from_trivial_group():
-    assert induce_lambda(1, 2, 0) == [0, 1]
-    assert induce_lambda(1, 5, 3) == [0, 1, 2, 3, 4]
+    assert _induce_lambda(1, 2, 0) == [0, 1]
+    assert _induce_lambda(1, 5, 3) == [0, 1, 2, 3, 4]
 
 
 def test_induced_labels_are_one_residue_class_up_to_12():
@@ -33,22 +52,24 @@ def test_induced_labels_are_one_residue_class_up_to_12():
     for n in range(1, 13):
         for d in (d for d in range(1, n + 1) if n % d == 0):
             for m in range(n):
-                assert induce_lambda(d, n, m) == [x for x in range(n) if x % d == m % d]
-    with pytest.raises(ValueError, match="does not divide"):
-        induce_lambda(4, 6, 1)
+                assert _induce_lambda(d, n, m) == [x for x in range(n) if x % d == m % d]
 
 
 def test_kernel_order_is_gcd():
+    """The embedding value of the universe holding label c is generated by
+    (the subgroup of order gcd(n, c), C_n)."""
     for n in (4, 6, 9, 12):
-        for i in range(n):
-            assert lambda_kernel_order(n, i) == math.gcd(n, i) if i else n
+        L = subgroup_lattice(cyclic_group(n))
+        for c in range(1, n // 2 + 1):
+            kernel = next(s for s in range(L.n) if L.order_of(s) == math.gcd(n, c))
+            assert steiner_cyclic(n, universe(n, [c])) == generate(L, [(kernel, L.full)])
 
 
 def test_kernel_matches_elementwise_kernel():
-    """gcd rule vs direct kernel: g^j is in ker iff i*j = 0 mod n."""
+    """Kernels computed element by element: g^j is in the kernel of label c
+    iff c*j = 0 mod n."""
     for n in (4, 6, 8, 9, 12):
         L = subgroup_lattice(cyclic_group(n))
-        for i in range(n):
-            members = frozenset(j for j in range(n) if (i * j) % n == 0)
-            assert members in L.index_of
-            assert len(members) == lambda_kernel_order(n, i)
+        for c in range(1, n // 2 + 1):
+            kernel = L.index_of[frozenset(j for j in range(n) if c * j % n == 0)]
+            assert steiner_cyclic(n, universe(n, [c])) == generate(L, [(kernel, L.full)])
