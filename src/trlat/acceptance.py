@@ -156,9 +156,10 @@ def criterion_counterexamples() -> tuple[bool, str]:
 
 ORACLE_GROUPS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8",
                  "K4", "C2xC4", "Q8", "Sym3")
+GENERATOR_SAMPLES = 200  # random relations generated on each oracle group
 
 
-def criterion_generator_correctness(samples: int = 200) -> tuple[bool, str]:
+def criterion_generator_correctness() -> tuple[bool, str]:
     """On each order-<=8 group whose pair orbits fit the search bound:
     random relations generate the same system as the oracle (intersection of
     all enumerated systems containing them), and match the closed normal
@@ -169,7 +170,7 @@ def criterion_generator_correctness(samples: int = 200) -> tuple[bool, str]:
         G = make_group(name)
         L = subgroup_lattice(G)
         systems = enumerate_all(L)
-        for _ in range(samples):
+        for _ in range(GENERATOR_SAMPLES):
             k = rng.randint(0, min(len(L.proper_pairs), 5))
             R = rng.sample(L.proper_pairs, k) if k else []
             T = generate(L, R)
@@ -194,7 +195,7 @@ def criterion_generator_correctness(samples: int = 200) -> tuple[bool, str]:
     for k, h in L8.proper_pairs:
         if closed_form_normal_source(L8, k, [h]) != generate(L8, [(k, h)]):
             return False, "closed form mismatch on C2xC2xC2"
-    return True, (f"{len(ORACLE_GROUPS)} groups x {samples} samples; "
+    return True, (f"{len(ORACLE_GROUPS)} groups x {GENERATOR_SAMPLES} samples; "
                   f"{checked_closed} random closed-form hits; "
                   "C2xC2xC2 covered by closed forms")
 

@@ -4,20 +4,35 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from typing import Callable, Iterable, Sequence
 
 
 class GroupValidationError(ValueError):
-    """Raised when a Cayley table fails the group axioms."""
+    """Raised when a group spec or Cayley table describes no group trlat builds."""
+
+
+# The largest group order a constructor builds: C_{2^11}, the largest order
+# timed end to end.  A table of order N holds N^2 entries.
+MAX_ORDER = 2048
+
+
+def check_order(order: int, what: str) -> None:
+    """Refuse a group above MAX_ORDER before any of its table is built."""
+    if order > MAX_ORDER:
+        raise GroupValidationError(f"{what} is above the order limit {MAX_ORDER}")
 
 
 class FiniteGroup:
     """A finite group given by a composition table on {0, ..., order-1}.
 
     Instances are immutable after construction and safe to share between
-    threads.  Construction validates the table: totality, a two-sided
-    identity, two-sided inverses, and associativity (by Light's test over a
+    threads.  The arguments are checked, never coerced: `table` is a list
+    or tuple of rows, each a list or tuple of ints (a bool or a float is not
+    one), `names` a list or tuple of strings and `name` a string.
+    Construction then validates the table: totality, a two-sided identity,
+    two-sided inverses, and associativity (by Light's test over a
     generating set; all supported groups have order <= 24).  That set is
     `generators`: each element, in index order, that the earlier ones do
     not generate.
@@ -32,28 +47,37 @@ class FiniteGroup:
 
     def __init__(self, table: Sequence[Sequence[int]], names: Sequence[str] | None = None,
                  name: str = "G"):
+        if not isinstance(table, (list, tuple)):
+            raise GroupValidationError(f"table must be a list of rows, got {table!r}")
         n = len(table)
         if n == 0:
             raise GroupValidationError("empty Cayley table")
         rows = []
         for row in table:
+            if not isinstance(row, (list, tuple)):
+                raise GroupValidationError(f"table row must be a list, got {row!r}")
             if len(row) != n:
                 raise GroupValidationError(
                     f"Cayley table is not square: row of length {len(row)}, expected {n}")
-            row = tuple(int(x) for x in row)
             for x in row:
+                if type(x) is not int:
+                    raise GroupValidationError(f"table entry {x!r} is not an integer")
                 if not 0 <= x < n:
                     raise GroupValidationError(f"table entry {x} outside 0..{n - 1}")
-            rows.append(row)
+            rows.append(tuple(row))
         self.order = n
         self._table = tuple(rows)
         if names is None:
             names = tuple(f"x{i}" for i in range(n))
-        else:
-            names = tuple(str(s) for s in names)
+        elif isinstance(names, (list, tuple)) and all(isinstance(s, str) for s in names):
+            names = tuple(names)
             if len(names) != n:
                 raise GroupValidationError(
                     f"names has length {len(names)}, but the table has order {n}")
+        else:
+            raise GroupValidationError(f"names must be a list of strings, got {names!r}")
+        if not isinstance(name, str):
+            raise GroupValidationError(f"name must be a string, got {name!r}")
         self.element_names = names
         self.name = name
 
@@ -191,6 +215,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     """C_n, additive on residues, generator named g."""
     if n < 1:
         raise GroupValidationError(f"cyclic order must be >= 1, got {n}")
+    check_order(n, f"C{n}")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     names = ["e"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
     return _built(FiniteGroup(table, names, name=f"C{n}"), kind="cyclic", n=n)
@@ -199,11 +224,12 @@ def cyclic_group(n: int) -> FiniteGroup:
 @functools.lru_cache(maxsize=None)
 def abelian_group(factors: tuple[int, ...]) -> FiniteGroup:
     """Direct product of cyclic groups given by invariant factors."""
-    factors = tuple(int(f) for f in factors)
     if not factors or any(f < 2 for f in factors):
         raise GroupValidationError(f"invariant factors must all be >= 2, got {list(factors)}")
     if len(factors) == 1:
         return cyclic_group(factors[0])
+    name = "x".join(f"C{f}" for f in factors)
+    check_order(math.prod(factors), name)
     items = list(itertools.product(*(range(f) for f in factors)))
 
     def op(a, b):
@@ -211,7 +237,6 @@ def abelian_group(factors: tuple[int, ...]) -> FiniteGroup:
 
     names = ["e" if all(x == 0 for x in a) else "(" + ",".join(map(str, a)) + ")"
              for a in items]
-    name = "x".join(f"C{f}" for f in factors)
     return _built(FiniteGroup(_table_from_op(items, op), names, name=name),
                   kind="abelian", factors=list(factors))
 
@@ -272,6 +297,7 @@ def dihedral_group(two_p: int) -> FiniteGroup:
     """D_2p for an odd prime p: rotations r^a and reflections r^a s."""
     if two_p % 2 != 0:
         raise GroupValidationError(f"dihedral order must be even, got {two_p}")
+    check_order(two_p, f"D{two_p}")
     p = two_p // 2
     if p < 3 or not is_prime(p):
         raise GroupValidationError(f"D{two_p} requires an odd prime p, got p={p}")
@@ -323,27 +349,54 @@ def builtin_group(name: str) -> FiniteGroup:
     raise GroupValidationError(f"unknown builtin group {name!r}")
 
 
+# Each kind's fields: the required one, then any optional ones
+_SPEC_FIELDS = {"cyclic": ("n",), "abelian": ("factors",), "builtin": ("name",),
+                "table": ("table", "names", "name")}
+
+
 def make_group(spec) -> FiniteGroup:
     """Build a group from a spec dict ({'kind': ...}) or a shorthand string.
 
     Kinds: cyclic (n), abelian (factors), builtin (name), table (table,
     optional names/name).  A bare string is treated as a builtin name,
     which also accepts C<n>, D<2p> and products C<a>xC<b>...
+
+    This is the one check of a spec, and nothing is coerced: a key that is
+    not one of its kind's fields, a missing field, an `n` or factor that is
+    not an int (a bool or an integral float is not one) and a builtin
+    `name` that is not a string are refused with a GroupValidationError
+    that names the field.  FiniteGroup checks a table's fields.
     """
     if isinstance(spec, str):
         return builtin_group(spec)
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise GroupValidationError(f"group spec must be a name or a dict with 'kind': {spec!r}")
-    kind = spec["kind"]
+    if not isinstance(spec, dict):
+        raise GroupValidationError(f"group spec must be a name or an object, got {spec!r}")
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _SPEC_FIELDS:
+        raise GroupValidationError(
+            f"field 'kind' must be one of {', '.join(_SPEC_FIELDS)}, got {kind!r}")
+    fields = _SPEC_FIELDS[kind]
+    foreign = [key for key in spec if key != "kind" and key not in fields]
+    if foreign:
+        raise GroupValidationError(f"a spec of kind {kind!r} has no field {foreign[0]!r}")
+    if fields[0] not in spec:
+        raise GroupValidationError(f"a spec of kind {kind!r} needs field {fields[0]!r}")
+    value = spec[fields[0]]
     if kind == "cyclic":
-        return cyclic_group(int(spec["n"]))
+        if type(value) is not int:  # nor a bool
+            raise GroupValidationError(f"field 'n' must be an integer, got {value!r}")
+        return cyclic_group(value)
     if kind == "abelian":
-        return abelian_group(tuple(int(f) for f in spec["factors"]))
+        if not (isinstance(value, (list, tuple)) and all(type(f) is int for f in value)):
+            raise GroupValidationError(f"field 'factors' must be a list of integers, got {value!r}")
+        return abelian_group(tuple(value))
     if kind == "builtin":
-        return builtin_group(spec["name"])
-    if kind == "table":
-        return FiniteGroup(spec["table"], spec.get("names"), name=spec.get("name", "G"))
-    raise GroupValidationError(f"unknown group kind {kind!r}")
+        if not isinstance(value, str):
+            raise GroupValidationError(f"field 'name' must be a string, got {value!r}")
+        return builtin_group(value)
+    if spec.get("names", ()) is None:  # FiniteGroup's default, but not a list of strings
+        raise GroupValidationError("names must be a list of strings, got None")
+    return FiniteGroup(value, spec.get("names"), name=spec.get("name", "G"))
 
 
 def group_spec(G: FiniteGroup) -> dict:

@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass
 from importlib import resources
 
-from .groups import FiniteGroup, cyclic_group, is_prime
+from .groups import MAX_ORDER, FiniteGroup, check_order, cyclic_group, is_prime
 from .lattice import SubgroupLattice, subgroup_lattice
 from .transfer import (SearchBoundExceeded, TransferSystem, generate, in_key_order,
                        is_saturated, irreducible_pairs, join)
@@ -279,17 +279,26 @@ def linisom_image(L: SubgroupLattice) -> tuple[list[TransferSystem], int]:
 # -- constructing realizing universes ------------------------------------------
 
 def cpn_modulus(p: int, n: int) -> int:
-    """p^n, checked before any group of that order is built: p must be prime
-    and n >= 0."""
+    """p^n, checked before any group of that order is built: p must be prime,
+    n >= 0 and p^n at most MAX_ORDER.  The sizes are bounded first, so that
+    is_prime divides only up to √MAX_ORDER and p ** n is never computed huge."""
+    check_order(p, f"p = {p}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 0:
         raise ValueError(f"exponent n must be >= 0, got {n}")
+    # p >= 2, so every n from MAX_ORDER.bit_length() on is past the limit
+    check_order(p ** min(n, MAX_ORDER.bit_length()), f"C{p}^{n}")
     return p ** n
 
 
 def cpq_modulus(p: int, q: int) -> int:
-    """pq, checked before any group of that order is built: p < q, both prime."""
+    """pq, checked before any group of that order is built: p < q, both prime
+    and pq at most MAX_ORDER.  As in cpn_modulus, the sizes are bounded before
+    is_prime divides: p before its own test, pq before q's."""
+    check_order(p, f"p = {p}")
+    if p < q and is_prime(p):
+        check_order(p * q, f"C{p * q}")
     if not (is_prime(p) and is_prime(q) and p < q):
         raise ValueError(f"need primes p < q, got ({p}, {q})")
     return p * q

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import jsonschema
-from .groups import FiniteGroup, group_spec, make_group
+from .groups import FiniteGroup, GroupValidationError, group_spec, make_group
 from .lattice import SubgroupLattice, subgroup_lattice
 from .transfer import TransferSystem
 
@@ -143,9 +143,14 @@ def validate_document(doc: dict, schema: dict) -> None:
 
 
 def group_from_json(doc: dict) -> FiniteGroup:
-    validate_document(doc, GROUP_SCHEMA)
-    spec = {k: v for k, v in doc.items() if k != "schema_version"}
-    return make_group(spec)
+    """The group a GROUP_SCHEMA document names.  make_group checks the spec,
+    more strictly than the schema: it also refuses keys that are not the
+    kind's fields and integral floats."""
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise GroupValidationError(f"a group document must be an object with "
+                                   f"schema_version {SCHEMA_VERSION}")
+    return make_group({k: v for k, v in doc.items() if k != "schema_version"})
 
 
 def lattice_to_json(L: SubgroupLattice) -> dict:
@@ -172,6 +177,10 @@ def system_to_json(T: TransferSystem) -> dict:
 
 def system_from_json(doc: dict) -> TransferSystem:
     validate_document(doc, SYSTEM_SCHEMA)
+    # the schema counts an integral float such as 0.0 as an integer
+    floats = [x for pair in doc["pairs"] for x in pair if type(x) is not int]
+    if floats:
+        raise ValueError(f"pairs must hold integer subgroup indices, got {floats[0]!r}")
     L = subgroup_lattice(group_from_json({"schema_version": SCHEMA_VERSION, **doc["group"]}))
     if doc["subgroup_count"] != L.n:
         raise ValueError(f"document says {doc['subgroup_count']} subgroups, "

@@ -314,6 +314,31 @@ def test_realize_refuses_a_negative_exponent(capsys):
     assert code == 0 and doc["results"] == {"realizable": True, "index_set": [0], "modulus": 1}
 
 
+@pytest.mark.parametrize("argv,code,message", [
+    (("group", "info", "--group", "C100000"), 2, "usage error: C100000"),
+    (("group", "info", "--group", "C64xC64"), 2, "usage error: C64xC64"),
+    (("group", "info", "--group", "D200006"), 2, "usage error: D200006"),
+    (("realize", "cpn", "--p", "2", "--n", "1000000000"), 1, "error: C2^1000000000"),
+    (("realize", "cpq", "--p", "2", "--q", "2305843009213693951"), 1,
+     "error: C4611686018427387902"),
+], ids=["C100000", "C64xC64", "D200006", "cpn-2^10^9", "cpq-2-M61"])
+def test_oversized_groups_are_refused_before_any_work(argv, code, message, capsys):
+    """Each would fill a Cayley table of 10^9 entries or more, or divide by
+    every number up to sqrt(2^61)."""
+    started = time.perf_counter()
+    assert invoke(*argv) == (code, "")
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr().err == f"{message} is above the order limit 2048\n"
+
+
+def test_spec_file_with_a_string_order_is_refused(tmp_path, capsys):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": "cyclic", "n": "12"}))
+    assert invoke("group", "info", "--group", f"@{path}") == (2, "")
+    assert capsys.readouterr().err == \
+        f"usage error: group spec {path}: field 'n' must be an integer, got '12'\n"
+
+
 def test_minimal_universe_refusal_exits_1(capsys):
     code, out = invoke("minimal-universe", "--group", "C2xC2xC2xC2xC2",
                        "--sub", "1", "--sup", "C2xC2xC2xC2xC2")

@@ -71,6 +71,16 @@ def test_system_json_rejects_invalid_pairs():
         serialize.system_from_json(doc)
 
 
+def test_system_json_refuses_float_pair_entries():
+    L = L_("C4")
+    doc = serialize.system_to_json(TransferSystem.diagonal(L))
+    doc["pairs"] = [[0.0, 2]]
+    serialize.validate_document(doc, serialize.SYSTEM_SCHEMA)  # JSON Schema takes 0.0 as an integer
+    with pytest.raises(ValueError) as refused:
+        serialize.system_from_json(doc)
+    assert str(refused.value) == "pairs must hold integer subgroup indices, got 0.0"
+
+
 def test_every_schema_is_valid_against_its_metaschema():
     """validate_document trusts the module's schemas; this checks them."""
     schemas = [value for name, value in vars(serialize).items() if name.endswith("_SCHEMA")]
