@@ -43,10 +43,14 @@ def parse_group(token: str):
 
 
 def _bound(text: str) -> int:
-    """A search bound from text; a negative one would refuse every search."""
+    """A search bound from text; a negative one would refuse every search.
+    int() refuses a numeral only above Python's limit on its digits."""
     try:
         value = int(text)
     except ValueError:
+        if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
+            raise argparse.ArgumentTypeError(
+                f"bound is too long: {len(text.strip())} characters") from None
         value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"bound must be a non-negative integer, got {text!r}")

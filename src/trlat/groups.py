@@ -335,17 +335,28 @@ _BUILTINS: dict[str, Callable[[], FiniteGroup]] = {
 }
 
 
+def _order(name: str, digits: str) -> int:
+    """An order or factor of the builtin name.  A numeral with more digits
+    than MAX_ORDER, leading zeros aside, is above it, and is refused before
+    int() meets Python's limit on the digits it converts."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_ORDER)):
+        shown = name if len(name) <= 40 else f"{name[:12]}... ({len(digits)} digits)"
+        raise GroupValidationError(f"{shown} is above the order limit {MAX_ORDER}")
+    return int(digits)
+
+
 def builtin_group(name: str) -> FiniteGroup:
     if name in _BUILTINS:
         return _BUILTINS[name]()
     m = re.fullmatch(r"D(\d+)", name)
     if m:
-        return dihedral_group(int(m.group(1)))
+        return dihedral_group(_order(name, m.group(1)))
     m = re.fullmatch(r"C(\d+)", name)
     if m:
-        return cyclic_group(int(m.group(1)))
+        return cyclic_group(_order(name, m.group(1)))
     if re.fullmatch(r"C\d+(xC\d+)+", name):
-        return abelian_group(tuple(int(f[1:]) for f in name.split("x")))
+        return abelian_group(tuple(_order(name, f[1:]) for f in name.split("x")))
     raise GroupValidationError(f"unknown builtin group {name!r}")
 
 

@@ -7,7 +7,6 @@ relation K_k -> H_h holds (canonical lattice indices).
 from __future__ import annotations
 
 import functools
-import operator
 from typing import NamedTuple
 from .lattice import SubgroupLattice
 
@@ -141,7 +140,6 @@ class _Tables:
     below[h]: the l with L_l <= H_h, ascending, so (L_l n K_k, L_l) for l in
       below[h] are the restrictions of (k, h).
     orbit_of[k*n + h]: the index in L.pair_orbits of a proper pair, else -1.
-    orbit_pairs[j]: the packed pairs of orbit j.
     orbits: per pair orbit, the packed bit of its first pair and the nonzero
       (row, bits) of its members' demands together, which is what the orbit
       adds under conjugation, then restriction: every pair of an orbit
@@ -150,7 +148,7 @@ class _Tables:
     """
 
     __slots__ = ("lattice", "incl", "maximum", "demand", "conjugates", "below", "orbit_of",
-                 "orbit_pairs", "orbits", "generated")
+                 "orbits", "generated")
 
     def __init__(self, L: SubgroupLattice):
         n = L.n
@@ -159,10 +157,8 @@ class _Tables:
         self.maximum = sum(r << k * n for k, r in enumerate(self.incl))
         self.below = [tuple(l for l in range(n) if L.includes[l][h]) for h in range(n)]
         self.demand, self.orbit_of, self.orbits = [0] * (n * n), [-1] * (n * n), []
-        self.orbit_pairs = []
         for j, orbit in enumerate(L.pair_orbits):
             conjugates = sum(1 << k * n + h for k, h in orbit)
-            self.orbit_pairs.append(conjugates)
             union = 0
             for k, h in orbit:
                 need = conjugates
@@ -531,27 +527,17 @@ def hasse_diagram(L: SubgroupLattice, bound: int = SEARCH_BOUND
     return systems, covers
 
 
-def _orbit_images(L: SubgroupLattice, p: tuple[int, ...], key: int) -> int:
-    """The action of a subgroup permutation p induced by an automorphism on
-    codes, ints whose bit j stands for pair orbit j of L, read 8 bits at a
-    time: for key = i << 8 | c, the packed pairs of the images of the orbits
-    8i + b for the bits b of c.
-
-    An automorphism normalizes Inn(G), so p maps conjugation orbits of
-    pairs onto conjugation orbits, and sends orbit j to the orbit of the
-    image (p[k], p[h]) of j's first pair (k, h).  A transfer system is the
-    diagonal plus the pairs of the orbits it holds, so its image is the
-    diagonal OR the images of its code's chunks.
-    """
-    n = L.n
-    tables = _tables(L)
-    out, j, chunk = 0, key >> 8 << 3, key & 255
+def _pair_images(n: int, p: tuple[int, ...], key: int) -> int:
+    """The action of a subgroup permutation p on packed systems over n
+    subgroups, read 8 bits at a time: for key = i << 8 | c, the packed
+    images (p[k], p[h]) of the pairs (k, h) = 8i + b for the bits b of c."""
+    out, q, chunk = 0, key >> 8 << 3, key & 255
     while chunk:
         if chunk & 1:
-            k, h = L.pair_orbits[j][0]
-            out |= tables.orbit_pairs[tables.orbit_of[p[k] * n + p[h]]]
+            k, h = divmod(q, n)
+            out |= 1 << p[k] * n + p[h]
         chunk >>= 1
-        j += 1
+        q += 1
     return out
 
 
@@ -565,10 +551,11 @@ def aut_orbits(systems, automorphism_perms):
 
     Inner automorphisms (subgroup permutations L.conjugate[g]) fix every
     conjugation-closed system, so only one subgroup permutation per coset
-    of Inn(G) other than Inn(G) itself relabels.  It acts on pair orbits
-    (see `_orbit_images`, whose values each action keeps), so each
-    representative's held orbits are read once, as a code, and each
-    relabeling ORs together the images of the code's 8-bit chunks.
+    of Inn(G) other than Inn(G) itself relabels.  It maps the diagonal to
+    itself and distinct proper pairs to distinct proper pairs, so a
+    relabeling is the diagonal plus the disjoint images of the nonzero
+    bytes of the representative's proper pairs (see `_pair_images`, whose
+    values each action keeps).
     """
     if not systems:
         return [], []
@@ -577,16 +564,9 @@ def aut_orbits(systems, automorphism_perms):
     actions, covered = [], set(inner)
     for p in {L.subgroup_perm(sigma) for sigma in automorphism_perms}:
         if p not in covered:
-            actions.append(_Lazy(functools.partial(_orbit_images, L, p)))
+            actions.append(_Lazy(functools.partial(_pair_images, L.n, p)))
             covered |= {tuple(p[s] for s in c) for c in inner}
-    n = L.n
-    width, size = f"0{n * n}b", -(-len(L.pair_orbits) // 8)
-    # bit j of P's code says P holds orbit j: the characters of
-    # format(P, width) at the orbits' first pairs, the last orbit first
-    positions = [n * n - 1 - k * n - h for k, h in reversed([o[0] for o in L.pair_orbits])]
-    # itemgetter needs a position, and only C1, with no action, has no pair orbit
-    held = operator.itemgetter(*positions) if actions else None
-    diagonal = _packing(n)[0]
+    diagonal, size = _packing(L.n)[0], -(-L.n * L.n // 8)
     index = {T.bits: i for i, T in enumerate(systems)}
     placed = [False] * len(systems)
     orbits = []
@@ -595,12 +575,11 @@ def aut_orbits(systems, automorphism_perms):
             continue
         members = {index[T.bits]}
         if actions:
-            code = int("".join(held(format(T.bits, width))), 2)
-            chunks = [at << 8 | c for at, c in enumerate(code.to_bytes(size, "little")) if c]
+            proper = (T.bits & ~diagonal).to_bytes(size, "little")
+            chunks = [at << 8 | c for at, c in enumerate(proper) if c]
             for images in actions:
                 try:
-                    members.add(index[functools.reduce(
-                        operator.or_, map(images.__getitem__, chunks), diagonal)])
+                    members.add(index[sum(map(images.__getitem__, chunks), diagonal)])
                 except KeyError:
                     raise ValueError(
                         "system list is not closed under the automorphism action") from None

@@ -195,6 +195,11 @@ def test_bound_flag(argv, refused, capsys):
         assert (code, out) == (2, "")
         assert f"--bound: bound must be a non-negative integer, got {bad!r}" \
             in capsys.readouterr().err
+    code, out = invoke(*argv, "--group", "Q8", "--bound", "9" * 5000)
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith("--bound: bound is too long: 5000 characters")
+    assert len(err) < 300
 
 
 def test_search_bound_environment_is_ignored(monkeypatch, capsys):
@@ -329,6 +334,21 @@ def test_oversized_groups_are_refused_before_any_work(argv, code, message, capsy
     assert invoke(*argv) == (code, "")
     assert time.perf_counter() - started < 1
     assert capsys.readouterr().err == f"{message} is above the order limit 2048\n"
+
+
+@pytest.mark.parametrize("token", ["C" + "9" * 5000, "D" + "9" * 5000, "C2xC" + "9" * 5000],
+                         ids=["C", "D", "C2xC"])
+def test_numerals_past_the_digit_limit_are_refused(token, capsys):
+    """int() refuses a numeral of more than 4300 digits; the token is refused
+    first, on one line, without its digits."""
+    assert invoke("group", "info", "--group", token) == (2, "")
+    assert capsys.readouterr().err == \
+        f"usage error: {token[:12]}... (5000 digits) is above the order limit 2048\n"
+
+
+def test_leading_zeros_are_not_digits_of_the_order():
+    code, doc = invoke_json("group", "info", "--group", "C" + "0" * 5000 + "7")
+    assert code == 0 and doc["group"] == {"kind": "cyclic", "n": 7}
 
 
 def test_spec_file_with_a_string_order_is_refused(tmp_path, capsys):

@@ -379,10 +379,16 @@ def test_k4_orbit_count():
 
 @pytest.mark.parametrize("name,profile", [("Sym3", [(1, 9)]), ("D10", None), ("Q8", None),
                                           ("C2xC4", None), ("C2xC6", None),
-                                          ("D8-relabeled", None)])
+                                          ("D8-relabeled", None), ("D12-relabeled", None),
+                                          ("C1", [(1, 1)])])
 def test_orbits_match_brute_force_relabeling(name, profile):
-    """Relabel every system's pairs under every automorphism, inner ones included."""
-    L = subgroup_lattice(relabeled(dihedral(4), 5) if name == "D8-relabeled" else make_group(name))
+    """Relabel every system's pairs under every automorphism, inner ones
+    included.  D12's 16 subgroups span 32 bytes of pairs; C1 has no proper
+    pair and no action."""
+    if name.endswith("-relabeled"):
+        L = subgroup_lattice(relabeled(dihedral(int(name[1:name.index("-")]) // 2), 5))
+    else:
+        L = L_(name)
     systems = enumerate_all(L, bound=26)
     orbits, got_profile = aut_orbits(systems, automorphisms(L.group))
     images = [tuple(L.index_of[frozenset(sigma[x] for x in s)] for s in L.subgroups)
