@@ -85,7 +85,6 @@ class FiniteGroup:
         self._invert = self._find_inverses()
         self.generators = tuple(self._right_closure(range(n))[1])
         self._check_associative()
-        self._abelian: bool | None = None
 
     def _find_identity(self) -> int:
         for e in range(self.order):
@@ -143,13 +142,10 @@ class FiniteGroup:
             k += 1
         return k
 
-    @property
+    @functools.cached_property
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            t = self._table
-            self._abelian = all(t[a][b] == t[b][a]
-                                for a in range(self.order) for b in range(self.order))
-        return self._abelian
+        t = self._table
+        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(self.order))
 
     def closure(self, seed: Iterable[int]) -> frozenset[int]:
         """Subgroup generated by the given elements."""
@@ -185,9 +181,6 @@ class FiniteGroup:
     @property
     def kind(self) -> str:
         return self.spec["kind"] if self.spec else "table"
-
-    def name_of(self, x: int) -> str:
-        return self.element_names[x]
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"

@@ -21,62 +21,63 @@ class SubgroupLattice:
         self.n = len(self.subgroups)
         self.index_of = {s: i for i, s in enumerate(self.subgroups)}
         self.full = self.n - 1
+        # each subgroup as the bitmask of its members: bit x for element x
+        masks = [sum(1 << x for x in s) for s in self.subgroups]
+        self._index_of_mask = {m: i for i, m in enumerate(masks)}
 
         n = self.n
-        self.includes = tuple(tuple(self.subgroups[k] <= self.subgroups[h] for h in range(n))
-                              for k in range(n))
-        self.intersect = tuple(
-            tuple(self.index_of[self.subgroups[a] & self.subgroups[b]] for b in range(n))
-            for a in range(n))
-        self.conjugate = tuple(
-            tuple(self.index_of[frozenset(group.conjugate(g, x) for x in self.subgroups[s])]
-                  for s in range(n))
-            for g in range(group.order))
-        self.normal = tuple(all(self.conjugate[g][s] == s for g in range(group.order))
-                            for s in range(n))
+        self.includes = tuple(tuple(a & b == a for b in masks) for a in masks)
+        self.intersect = tuple(tuple(self._index_of_mask[a & b] for b in masks) for a in masks)
+
+        # x -> g x g^-1 depends only on the coset of g modulo the centre: one
+        # subgroup permutation per coset, shared by the coset's elements
+        centre = [z for z in range(group.order)
+                  if all(group.compose(z, g) == group.compose(g, z) for g in group.generators)]
+        conjugate: list = [None] * group.order
+        for g in range(group.order):
+            if conjugate[g] is None:
+                perm = self.subgroup_perm(tuple(group.conjugate(g, x) for x in range(group.order)))
+                for z in centre:
+                    conjugate[group.compose(g, z)] = perm
+        self.conjugate = tuple(conjugate)
+        inner = tuple(dict.fromkeys(conjugate))  # the distinct permutations
+        self.normal = tuple(all(c[s] == s for c in inner) for s in range(n))
         self.cocyclic = tuple(self._is_cocyclic(s) for s in range(n))
 
-        class_of = [-1] * n
-        cid = 0
-        for s in range(n):
-            if class_of[s] >= 0:
-                continue
-            for g in range(group.order):
-                class_of[self.conjugate[g][s]] = cid
-            cid += 1
-        self.class_of = tuple(class_of)
-        self.class_count = cid
+        # classes are numbered in the order of their least members
+        least = [min(c[s] for c in inner) for s in range(n)]
+        rank = {s: i for i, s in enumerate(sorted(set(least)))}
+        self.class_of = tuple(rank[s] for s in least)
+        self.class_count = len(rank)
 
         self.proper_pairs = tuple((k, h) for k in range(n) for h in range(n)
                                   if k != h and self.includes[k][h])
-        self.pair_orbits = self._pair_orbit_partition()
+        self.pair_orbits = self._pair_orbit_partition(inner)
         self.names = tuple(self._display_name(s) for s in range(n))
         self._name_index = {}
         for i, nm in enumerate(self.names):
             self._name_index.setdefault(nm, []).append(i)
 
     def _is_cocyclic(self, s: int) -> bool:
-        # normal with cyclic quotient: some coset generates the quotient
+        """H is normal and G/H cyclic: some x has order |G:H| modulo H."""
         if not self.normal[s]:
             return False
         G, H = self.group, self.subgroups[s]
         q = G.order // len(H)
         for x in range(G.order):
-            coset, power = set(), x
-            for _ in range(q):
-                coset.add(min(G.compose(power, h) for h in H))
-                power = G.compose(power, x)
-            if len(coset) == q:
+            power, k = x, 1
+            while power not in H:
+                power, k = G.compose(power, x), k + 1
+            if k == q:
                 return True
         return False
 
-    def _pair_orbit_partition(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def _pair_orbit_partition(self, inner) -> tuple[tuple[tuple[int, int], ...], ...]:
         orbits, seen = [], set()
-        for pair in self.proper_pairs:
-            if pair in seen:
+        for k, h in self.proper_pairs:
+            if (k, h) in seen:
                 continue
-            orbit = {(self.conjugate[g][pair[0]], self.conjugate[g][pair[1]])
-                     for g in range(self.group.order)}
+            orbit = {(c[k], c[h]) for c in inner}
             seen |= orbit
             orbits.append(tuple(sorted(orbit)))
         return tuple(sorted(orbits, key=lambda o: o[0]))
@@ -90,15 +91,14 @@ class SubgroupLattice:
         if G.kind == "cyclic":
             return f"C{len(H)}"  # one subgroup per divisor
         gens = self._minimal_generators(H)
-        return "<" + ",".join(G.name_of(g) for g in gens) + ">"
+        return "<" + ",".join(G.element_names[g] for g in gens) + ">"
 
-    def _minimal_generators(self, H: frozenset[int]) -> list[int]:
+    def _minimal_generators(self, H: frozenset[int]) -> tuple[int, ...]:
+        """The least generating tuple of a nontrivial H, by size then lexicographically."""
         members = sorted(H - {self.group.identity})
-        for size in range(1, len(members) + 1):
-            for combo in itertools.combinations(members, size):
-                if self.group.closure(combo) == H:
-                    return list(combo)
-        return members
+        return next(combo for size in range(1, len(members) + 1)
+                    for combo in itertools.combinations(members, size)
+                    if self.group.closure(combo) == H)
 
     def resolve_name(self, name: str) -> int:
         """Canonical index of the subgroup with the given display name."""
@@ -114,8 +114,8 @@ class SubgroupLattice:
 
     def subgroup_perm(self, sigma: tuple[int, ...]) -> tuple[int, ...]:
         """Permutation of subgroup indices induced by an element permutation."""
-        return tuple(self.index_of[frozenset(sigma[x] for x in self.subgroups[s])]
-                     for s in range(self.n))
+        bit = [1 << y for y in sigma]
+        return tuple(self._index_of_mask[sum(map(bit.__getitem__, s))] for s in self.subgroups)
 
     @property
     def fingerprint(self) -> tuple:
@@ -130,27 +130,23 @@ class SubgroupLattice:
 def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     """Enumerate all subgroups of G (cached on the group object).
 
-    Breadth-first closure over generator sets: start from the cyclic
-    subgroups, repeatedly close pairs under join, and deduplicate by member
-    set.  Exact for any finite group; intended for order <= 24.
+    Breadth-first over joins with cyclic subgroups: start from the cyclic
+    subgroups, and join each new subgroup with every cyclic subgroup it
+    does not contain, until no join is new; subgroups are deduplicated by
+    member set.  This reaches every subgroup: H = <h_1, ..., h_k> is the
+    join of <h_1> with <h_2>, ..., <h_k> in turn, and each partial join
+    is new in some round, so is joined with the next <h_i> then.  Exact
+    for any finite group; intended for order <= 24.
     """
     cached = getattr(G, "_lattice", None)
     if cached is not None:
         return cached
-    subs = {frozenset([G.identity])}
-    subs |= {G.closure([g]) for g in range(G.order)}
-    frontier = set(subs)
+    cyclic = {G.closure([g]) for g in range(G.order)}
+    subs, frontier = set(cyclic), cyclic
     while frontier:
-        new = set()
-        for H in frontier:
-            for K in list(subs):
-                if H <= K or K <= H:
-                    continue
-                J = G.closure(H | K)
-                if J not in subs:
-                    new.add(J)
-        subs |= new
-        frontier = new
+        frontier = {G.closure(H | C) for H in frontier for C in cyclic
+                    if not (C <= H or H <= C)} - subs
+        subs |= frontier
     lattice = SubgroupLattice(G, list(subs))
     G._lattice = lattice
     return lattice
