@@ -131,11 +131,12 @@ def cmd_ts_check(ns, L):
 
 
 def cmd_ts_enumerate(ns, L):
+    auts = automorphisms(L.group) if ns.orbits else None  # a refusal comes before the walk
     systems = enumerate_all(L, ns.bound)
     results = {"count": len(systems),
                "systems": [_named_pairs(T) for T in systems]}
     if ns.orbits:
-        orbits, profile = aut_orbits(systems, automorphisms(L.group))
+        orbits, profile = aut_orbits(systems, auts)
         results["orbit_count"] = len(orbits)
         results["orbit_profile"] = [list(sc) for sc in profile]
     return results, []
@@ -292,6 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_out(path: str) -> None:
     """Refuse, before any work, an `export --out` path that is a directory or
     whose directory is missing or not writable; `run` also refuses a failed open."""
+    if not path:
+        raise UsageError("--out needs a file name, got an empty string")
     parent = os.path.dirname(path) or "."
     for failed, problem in ((os.path.isdir(path), "is a directory"),
                             (not os.path.isdir(parent), f"no directory {parent}"),
@@ -321,7 +324,7 @@ def run(argv: list[str], out=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     started, ns.stdout = time.perf_counter(), out
     try:
-        if ns.command == "export" and ns.out:
+        if ns.command == "export" and ns.out is not None:
             _check_out(ns.out)
         G = _group(ns)
         L = subgroup_lattice(G) if G is not None else None

@@ -3,7 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import math
 from .groups import FiniteGroup
+
+# The most work an automorphism search takes on: its candidate generator
+# images times the group order.  C2048 (2,097,152), D202 (2,040,200) and
+# C2xC2xC2xC2 (810,000) fit; C2xC1024 (6.3M) and C2xC2xC2xC2xC2 (916M) do not.
+AUTOMORPHISM_SEARCH_LIMIT = 1 << 22
+
+
+class SearchBoundExceeded(ValueError):
+    """Raised when an enumeration or a scan would exceed its bound."""
 
 
 class SubgroupLattice:
@@ -160,9 +170,18 @@ def automorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
     multiplications by the generators from the identity, and kept iff it is
     a bijection with phi(x g) = phi(x) phi(g) for every element x and
     generator g.  That makes phi a homomorphism, since every element is a
-    product of generators.
+    product of generators.  Refused, before any candidate is tried, above
+    AUTOMORPHISM_SEARCH_LIMIT candidate image tuples times the group order.
     """
     gens = G.generators
+    orders = [G.element_order(x) for x in range(G.order)]
+    candidates = [[y for y in range(G.order) if orders[y] == orders[g]] for g in gens]
+    tuples = math.prod(map(len, candidates))
+    if tuples * G.order > AUTOMORPHISM_SEARCH_LIMIT:
+        raise SearchBoundExceeded(
+            f"the automorphism search on {G.name} would try {tuples} tuples of generator "
+            f"images, each over {G.order} elements: {tuples * G.order} steps, above the "
+            f"limit {AUTOMORPHISM_SEARCH_LIMIT}")
     right = [[G.compose(x, g) for x in range(G.order)] for g in gens]  # right[i][x] = x g_i
     tree, seen = [], {G.identity}  # (x, i, x g_i), each element first reached
     frontier = [G.identity]
@@ -172,8 +191,6 @@ def automorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
                 seen.add(col[x])
                 frontier.append(col[x])
                 tree.append((x, i, col[x]))
-    orders = [G.element_order(x) for x in range(G.order)]
-    candidates = [[y for y in range(G.order) if orders[y] == orders[g]] for g in gens]
     out: list[tuple[int, ...]] = []
     for images in itertools.product(*candidates):
         phi = [G.identity] * G.order

@@ -177,7 +177,13 @@ def system_to_json(T: TransferSystem) -> dict:
 
 def system_from_json(doc: dict) -> TransferSystem:
     validate_document(doc, SYSTEM_SCHEMA)
+    foreign = [key for key in doc if key not in SYSTEM_SCHEMA["properties"]]
+    if foreign:
+        raise ValueError(f"a system document has no field {foreign[0]!r}")
     # the schema counts an integral float such as 0.0 as an integer
+    for field in ("schema_version", "subgroup_count"):
+        if type(doc[field]) is not int:
+            raise ValueError(f"field {field!r} must be an integer, got {doc[field]!r}")
     floats = [x for pair in doc["pairs"] for x in pair if type(x) is not int]
     if floats:
         raise ValueError(f"pairs must hold integer subgroup indices, got {floats[0]!r}")

@@ -8,15 +8,11 @@ from __future__ import annotations
 
 import functools
 from typing import NamedTuple
-from .lattice import SubgroupLattice
+from .lattice import SearchBoundExceeded, SubgroupLattice
 
 
 class TransferSystemError(ValueError):
     """Raised for relations that violate the transfer-system axioms."""
-
-
-class SearchBoundExceeded(ValueError):
-    """Raised when an enumeration or a scan would exceed its bound."""
 
 
 class Violation(NamedTuple):

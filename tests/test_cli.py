@@ -202,6 +202,28 @@ def test_bound_flag(argv, refused, capsys):
     assert len(err) < 300
 
 
+AUT_REFUSAL = ("error: the automorphism search on C2xC2xC2xC2xC2 would try 28629151 tuples "
+               "of generator images, each over 32 elements: 916132832 steps, above the "
+               "limit 4194304\n")
+
+
+def test_group_info_refuses_an_automorphism_search_that_would_not_fit(capsys):
+    started = time.perf_counter()
+    assert invoke("group", "info", "--group", "C2xC2xC2xC2xC2") == (1, "")
+    assert time.perf_counter() - started < 5
+    assert capsys.readouterr().err == AUT_REFUSAL
+
+
+def test_ts_enumerate_orbits_refuses_before_its_walk(monkeypatch, capsys):
+    def walked(*args, **kwargs):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr("trlat.cli.enumerate_all", walked)
+    argv = ("ts", "enumerate", "--group", "C2xC2xC2xC2xC2", "--orbits", "--bound", "100000")
+    assert invoke(*argv) == (1, "")
+    assert capsys.readouterr().err == AUT_REFUSAL
+
+
 def test_search_bound_environment_is_ignored(monkeypatch, capsys):
     monkeypatch.setenv("TL_SEARCH_BOUND", "3")
     code, doc = invoke_json("ts", "enumerate", "--group", "Q8")
@@ -455,6 +477,17 @@ def test_export_refuses_an_unwritable_out_before_any_work(tmp_path, monkeypatch,
     assert invoke("export", "--format", "dot", "--group", "Sym4", "--out", str(target)) == (2, "")
     assert capsys.readouterr().err == f"usage error: --out {target}: {tmp_path} is not writable\n"
     assert list(tmp_path.iterdir()) == [plain]
+
+
+def test_export_refuses_an_empty_out_before_any_group(monkeypatch, capsys):
+    def built(*args, **kwargs):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr("trlat.cli.parse_group", built)
+    for fmt in ("dot", "json"):
+        assert invoke("export", "--format", fmt, "--group", "C4", "--out", "") == (2, "")
+        assert capsys.readouterr().err == \
+            "usage error: --out needs a file name, got an empty string\n"
 
 
 def test_export_chain_json_is_the_chain_report():

@@ -1,12 +1,14 @@
 """Subgroup lattice enumeration, conjugation data, automorphisms."""
 
 import itertools
+import math
+import time
 
 import pytest
 
 from trlat.groups import (abelian_group, cyclic_group, dihedral_group, klein_group,
                           make_group, quaternion_group, symmetric_group)
-from trlat.lattice import automorphisms, subgroup_lattice
+from trlat.lattice import SearchBoundExceeded, automorphisms, subgroup_lattice
 
 from tables import dihedral, relabeled
 
@@ -155,6 +157,25 @@ def test_q8_aut_acts_through_order_6_quotient():
     assert len(induced) == 6
 
 
+def test_automorphism_search_counts_at_the_limit():
+    """Each fits: 15^4 * 16 = 810,000 and 100 * 101 * 202 = 2,040,200 steps."""
+    assert len(automorphisms(make_group("C2xC2xC2xC2"))) == 20160  # |GL(4, 2)|
+    assert len(automorphisms(make_group("D202"))) == 101 * 100
+
+
+@pytest.mark.parametrize("name,tuples", [("C2xC2xC2xC2xC2", 31 ** 5),
+                                         ("C3xC3xC3xC3", 80 ** 4), ("D502", 250 * 251)])
+def test_automorphism_search_above_the_limit_is_refused_up_front(name, tuples):
+    G = make_group(name)
+    started = time.perf_counter()
+    with pytest.raises(SearchBoundExceeded) as refused:
+        automorphisms(G)
+    assert time.perf_counter() - started < 1
+    assert str(refused.value) == (
+        f"the automorphism search on {name} would try {tuples} tuples of generator images, "
+        f"each over {G.order} elements: {tuples * G.order} steps, above the limit 4194304")
+
+
 def test_automorphisms_closed_under_composition_and_inverse():
     G = symmetric_group(3)
     auts = set(automorphisms(G))
@@ -194,3 +215,70 @@ def test_name_resolution():
     assert L.resolve_name("Q8") == L.full
     with pytest.raises(KeyError, match="no subgroup named"):
         L.resolve_name("<x>")
+
+
+def conjugation_oracle(G):
+    """conjugate, normal, cocyclic, class_of and pair_orbits of G's lattice,
+    from the subgroups' member sets and the Cayley table alone.  The member
+    sets are the lattice's (test_subgroups_match_brute_force checks them),
+    in the canonical order."""
+    subs = sorted(subgroup_lattice(G).subgroups, key=lambda H: (len(H), sorted(H)))
+    index = {H: i for i, H in enumerate(subs)}
+    elements = range(G.order)
+
+    def conj(g, H):
+        return frozenset(G.compose(G.compose(g, h), G.invert(g)) for h in H)
+
+    def product(A, B):
+        return frozenset(G.compose(a, b) for a in A for b in B)
+
+    def cyclic_quotient(H):
+        cosets = {product([x], H) for x in elements}
+        for xH in cosets:
+            powers, power = {H}, xH
+            while power not in powers:
+                powers.add(power)
+                power = product(power, xH)
+            if powers == cosets:
+                return True
+        return False
+
+    conjugate = tuple(tuple(index[conj(g, H)] for H in subs) for g in elements)
+    normal = tuple(all(conj(g, H) == H for g in elements) for H in subs)
+    cocyclic = tuple(normal[s] and cyclic_quotient(H) for s, H in enumerate(subs))
+    classes = []
+    for s in range(len(subs)):
+        cls = {c[s] for c in conjugate}
+        if cls not in classes:
+            classes.append(cls)
+    class_of = tuple(next(i for i, cls in enumerate(classes) if s in cls)
+                     for s in range(len(subs)))
+    orbits = {frozenset((c[index[K]], c[index[H]]) for c in conjugate)
+              for K in subs for H in subs if K < H}
+    pair_orbits = tuple(sorted(tuple(sorted(orbit)) for orbit in orbits))
+    return tuple(subs), conjugate, normal, cocyclic, class_of, pair_orbits
+
+
+# every builtin of order <= 24: C<n>, the named groups, D<2p>, and each
+# product C<a>xC<b>... with factors in ascending order
+ORDER_24_BUILTINS = (
+    tuple(f"C{n}" for n in range(1, 25)) + ("K4", "Q8", "Sym3", "Sym4", "D6", "D10", "D14", "D22")
+    + tuple("x".join(f"C{f}" for f in factors) for r in (2, 3, 4)
+            for factors in itertools.combinations_with_replacement(range(2, 13), r)
+            if math.prod(factors) <= 24))
+RELABELED = {"D8": lambda: relabeled(dihedral(4), 8), "D12": lambda: relabeled(dihedral(6), 12),
+             "Sym4": lambda: relabeled(symmetric_group(4), 24)}
+
+
+@pytest.mark.parametrize("G", [make_group(name) for name in ORDER_24_BUILTINS]
+                         + [make() for make in RELABELED.values()],
+                         ids=list(ORDER_24_BUILTINS) + [f"relabeled-{k}" for k in RELABELED])
+def test_conjugation_data_match_the_oracle(G):
+    L = subgroup_lattice(G)
+    subs, conjugate, normal, cocyclic, class_of, pair_orbits = conjugation_oracle(G)
+    assert L.subgroups == subs
+    assert L.conjugate == conjugate
+    assert L.normal == normal
+    assert L.cocyclic == cocyclic
+    assert (L.class_of, L.class_count) == (class_of, max(class_of) + 1)
+    assert L.pair_orbits == pair_orbits

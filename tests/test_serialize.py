@@ -81,6 +81,22 @@ def test_system_json_refuses_float_pair_entries():
     assert str(refused.value) == "pairs must hold integer subgroup indices, got 0.0"
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("subgroup_count", 3.0, "field 'subgroup_count' must be an integer, got 3.0"),
+    ("schema_version", 1.0, "field 'schema_version' must be an integer, got 1.0"),
+    ("comment", "hi", "a system document has no field 'comment'"),
+])
+def test_system_json_refuses_what_the_group_spec_refuses(field, value, message):
+    """JSON Schema takes an integral float as an integer and allows unknown
+    keys; a system document, like a group spec, takes neither."""
+    doc = serialize.system_to_json(TransferSystem.diagonal(L_("C4")))
+    doc[field] = value
+    serialize.validate_document(doc, serialize.SYSTEM_SCHEMA)
+    with pytest.raises(ValueError) as refused:
+        serialize.system_from_json(doc)
+    assert str(refused.value) == message
+
+
 def test_every_schema_is_valid_against_its_metaschema():
     """validate_document trusts the module's schemas; this checks them."""
     schemas = [value for name, value in vars(serialize).items() if name.endswith("_SCHEMA")]
