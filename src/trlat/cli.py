@@ -291,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out(path: str) -> None:
-    """Refuse, before any work, an `export --out` path that is a directory or
-    whose directory is missing or not writable; `run` also refuses a failed open."""
+    """Refuse, before any work, an `export --out` path that is empty, is a
+    directory or whose directory is missing or not writable; `run` also
+    refuses a failed open."""
     if not path:
         raise UsageError("--out needs a file name, got an empty string")
     parent = os.path.dirname(path) or "."
