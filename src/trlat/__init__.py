@@ -14,7 +14,7 @@ from .realize import (LinIsomFixtureRow, NoRealizabilityData, NotRealizable,
                       linisom_image, linisom_image_cyclic, minimal_steiner_universe,
                       realize_saturated, steiner_cyclic, steiner_image, universe,
                       unrealized_fixture)
-from .chains import MaximalChain, layer_subgroups, maximal_chain
+from .chains import MaximalChain, maximal_chain
 
 __version__ = "0.1.0"
 

@@ -24,31 +24,18 @@ class MaximalChain:
         return len(self.systems)
 
 
-def layer_subgroups(L: SubgroupLattice) -> list[list[int]]:
-    """The conjugacy classes of L.class_of as layers, one sorted list per
-    class id.
-
-    Class ids follow each class's least canonical index, and the canonical
-    order is by order, so every prefix union of layers is downward-closed
-    and conjugation-invariant.
-    """
-    layers: list[list[int]] = [[] for _ in range(L.class_count)]
-    for s, c in enumerate(L.class_of):
-        layers[c].append(s)
-    return layers
-
-
 def maximal_chain(L: SubgroupLattice) -> MaximalChain:
     """Build a maximal-length chain from the layer filtration.
 
-    The layers are the conjugacy classes of L.class_of.  A proper inclusion
-    K < H has |K| < |H|, so its source class id is below its target class
-    id; pair orbits are added by (target class, source class), and within
-    one such block in L.pair_orbits order, which is by least pair.  Each
-    partial union is a transfer system: it holds whole orbits and every pair
-    of each earlier block, and restricting a held pair to a proper subgroup
-    of its target, or composing two held pairs, gives a pair of a block
-    before that of a pair it came from.
+    The layers are the conjugacy classes of L.class_of; layer_choices are
+    their least members, L.class_reps.  A proper inclusion K < H has
+    |K| < |H|, so its source class id is below its target class id; pair
+    orbits are added by (target class, source class), and within one such
+    block in L.pair_orbits order, which is by least pair.  Each partial
+    union is a transfer system: it holds whole orbits and every pair of each
+    earlier block, and restricting a held pair to a proper subgroup of its
+    target, or composing two held pairs, gives a pair of a block before that
+    of a pair it came from.
     """
     class_of = L.class_of
     ordered = sorted(L.pair_orbits, key=lambda o: (class_of[o[0][1]], class_of[o[0][0]]))
@@ -56,5 +43,4 @@ def maximal_chain(L: SubgroupLattice) -> MaximalChain:
     systems = [TransferSystem.diagonal(L)]
     for orbit in ordered:
         systems.append(TransferSystem(L, systems[-1].bits | _bits_of(L, orbit)))
-    return MaximalChain(tuple(systems), tuple(layer[0] for layer in layer_subgroups(L)),
-                        tuple(ordered))
+    return MaximalChain(tuple(systems), L.class_reps, tuple(ordered))

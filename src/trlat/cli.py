@@ -42,16 +42,24 @@ def parse_group(token: str):
         raise UsageError(str(exc)) from None
 
 
-def _bound(text: str) -> int:
-    """A search bound from text; a negative one would refuse every search.
-    int() refuses a numeral only above Python's limit on its digits."""
+_NUMERAL = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")  # what int() reads in base 10
+
+
+def _integer(text: str, what: str = "numeral") -> int:
+    """An integer flag's value.  int() refuses a numeral only above Python's
+    limit on its digits; that one is refused by its length, not echoed."""
+    if not _NUMERAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
-            raise argparse.ArgumentTypeError(
-                f"bound is too long: {len(text.strip())} characters") from None
-        value = -1
+        raise argparse.ArgumentTypeError(
+            f"{what} is too long: {len(text.strip())} characters") from None
+
+
+def _bound(text: str) -> int:
+    """A search bound from text; a negative one would refuse every search."""
+    value = _integer(text, "bound") if _NUMERAL.fullmatch(text) else -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"bound must be a non-negative integer, got {text!r}")
     return value
@@ -260,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     for case, second, text in (("cpn", "--n", "prime-power cyclic groups"),
                                ("cpq", "--q", "order-pq cyclic groups")):
         cyclic = rsub.add_parser(case, help=text)
-        cyclic.add_argument("--p", type=int, required=True)
-        cyclic.add_argument(second, type=int, required=True)
+        cyclic.add_argument("--p", type=_integer, required=True)
+        cyclic.add_argument(second, type=_integer, required=True)
         cyclic.add_argument("--pairs", default="")
         cyclic.set_defaults(fn=cmd_realize)
 

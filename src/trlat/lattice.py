@@ -6,10 +6,19 @@ import itertools
 import math
 from .groups import FiniteGroup
 
-# The most work an automorphism search takes on: its candidate generator
-# images times the group order.  C2048 (2,097,152), D202 (2,040,200) and
-# C2xC2xC2xC2 (810,000) fit; C2xC1024 (6.3M) and C2xC2xC2xC2xC2 (916M) do not.
-AUTOMORPHISM_SEARCH_LIMIT = 1 << 22
+# The most steps a search in this module takes on.  An automorphism search
+# takes its candidate generator images times the group order: C2048
+# (2,097,152), D202 (2,040,200) and C2xC2xC2xC2 (810,000) fit; C2xC1024
+# (6.3M) and C2xC2xC2xC2xC2 (916M) do not.  The subgroup enumeration takes
+# about half the square of the number of cyclic subgroups times the group
+# order: D202 (1,071,408) and C2048 (147,456) fit; D502 (16M) and D1018
+# (133M) do not.
+STEP_LIMIT = 1 << 22
+
+# The most subgroups the enumeration finds before it is refused: every
+# lattice table below has one row per subgroup and one entry per pair.
+# C2xC2xC2xC2xC2 (374) fits; C2xC2xC2xC2xC2xC2 (2825) does not.
+MAX_SUBGROUPS = 1024
 
 
 class SearchBoundExceeded(ValueError):
@@ -56,9 +65,9 @@ class SubgroupLattice:
 
         # classes are numbered in the order of their least members
         least = [min(c[s] for c in inner) for s in range(n)]
-        rank = {s: i for i, s in enumerate(sorted(set(least)))}
+        self.class_reps = tuple(sorted(set(least)))
+        rank = {s: i for i, s in enumerate(self.class_reps)}
         self.class_of = tuple(rank[s] for s in least)
-        self.class_count = len(rank)
 
         self.proper_pairs = tuple((k, h) for k in range(n) for h in range(n)
                                   if k != h and self.includes[k][h])
@@ -90,7 +99,7 @@ class SubgroupLattice:
             orbit = {(c[k], c[h]) for c in inner}
             seen |= orbit
             orbits.append(tuple(sorted(orbit)))
-        return tuple(sorted(orbits, key=lambda o: o[0]))
+        return tuple(orbits)  # each met first, so listed, at its least pair
 
     def _display_name(self, s: int) -> str:
         G, H = self.group, self.subgroups[s]
@@ -140,23 +149,34 @@ class SubgroupLattice:
 def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     """Enumerate all subgroups of G (cached on the group object).
 
-    Breadth-first over joins with cyclic subgroups: start from the cyclic
-    subgroups, and join each new subgroup with every cyclic subgroup it
-    does not contain, until no join is new; subgroups are deduplicated by
-    member set.  This reaches every subgroup: H = <h_1, ..., h_k> is the
-    join of <h_1> with <h_2>, ..., <h_k> in turn, and each partial join
-    is new in some round, so is joined with the next <h_i> then.  Exact
-    for any finite group; intended for order <= 24.
+    Adds the cyclic subgroups one at a time: start from the trivial
+    subgroup, and for each cyclic subgroup C add the join of C with every
+    subgroup found so far that does not contain C; subgroups are
+    deduplicated by member set.  After k steps the set holds the join of
+    every subset of the first k cyclic subgroups, and every subgroup is the
+    join of its cyclic subgroups, so the loop ends with all of them.  Each
+    cyclic subgroup is generated from one element of each inverse pair,
+    since <g> = <g^-1>.  Refused before any join when (cyclic subgroups)^2
+    / 2 times the group order exceeds STEP_LIMIT, and during the loop once
+    it finds more than MAX_SUBGROUPS subgroups.
     """
     cached = getattr(G, "_lattice", None)
     if cached is not None:
         return cached
-    cyclic = {G.closure([g]) for g in range(G.order)}
-    subs, frontier = set(cyclic), cyclic
-    while frontier:
-        frontier = {G.closure(H | C) for H in frontier for C in cyclic
-                    if not (C <= H or H <= C)} - subs
-        subs |= frontier
+    cyclic = {G.closure([g]) for g in range(G.order) if g <= G.invert(g)}
+    pairs = len(cyclic) ** 2 // 2
+    if pairs * G.order > STEP_LIMIT:
+        raise SearchBoundExceeded(
+            f"the subgroup lattice of {G.name} would join about {pairs} pairs of its "
+            f"{len(cyclic)} cyclic subgroups, each over {G.order} elements: "
+            f"{pairs * G.order} steps, above the limit {STEP_LIMIT}")
+    subs = {frozenset([G.identity])}
+    for C in cyclic:
+        subs |= {G.closure(H | C) for H in subs if not C <= H}
+        if len(subs) > MAX_SUBGROUPS:
+            raise SearchBoundExceeded(
+                f"the subgroup lattice of {G.name} has more than {MAX_SUBGROUPS} "
+                f"subgroups: {len(subs)} found so far")
     lattice = SubgroupLattice(G, list(subs))
     G._lattice = lattice
     return lattice
@@ -171,17 +191,17 @@ def automorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
     a bijection with phi(x g) = phi(x) phi(g) for every element x and
     generator g.  That makes phi a homomorphism, since every element is a
     product of generators.  Refused, before any candidate is tried, above
-    AUTOMORPHISM_SEARCH_LIMIT candidate image tuples times the group order.
+    STEP_LIMIT candidate image tuples times the group order.
     """
     gens = G.generators
     orders = [G.element_order(x) for x in range(G.order)]
     candidates = [[y for y in range(G.order) if orders[y] == orders[g]] for g in gens]
     tuples = math.prod(map(len, candidates))
-    if tuples * G.order > AUTOMORPHISM_SEARCH_LIMIT:
+    if tuples * G.order > STEP_LIMIT:
         raise SearchBoundExceeded(
             f"the automorphism search on {G.name} would try {tuples} tuples of generator "
             f"images, each over {G.order} elements: {tuples * G.order} steps, above the "
-            f"limit {AUTOMORPHISM_SEARCH_LIMIT}")
+            f"limit {STEP_LIMIT}")
     right = [[G.compose(x, g) for x in range(G.order)] for g in gens]  # right[i][x] = x g_i
     tree, seen = [], {G.identity}  # (x, i, x g_i), each element first reached
     frontier = [G.identity]

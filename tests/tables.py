@@ -1,6 +1,9 @@
 """Cayley tables shared by the tests: the dihedral groups, and any group
-under a seeded relabeling of its elements."""
+under a seeded relabeling of its elements; and the builtin group tokens of
+order <= 24."""
 
+import itertools
+import math
 import random
 
 from trlat.groups import make_group
@@ -25,3 +28,12 @@ def relabeled(G, seed):
     table = [[perm[G.compose(inv[a], inv[b])] for b in range(G.order)]
              for a in range(G.order)]
     return make_group({"kind": "table", "table": table, "name": G.name})
+
+
+# every builtin of order <= 24: C<n>, the named groups, D<2p>, and each
+# product C<a>xC<b>... with factors in ascending order
+ORDER_24_BUILTINS = (
+    tuple(f"C{n}" for n in range(1, 25)) + ("K4", "Q8", "Sym3", "Sym4", "D6", "D10", "D14", "D22")
+    + tuple("x".join(f"C{f}" for f in factors) for r in (2, 3, 4)
+            for factors in itertools.combinations_with_replacement(range(2, 13), r)
+            if math.prod(factors) <= 24))

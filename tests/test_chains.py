@@ -2,7 +2,7 @@
 
 import pytest
 
-from trlat.chains import layer_subgroups, maximal_chain
+from trlat.chains import maximal_chain
 from trlat.groups import cyclic_group, make_group
 from trlat.lattice import subgroup_lattice
 from trlat.transfer import TransferSystem, enumerate_all, validate
@@ -10,6 +10,11 @@ from trlat.transfer import TransferSystem, enumerate_all, validate
 
 def L_(name):
     return subgroup_lattice(make_group(name))
+
+
+def layer_subgroups(L):
+    """The subgroups of each class id of L.class_of, in canonical order."""
+    return [[s for s in range(L.n) if L.class_of[s] == c] for c in range(max(L.class_of) + 1)]
 
 
 def test_layers_cp3():
@@ -79,7 +84,7 @@ def test_chain_order_matches_peeled_layers(name):
     layers, choices, order = peeled_chain_order(L)
     chain = maximal_chain(L)
     assert layer_subgroups(L) == layers
-    assert chain.layer_choices == choices
+    assert chain.layer_choices == L.class_reps == choices
     assert chain.orbit_order == order
 
 

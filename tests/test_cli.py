@@ -214,6 +214,18 @@ def test_group_info_refuses_an_automorphism_search_that_would_not_fit(capsys):
     assert capsys.readouterr().err == AUT_REFUSAL
 
 
+@pytest.mark.parametrize("argv,refusal", [
+    (("group", "info", "--group", "D1018"), "would join about 130560 pairs of its 511 cyclic "
+     "subgroups, each over 1018 elements: 132910080 steps, above the limit 4194304"),
+    (("ts", "generate", "--group", "C2xC2xC2xC2xC2xC2", "--pairs", ""),
+     "has more than 1024 subgroups: 1095 found so far")], ids=["D1018", "C2^6"])
+def test_a_subgroup_lattice_that_would_not_fit_is_refused(argv, refusal, capsys):
+    started = time.perf_counter()
+    assert invoke(*argv) == (1, "")
+    assert time.perf_counter() - started < 5
+    assert capsys.readouterr().err == f"error: the subgroup lattice of {argv[3]} {refusal}\n"
+
+
 def test_ts_enumerate_orbits_refuses_before_its_walk(monkeypatch, capsys):
     def walked(*args, **kwargs):
         raise AssertionError("the walk ran")
@@ -331,6 +343,17 @@ def test_realize_checks_primes_before_building_the_group(capsys):
         assert (code, out) == (1, "")
         assert time.perf_counter() - started < 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [("cpn", "--p", "{}", "--n", "1"), ("cpn", "--p", "2", "--n", "{}"),
+                                  ("cpq", "--p", "2", "--q", "{}")], ids=["p", "n", "q"])
+def test_realize_refuses_an_over_long_numeral_without_echoing_it(argv, capsys):
+    flag = argv[argv.index("{}") - 1]
+    argv = [a.format("9" * 5000) for a in argv]
+    assert invoke("realize", *argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f"{flag}: numeral is too long: 5000 characters")
+    assert len(err) < 300
 
 
 def test_realize_refuses_a_negative_exponent(capsys):

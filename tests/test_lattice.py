@@ -10,7 +10,7 @@ from trlat.groups import (abelian_group, cyclic_group, dihedral_group, klein_gro
                           make_group, quaternion_group, symmetric_group)
 from trlat.lattice import SearchBoundExceeded, automorphisms, subgroup_lattice
 
-from tables import dihedral, relabeled
+from tables import ORDER_24_BUILTINS, dihedral, relabeled
 
 
 def brute_force_subgroups(G):
@@ -51,9 +51,72 @@ def test_canonical_order_and_determinism():
 
 
 def test_cyclic_subgroup_count_is_divisor_count():
-    for n in (1, 2, 6, 8, 12, 16, 24):
+    for n in (*range(1, 65), 360, 2048):
         L = subgroup_lattice(cyclic_group(n))
         assert L.n == sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def gaussian_binomial(k, j, p):
+    """The number of j-dimensional subspaces of F_p^k."""
+    return math.prod(p ** (k - i) - 1 for i in range(j)) // math.prod(
+        p ** (i + 1) - 1 for i in range(j))
+
+
+@pytest.mark.parametrize("p,k,count", [(2, 1, 2), (2, 2, 5), (2, 3, 16), (2, 4, 67), (2, 5, 374),
+                                       (3, 1, 2), (3, 2, 6), (3, 3, 28), (3, 4, 212), (5, 2, 8)])
+def test_elementary_abelian_subgroup_counts(p, k, count):
+    """The subgroups of C_p^k are the subspaces of F_p^k."""
+    assert count == sum(gaussian_binomial(k, j, p) for j in range(k + 1))
+    assert subgroup_lattice(make_group("x".join([f"C{p}"] * k))).n == count
+
+
+ODD_PRIMES = [p for p in range(3, 62) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES + [101])
+def test_dihedral_subgroup_counts(p):
+    """D2p has p + 3 subgroups: 1, the p reflections, C_p and D2p."""
+    assert subgroup_lattice(dihedral_group(2 * p)).n == p + 3
+
+
+LATTICE_JOIN_REFUSAL = ("the subgroup lattice of {} would join about {} pairs of its {} cyclic "
+                        "subgroups, each over {} elements: {} steps, above the limit {}")
+
+
+@pytest.mark.parametrize("name,cyclic", [("D502", 253), ("D1018", 511)])
+def test_subgroup_lattice_refuses_too_many_joins_up_front(name, cyclic):
+    G = make_group(name)
+    started = time.perf_counter()
+    with pytest.raises(SearchBoundExceeded) as refused:
+        subgroup_lattice(G)
+    assert time.perf_counter() - started < 1
+    pairs = cyclic ** 2 // 2
+    assert str(refused.value) == LATTICE_JOIN_REFUSAL.format(
+        name, pairs, cyclic, G.order, pairs * G.order, 1 << 22)
+
+
+def test_subgroup_lattice_refuses_too_many_subgroups():
+    """C2^6 has 2825 subgroups; the loop stops soon after it passes 1024."""
+    started = time.perf_counter()
+    with pytest.raises(SearchBoundExceeded) as refused:
+        subgroup_lattice(make_group("C2xC2xC2xC2xC2xC2"))
+    assert time.perf_counter() - started < 2
+    assert str(refused.value) == ("the subgroup lattice of C2xC2xC2xC2xC2xC2 has more than "
+                                  "1024 subgroups: 1095 found so far")
+
+
+def test_subgroup_lattice_limits_are_inclusive(monkeypatch):
+    """D10 has 7 cyclic subgroups (24 pairs of them, over 10 elements: 240
+    steps) and 8 subgroups; each table is fresh, with no lattice cached."""
+    for steps, most, refused in ((240, 8, None), (239, 8, "240 steps, above the limit 239"),
+                                 (240, 7, "more than 7 subgroups")):
+        monkeypatch.setattr("trlat.lattice.STEP_LIMIT", steps)
+        monkeypatch.setattr("trlat.lattice.MAX_SUBGROUPS", most)
+        if refused is None:
+            assert subgroup_lattice(dihedral(5)).n == 8
+        else:
+            with pytest.raises(SearchBoundExceeded, match=refused):
+                subgroup_lattice(dihedral(5))
 
 
 def test_q8_all_normal():
@@ -259,13 +322,6 @@ def conjugation_oracle(G):
     return tuple(subs), conjugate, normal, cocyclic, class_of, pair_orbits
 
 
-# every builtin of order <= 24: C<n>, the named groups, D<2p>, and each
-# product C<a>xC<b>... with factors in ascending order
-ORDER_24_BUILTINS = (
-    tuple(f"C{n}" for n in range(1, 25)) + ("K4", "Q8", "Sym3", "Sym4", "D6", "D10", "D14", "D22")
-    + tuple("x".join(f"C{f}" for f in factors) for r in (2, 3, 4)
-            for factors in itertools.combinations_with_replacement(range(2, 13), r)
-            if math.prod(factors) <= 24))
 RELABELED = {"D8": lambda: relabeled(dihedral(4), 8), "D12": lambda: relabeled(dihedral(6), 12),
              "Sym4": lambda: relabeled(symmetric_group(4), 24)}
 
@@ -280,5 +336,5 @@ def test_conjugation_data_match_the_oracle(G):
     assert L.conjugate == conjugate
     assert L.normal == normal
     assert L.cocyclic == cocyclic
-    assert (L.class_of, L.class_count) == (class_of, max(class_of) + 1)
+    assert (L.class_of, len(L.class_reps)) == (class_of, max(class_of) + 1)
     assert L.pair_orbits == pair_orbits
