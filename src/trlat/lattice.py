@@ -61,7 +61,15 @@ class SubgroupLattice:
         self.conjugate = tuple(conjugate)
         inner = tuple(dict.fromkeys(conjugate))  # the distinct permutations
         self.normal = tuple(all(c[s] == s for c in inner) for s in range(n))
-        self.cocyclic = tuple(self._is_cocyclic(s) for s in range(n))
+        # <x> is the first subgroup holding x, as all that hold x hold <x>; x
+        # descends, so each cyclic subgroup keeps its least generator
+        generator = {next(i for i, s in enumerate(self.subgroups) if x in s): x
+                     for x in reversed(range(group.order))}
+        # normal H is cocyclic iff CH = G for a cyclic C (then G/H = CH/H is
+        # isomorphic to C/(C n H)), that is iff |C||H| = |G||C n H|
+        self.cocyclic = tuple(self.normal[s] and any(
+            self.order_of(c) * self.order_of(s) == group.order * self.order_of(self.intersect[c][s])
+            for c in generator) for s in range(n))
 
         # classes are numbered in the order of their least members
         least = [min(c[s] for c in inner) for s in range(n)]
@@ -72,24 +80,7 @@ class SubgroupLattice:
         self.proper_pairs = tuple((k, h) for k in range(n) for h in range(n)
                                   if k != h and self.includes[k][h])
         self.pair_orbits = self._pair_orbit_partition(inner)
-        self.names = tuple(self._display_name(s) for s in range(n))
-        self._name_index = {}
-        for i, nm in enumerate(self.names):
-            self._name_index.setdefault(nm, []).append(i)
-
-    def _is_cocyclic(self, s: int) -> bool:
-        """H is normal and G/H cyclic: some x has order |G:H| modulo H."""
-        if not self.normal[s]:
-            return False
-        G, H = self.group, self.subgroups[s]
-        q = G.order // len(H)
-        for x in range(G.order):
-            power, k = x, 1
-            while power not in H:
-                power, k = G.compose(power, x), k + 1
-            if k == q:
-                return True
-        return False
+        self.names = tuple(self._display_name(s, generator) for s in range(n))
 
     def _pair_orbit_partition(self, inner) -> tuple[tuple[tuple[int, int], ...], ...]:
         orbits, seen = [], set()
@@ -101,7 +92,7 @@ class SubgroupLattice:
             orbits.append(tuple(sorted(orbit)))
         return tuple(orbits)  # each met first, so listed, at its least pair
 
-    def _display_name(self, s: int) -> str:
+    def _display_name(self, s: int, generator: dict[int, int]) -> str:
         G, H = self.group, self.subgroups[s]
         if len(H) == 1:
             return "1"
@@ -109,19 +100,19 @@ class SubgroupLattice:
             return G.name
         if G.kind == "cyclic":
             return f"C{len(H)}"  # one subgroup per divisor
-        gens = self._minimal_generators(H)
+        gens = (generator[s],) if s in generator else self._minimal_generators(H)
         return "<" + ",".join(G.element_names[g] for g in gens) + ">"
 
     def _minimal_generators(self, H: frozenset[int]) -> tuple[int, ...]:
-        """The least generating tuple of a nontrivial H, by size then lexicographically."""
+        """The least generating tuple of a non-cyclic H, by size then lexicographically."""
         members = sorted(H - {self.group.identity})
-        return next(combo for size in range(1, len(members) + 1)
+        return next(combo for size in range(2, len(members) + 1)
                     for combo in itertools.combinations(members, size)
                     if self.group.closure(combo) == H)
 
     def resolve_name(self, name: str) -> int:
         """Canonical index of the subgroup with the given display name."""
-        hits = self._name_index.get(name.strip(), [])
+        hits = [i for i, nm in enumerate(self.names) if nm == name.strip()]
         if len(hits) == 1:
             return hits[0]
         if not hits:
@@ -154,16 +145,25 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     subgroup found so far that does not contain C; subgroups are
     deduplicated by member set.  After k steps the set holds the join of
     every subset of the first k cyclic subgroups, and every subgroup is the
-    join of its cyclic subgroups, so the loop ends with all of them.  Each
-    cyclic subgroup is generated from one element of each inverse pair,
-    since <g> = <g^-1>.  Refused before any join when (cyclic subgroups)^2
-    / 2 times the group order exceeds STEP_LIMIT, and during the loop once
-    it finds more than MAX_SUBGROUPS subgroups.
+    join of its cyclic subgroups, so the loop ends with all of them.  Walking
+    the powers of g, of order m, gives <g^d> for each divisor d of m; each
+    power generates one of those, so it starts no walk of its own.
+    Refused before any join when (cyclic subgroups)^2 / 2 times the group
+    order exceeds STEP_LIMIT, and during the loop once it finds more than
+    MAX_SUBGROUPS subgroups.
     """
     cached = getattr(G, "_lattice", None)
     if cached is not None:
         return cached
-    cyclic = {G.closure([g]) for g in range(G.order) if g <= G.invert(g)}
+    cyclic, met = set(), set()
+    for g in range(G.order):
+        if g not in met:
+            powers = [g]  # g, g^2, ..., g^m = 1
+            while powers[-1] != G.identity:
+                powers.append(G.compose(powers[-1], g))
+            m = len(powers)
+            cyclic |= {frozenset(powers[d - 1::d]) for d in range(1, m + 1) if m % d == 0}
+            met.update(powers)
     pairs = len(cyclic) ** 2 // 2
     if pairs * G.order > STEP_LIMIT:
         raise SearchBoundExceeded(

@@ -127,6 +127,14 @@ def unrealized_fixture(L: SubgroupLattice) -> tuple[TransferSystem, ...]:
 
 # -- universes over C_n -------------------------------------------------------
 
+def _check_int(what: str, value, least: int) -> None:
+    """Refuse a value that is not an int (a bool is not one) or is below least."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+
+
 def universe(n: int, residues) -> int:
     """The universe over C_n holding the given residues, as its class bitmask.
 
@@ -136,8 +144,7 @@ def universe(n: int, residues) -> int:
     and -c are in I.  The residues are reduced mod n, 0 is added, and I is
     closed under negation.
     """
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
+    _check_int("modulus n", n, 1)
     u = 0
     for i in residues:
         c = min(i % n, -i % n)
@@ -150,7 +157,8 @@ def index_set(n: int, u: int) -> list[int]:
     """The sorted index set of universe u over C_n: 0, and c and -c mod n
     for each set bit c-1 of u.  Anything but the class bitmask of a universe
     over C_n is refused."""
-    if not isinstance(u, int):
+    _check_int("modulus n", n, 1)
+    if type(u) is not int:
         raise TypeError(f"a universe over C{n} is an int class bitmask, got {type(u).__name__}")
     if not 0 <= u < 1 << n // 2:
         raise ValueError(f"universe {u} is outside 0 <= u < {1 << n // 2} for C{n}")
@@ -172,9 +180,9 @@ def steiner_cyclic(n: int, u: int) -> TransferSystem:
     Generated by (ker lambda(i), C_n) over i in the index set; the kernel of
     the label-i rotation is the unique subgroup of order gcd(i, n).
     """
+    I = index_set(n, u)
     L, of_order = _cyclic_lattice(n)
-    pairs = {(of_order[math.gcd(n, i)], L.full) for i in index_set(n, u)}
-    return generate(L, pairs)
+    return generate(L, {(of_order[math.gcd(n, i)], L.full) for i in I})
 
 
 def steiner_image(L: SubgroupLattice) -> list[TransferSystem]:
@@ -228,6 +236,7 @@ def linisom_image_cyclic(n: int) -> list[TransferSystem]:
     Refining the partition of all universes by each pair's bitmap leaves
     one cell per distinct value.  Refused above UNIVERSE_SCAN_LIMIT universes.
     """
+    _check_int("modulus n", n, 1)
     if 1 << n // 2 > UNIVERSE_SCAN_LIMIT:
         raise SearchBoundExceeded(f"C{n} has {1 << n // 2} universes, above "
                                   f"the scan limit {UNIVERSE_SCAN_LIMIT}")
@@ -282,11 +291,11 @@ def cpn_modulus(p: int, n: int) -> int:
     """p^n, checked before any group of that order is built: p must be prime,
     n >= 0 and p^n at most MAX_ORDER.  The sizes are bounded first, so that
     is_prime divides only up to √MAX_ORDER and p ** n is never computed huge."""
+    _check_int("p", p, 2)
     check_order(p, f"p = {p}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if n < 0:
-        raise ValueError(f"exponent n must be >= 0, got {n}")
+    _check_int("exponent n", n, 0)
     # p >= 2, so every n from MAX_ORDER.bit_length() on is past the limit
     check_order(p ** min(n, MAX_ORDER.bit_length()), f"C{p}^{n}")
     return p ** n
@@ -296,6 +305,8 @@ def cpq_modulus(p: int, q: int) -> int:
     """pq, checked before any group of that order is built: p < q, both prime
     and pq at most MAX_ORDER.  As in cpn_modulus, the sizes are bounded before
     is_prime divides: p before its own test, pq before q's."""
+    _check_int("p", p, 2)
+    _check_int("q", q, 2)
     check_order(p, f"p = {p}")
     if p < q and is_prime(p):
         check_order(p * q, f"C{p * q}")

@@ -452,18 +452,7 @@ def _systems(L: SubgroupLattice, bound: int):
         stack += children
 
 
-def _bit_reversed() -> bytes:
-    """Byte b's bits in reverse order, for each b.  Reversing i + 1 bits
-    sends x < 2^i to x reversed in i bits times 2, and 2^i + x to that
-    plus 1, so each round doubles the table; this is cheaper at import than
-    formatting 256 bit strings."""
-    table = [0]
-    for _ in range(8):
-        table = [r << 1 for r in table] + [r << 1 | 1 for r in table]
-    return bytes(table)
-
-
-_BIT_REVERSED = _bit_reversed()
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # byte b, bits reversed
 
 
 def in_key_order(systems) -> list[TransferSystem]:

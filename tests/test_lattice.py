@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from trlat.groups import (abelian_group, cyclic_group, dihedral_group, klein_group,
-                          make_group, quaternion_group, symmetric_group)
+from trlat.groups import (FiniteGroup, abelian_group, cyclic_group, dihedral_group,
+                          klein_group, make_group, quaternion_group, symmetric_group)
 from trlat.lattice import SearchBoundExceeded, automorphisms, subgroup_lattice
 
 from tables import ORDER_24_BUILTINS, dihedral, relabeled
@@ -54,6 +54,19 @@ def test_cyclic_subgroup_count_is_divisor_count():
     for n in (*range(1, 65), 360, 2048):
         L = subgroup_lattice(cyclic_group(n))
         assert L.n == sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def test_cyclic_subgroups_come_from_walking_powers(monkeypatch):
+    """One walk of a generator's powers lists all 12 subgroups of C2048, so
+    the build closes joins and no cyclic subgroup, where closing <g> for
+    each element g <= g^-1 would take 1,025 calls.  The table is fresh,
+    with no lattice cached."""
+    calls = []
+    closure = FiniteGroup.closure
+    monkeypatch.setattr(FiniteGroup, "closure",
+                        lambda G, seed: calls.append(seed) or closure(G, seed))
+    assert subgroup_lattice(FiniteGroup(cyclic_group(2048)._table)).n == 12
+    assert len(calls) < 100
 
 
 def gaussian_binomial(k, j, p):

@@ -7,7 +7,8 @@ import pytest
 from trlat.acceptance import _induce_lambda
 from trlat.groups import cyclic_group
 from trlat.lattice import subgroup_lattice
-from trlat.realize import index_set, linisom_cyclic, steiner_cyclic, universe
+from trlat.realize import (cpn_modulus, cpq_modulus, index_set, linisom_cyclic,
+                           linisom_image_cyclic, steiner_cyclic, universe)
 from trlat.transfer import generate
 
 
@@ -37,8 +38,40 @@ def test_a_universe_is_only_a_class_bitmask_in_range():
     for fn in (index_set, steiner_cyclic, linisom_cyclic):
         with pytest.raises(TypeError, match="is an int class bitmask, got set"):
             fn(5, {0, 1, 4})
-    with pytest.raises(ValueError, match="modulus must be positive, got 0"):
+    with pytest.raises(ValueError, match="modulus n must be >= 1, got 0"):
         universe(0, [1])
+
+
+ARGUMENT_REFUSALS = [
+    (index_set, (4, True), TypeError, "a universe over C4 is an int class bitmask, got bool"),
+    (index_set, (True, 0), TypeError, "modulus n must be an integer, got True"),
+    (index_set, (0, 0), ValueError, "modulus n must be >= 1, got 0"),
+    (index_set, (6.0, 1), TypeError, "modulus n must be an integer, got 6.0"),
+    (universe, (4.5, [1]), TypeError, "modulus n must be an integer, got 4.5"),
+    (universe, (-2, [1]), ValueError, "modulus n must be >= 1, got -2"),
+    (linisom_image_cyclic, (-3,), ValueError, "modulus n must be >= 1, got -3"),
+    (linisom_image_cyclic, (0,), ValueError, "modulus n must be >= 1, got 0"),
+    (linisom_image_cyclic, (False,), TypeError, "modulus n must be an integer, got False"),
+    (linisom_cyclic, (True, 0), TypeError, "modulus n must be an integer, got True"),
+    (steiner_cyclic, (4.0, 0), TypeError, "modulus n must be an integer, got 4.0"),
+    (cpn_modulus, (2, True), TypeError, "exponent n must be an integer, got True"),
+    (cpn_modulus, (2, 3.0), TypeError, "exponent n must be an integer, got 3.0"),
+    (cpn_modulus, (2.0, 3), TypeError, "p must be an integer, got 2.0"),
+    (cpn_modulus, (1, 3), ValueError, "p must be >= 2, got 1"),
+    (cpq_modulus, (True, 3), TypeError, "p must be an integer, got True"),
+    (cpq_modulus, (2, 3.0), TypeError, "q must be an integer, got 3.0"),
+    (cpq_modulus, (2, 1), ValueError, "q must be >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("call,args,error,message", ARGUMENT_REFUSALS,
+                         ids=[f"{call.__name__}{args}" for call, args, *_ in ARGUMENT_REFUSALS])
+def test_cyclic_universe_arguments_are_ints(call, args, error, message):
+    """n, u, p and q are ints, never coerced: a bool or a float is refused
+    with one line that names the argument, and a modulus n is at least 1."""
+    with pytest.raises(error) as refused:
+        call(*args)
+    assert str(refused.value) == message
 
 
 def test_induce_from_trivial_group():
