@@ -203,9 +203,11 @@ def _table_from_op(items: list, op: Callable) -> list[list[int]]:
     return [[index[op(a, b)] for b in items] for a in items]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def cyclic_group(n: int) -> FiniteGroup:
     """C_n, additive on residues, generator named g."""
+    if type(n) is not int:  # nor a bool
+        raise GroupValidationError(f"cyclic order n must be an integer, got {n!r}")
     if n < 1:
         raise GroupValidationError(f"cyclic order must be >= 1, got {n}")
     check_order(n, f"C{n}")
@@ -214,13 +216,17 @@ def cyclic_group(n: int) -> FiniteGroup:
     return _built(FiniteGroup(table, names, name=f"C{n}"), kind="cyclic", n=n)
 
 
-@functools.lru_cache(maxsize=None)
 def abelian_group(factors: tuple[int, ...]) -> FiniteGroup:
     """Direct product of cyclic groups given by invariant factors."""
+    if not all(type(f) is int for f in factors):  # before the cache, where (2, 2.0) == (2, 2)
+        raise GroupValidationError(f"invariant factors must be integers, got {list(factors)}")
     if not factors or any(f < 2 for f in factors):
         raise GroupValidationError(f"invariant factors must all be >= 2, got {list(factors)}")
-    if len(factors) == 1:
-        return cyclic_group(factors[0])
+    return cyclic_group(factors[0]) if len(factors) == 1 else _abelian_product(tuple(factors))
+
+
+@functools.lru_cache(maxsize=None)
+def _abelian_product(factors: tuple[int, ...]) -> FiniteGroup:
     name = "x".join(f"C{f}" for f in factors)
     check_order(math.prod(factors), name)
     items = list(itertools.product(*(range(f) for f in factors)))
@@ -254,9 +260,12 @@ def _cycle_name(p: tuple) -> str:
     return "".join(parts) if parts else "e"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def symmetric_group(n: int) -> FiniteGroup:
     """Sym_n on points 1..n, elements named in cycle notation."""
+    if type(n) is not int or n < 0:  # nor a bool
+        raise GroupValidationError(f"symmetric degree n must be an integer >= 0, got {n!r}")
+    check_order(math.factorial(n), f"Sym{n}")
     items = sorted(itertools.permutations(range(n)))
     names = [_cycle_name(p) for p in items]
     G = FiniteGroup(_table_from_op(items, _perm_compose), names, name=f"Sym{n}")
@@ -285,9 +294,11 @@ def quaternion_group() -> FiniteGroup:
                   kind="builtin", name="Q8")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def dihedral_group(two_p: int) -> FiniteGroup:
     """D_2p for an odd prime p: rotations r^a and reflections r^a s."""
+    if type(two_p) is not int:  # nor a bool
+        raise GroupValidationError(f"dihedral order two_p must be an integer, got {two_p!r}")
     if two_p % 2 != 0:
         raise GroupValidationError(f"dihedral order must be even, got {two_p}")
     check_order(two_p, f"D{two_p}")
@@ -314,9 +325,7 @@ def dihedral_group(two_p: int) -> FiniteGroup:
 @functools.lru_cache(maxsize=None)
 def klein_group() -> FiniteGroup:
     """K4 = {1, a, b, c} with ab = c; the Cayley table of the abelian group [2, 2]."""
-    base = abelian_group((2, 2))
-    table = [[base.compose(x, y) for y in range(4)] for x in range(4)]
-    return _built(FiniteGroup(table, ["1", "a", "b", "c"], name="K4"),
+    return _built(FiniteGroup(abelian_group((2, 2))._table, ["1", "a", "b", "c"], name="K4"),
                   kind="builtin", name="K4")
 
 

@@ -34,9 +34,10 @@ class SubgroupLattice:
     reproducible across runs.
     """
 
-    def __init__(self, group: FiniteGroup, subgroups: list[frozenset[int]]):
+    def __init__(self, group: FiniteGroup, generated: dict[frozenset[int], tuple[int, ...]]):
+        """`generated` maps each subgroup to its least generating tuple."""
         self.group = group
-        self.subgroups = tuple(sorted(subgroups, key=lambda s: (len(s), tuple(sorted(s)))))
+        self.subgroups = tuple(sorted(generated, key=lambda s: (len(s), tuple(sorted(s)))))
         self.n = len(self.subgroups)
         self.index_of = {s: i for i, s in enumerate(self.subgroups)}
         self.full = self.n - 1
@@ -61,15 +62,12 @@ class SubgroupLattice:
         self.conjugate = tuple(conjugate)
         inner = tuple(dict.fromkeys(conjugate))  # the distinct permutations
         self.normal = tuple(all(c[s] == s for c in inner) for s in range(n))
-        # <x> is the first subgroup holding x, as all that hold x hold <x>; x
-        # descends, so each cyclic subgroup keeps its least generator
-        generator = {next(i for i, s in enumerate(self.subgroups) if x in s): x
-                     for x in reversed(range(group.order))}
         # normal H is cocyclic iff CH = G for a cyclic C (then G/H = CH/H is
         # isomorphic to C/(C n H)), that is iff |C||H| = |G||C n H|
+        cyclic = [self.index_of[C] for C, gens in generated.items() if len(gens) <= 1]
         self.cocyclic = tuple(self.normal[s] and any(
             self.order_of(c) * self.order_of(s) == group.order * self.order_of(self.intersect[c][s])
-            for c in generator) for s in range(n))
+            for c in cyclic) for s in range(n))
 
         # classes are numbered in the order of their least members
         least = [min(c[s] for c in inner) for s in range(n)]
@@ -80,7 +78,7 @@ class SubgroupLattice:
         self.proper_pairs = tuple((k, h) for k in range(n) for h in range(n)
                                   if k != h and self.includes[k][h])
         self.pair_orbits = self._pair_orbit_partition(inner)
-        self.names = tuple(self._display_name(s, generator) for s in range(n))
+        self.names = tuple(self._display_name(H, generated[H]) for H in self.subgroups)
 
     def _pair_orbit_partition(self, inner) -> tuple[tuple[tuple[int, int], ...], ...]:
         orbits, seen = [], set()
@@ -92,23 +90,15 @@ class SubgroupLattice:
             orbits.append(tuple(sorted(orbit)))
         return tuple(orbits)  # each met first, so listed, at its least pair
 
-    def _display_name(self, s: int, generator: dict[int, int]) -> str:
-        G, H = self.group, self.subgroups[s]
+    def _display_name(self, H: frozenset[int], gens: tuple[int, ...]) -> str:
+        G = self.group
         if len(H) == 1:
             return "1"
         if len(H) == G.order:
             return G.name
         if G.kind == "cyclic":
             return f"C{len(H)}"  # one subgroup per divisor
-        gens = (generator[s],) if s in generator else self._minimal_generators(H)
         return "<" + ",".join(G.element_names[g] for g in gens) + ">"
-
-    def _minimal_generators(self, H: frozenset[int]) -> tuple[int, ...]:
-        """The least generating tuple of a non-cyclic H, by size then lexicographically."""
-        members = sorted(H - {self.group.identity})
-        return next(combo for size in range(2, len(members) + 1)
-                    for combo in itertools.combinations(members, size)
-                    if self.group.closure(combo) == H)
 
     def resolve_name(self, name: str) -> int:
         """Canonical index of the subgroup with the given display name."""
@@ -138,46 +128,47 @@ class SubgroupLattice:
 
 
 def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
-    """Enumerate all subgroups of G (cached on the group object).
+    """Enumerate all subgroups of G, each with its least generating tuple
+    (shortest, then lexicographic by element index); cached on the group.
 
-    Adds the cyclic subgroups one at a time: start from the trivial
-    subgroup, and for each cyclic subgroup C add the join of C with every
-    subgroup found so far that does not contain C; subgroups are
-    deduplicated by member set.  After k steps the set holds the join of
-    every subset of the first k cyclic subgroups, and every subgroup is the
-    join of its cyclic subgroups, so the loop ends with all of them.  Walking
-    the powers of g, of order m, gives <g^d> for each divisor d of m; each
-    power generates one of those, so it starts no walk of its own.
-    Refused before any join when (cyclic subgroups)^2 / 2 times the group
-    order exceeds STEP_LIMIT, and during the loop once it finds more than
-    MAX_SUBGROUPS subgroups.
+    Each cyclic subgroup <g> is walked once, from its least generator g:
+    the walk g, g^2, ..., g^m = 1 marks the g^i with gcd(i, m) = 1, the
+    generators of <g>.  In that order, each cyclic <g> is joined with every
+    subgroup H found so far not holding it; the join keeps the lesser of
+    its tuple and H's tuple then g.  After k steps this holds every join of
+    the first k cyclic subgroups, and each subgroup is the join of its
+    cyclic ones.  The tuples are exact: a least tuple uses only least
+    generators (a smaller generator of <x> gives a smaller tuple), and its
+    prefix is the least tuple of the subgroup it generates, final before
+    the last element's step.  Refused up front above STEP_LIMIT steps
+    ((cyclic subgroups)^2 / 2 times |G|), in the loop above MAX_SUBGROUPS.
     """
     cached = getattr(G, "_lattice", None)
     if cached is not None:
         return cached
-    cyclic, met = set(), set()
+    cyclic, marked = {}, set()  # each cyclic subgroup: its least generator
     for g in range(G.order):
-        if g not in met:
+        if g not in marked:
             powers = [g]  # g, g^2, ..., g^m = 1
             while powers[-1] != G.identity:
                 powers.append(G.compose(powers[-1], g))
-            m = len(powers)
-            cyclic |= {frozenset(powers[d - 1::d]) for d in range(1, m + 1) if m % d == 0}
-            met.update(powers)
+            marked.update(x for i, x in enumerate(powers, 1) if math.gcd(i, len(powers)) == 1)
+            cyclic[frozenset(powers)] = g
     pairs = len(cyclic) ** 2 // 2
     if pairs * G.order > STEP_LIMIT:
         raise SearchBoundExceeded(
             f"the subgroup lattice of {G.name} would join about {pairs} pairs of its "
             f"{len(cyclic)} cyclic subgroups, each over {G.order} elements: "
             f"{pairs * G.order} steps, above the limit {STEP_LIMIT}")
-    subs = {frozenset([G.identity])}
-    for C in cyclic:
-        subs |= {G.closure(H | C) for H in subs if not C <= H}
+    subs = {frozenset([G.identity]): ()}
+    for C, g in cyclic.items():
+        for J, gens in [(G.closure(H | C), gens + (g,)) for H, gens in subs.items() if not C <= H]:
+            subs[J] = min(subs.get(J, gens), gens, key=lambda t: (len(t), t))
         if len(subs) > MAX_SUBGROUPS:
             raise SearchBoundExceeded(
                 f"the subgroup lattice of {G.name} has more than {MAX_SUBGROUPS} "
                 f"subgroups: {len(subs)} found so far")
-    lattice = SubgroupLattice(G, list(subs))
+    lattice = SubgroupLattice(G, subs)
     G._lattice = lattice
     return lattice
 

@@ -218,7 +218,7 @@ def test_group_info_refuses_an_automorphism_search_that_would_not_fit(capsys):
     (("group", "info", "--group", "D1018"), "would join about 130560 pairs of its 511 cyclic "
      "subgroups, each over 1018 elements: 132910080 steps, above the limit 4194304"),
     (("ts", "generate", "--group", "C2xC2xC2xC2xC2xC2", "--pairs", ""),
-     "has more than 1024 subgroups: 1095 found so far")], ids=["D1018", "C2^6"])
+     "has more than 1024 subgroups: 1055 found so far")], ids=["D1018", "C2^6"])
 def test_a_subgroup_lattice_that_would_not_fit_is_refused(argv, refusal, capsys):
     started = time.perf_counter()
     assert invoke(*argv) == (1, "")

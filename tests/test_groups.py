@@ -90,6 +90,31 @@ def test_dihedral():
         assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("build,arg,twin,message", [
+    (cyclic_group, True, 1, "cyclic order n must be an integer, got True"),
+    (cyclic_group, 4.0, 4, "cyclic order n must be an integer, got 4.0"),
+    (abelian_group, (2, 2.0), (2, 2), "invariant factors must be integers, got [2, 2.0]"),
+    (dihedral_group, 6.0, 6, "dihedral order two_p must be an integer, got 6.0"),
+    (symmetric_group, True, 1, "symmetric degree n must be an integer >= 0, got True"),
+    (symmetric_group, 7, None, "Sym7 is above the order limit 2048")],
+    ids=["cyclic-bool", "cyclic-float", "abelian-float", "dihedral-float", "symmetric-bool",
+         "Sym7"])
+def test_constructors_refuse_before_any_table(build, arg, twin, message, monkeypatch):
+    """A bool or a float is not an int, even where the int it equals is
+    already cached; Sym7 (order 5040) is above the order limit."""
+    if twin is not None:
+        build(twin)
+
+    def built(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr("trlat.groups.FiniteGroup", built)
+    monkeypatch.setattr("trlat.groups._table_from_op", built)
+    with pytest.raises(GroupValidationError) as refused:
+        build(arg)
+    assert str(refused.value) == message
+
+
 def test_is_prime_matches_trial_division():
     assert [n for n in range(-3, 60) if is_prime(n)] == \
         [n for n in range(2, 60) if all(n % d for d in range(2, n))]

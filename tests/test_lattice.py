@@ -115,7 +115,7 @@ def test_subgroup_lattice_refuses_too_many_subgroups():
         subgroup_lattice(make_group("C2xC2xC2xC2xC2xC2"))
     assert time.perf_counter() - started < 2
     assert str(refused.value) == ("the subgroup lattice of C2xC2xC2xC2xC2xC2 has more than "
-                                  "1024 subgroups: 1095 found so far")
+                                  "1024 subgroups: 1055 found so far")
 
 
 def test_subgroup_lattice_limits_are_inclusive(monkeypatch):
@@ -283,6 +283,47 @@ def test_display_names_follow_construction_not_name():
                                          "name": "C6"})).names
     assert len(set(names)) == 6 and names[-1] == "C6"
     assert subgroup_lattice(cyclic_group(6)).names == ("1", "C2", "C3", "C6")
+
+
+def names_oracle(G):
+    """Each subgroup's display name, from its least generating tuple found by
+    closing every tuple of its members, by size and then lexicographically."""
+    def name(H):
+        if len(H) == 1:
+            return "1"
+        if len(H) == G.order:
+            return G.name
+        if G.kind == "cyclic":
+            return f"C{len(H)}"
+        members = sorted(H - {G.identity})
+        gens = next(combo for size in range(1, len(members) + 1)
+                    for combo in itertools.combinations(members, size) if G.closure(combo) == H)
+        return "<" + ",".join(G.element_names[g] for g in gens) + ">"
+    return tuple(name(H) for H in subgroup_lattice(G).subgroups)
+
+
+NAMED = ({name: make_group(name) for name in ORDER_24_BUILTINS + ("C2xC4xC8",)}
+         | {f"relabeled-{name}-{seed}": relabeled(make_group(name), seed)
+            for name in ("Sym4", "Q8", "C2xC2xC6", "C4xC4", "C2xC2xC2xC2") for seed in (1, 2)}
+         | {f"table-D{2 * m}": dihedral(m) for m in (4, 6, 12)})
+
+
+@pytest.mark.parametrize("G", NAMED.values(), ids=list(NAMED))
+def test_names_match_the_oracle(G):
+    assert subgroup_lattice(G).names == names_oracle(G)
+
+
+def test_naming_closes_no_tuples(monkeypatch):
+    """Names come from the joins that find the subgroups: C2xC2xC2xC2xC6 (748
+    subgroups) takes under 30,000 closures, where closing every candidate
+    generating tuple took 1,283,011.  The table is fresh, with no lattice
+    cached."""
+    calls = []
+    closure = FiniteGroup.closure
+    monkeypatch.setattr(FiniteGroup, "closure",
+                        lambda G, seed: calls.append(seed) or closure(G, seed))
+    assert subgroup_lattice(FiniteGroup(make_group("C2xC2xC2xC2xC6")._table)).n == 748
+    assert len(calls) < 30000
 
 
 def test_name_resolution():
