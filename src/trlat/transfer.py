@@ -125,26 +125,30 @@ class _Tables:
 
     incl[k]: the bits h with K_k <= H_h.
     maximum: the packed inclusion relation, every pair (k, h) with K_k <= H_h.
-    demand[k*n + h], for a proper pair: the packed pairs that the conjugation
-      and restriction axioms ask of a system holding (k, h), its conjugates
-      (c[k], c[h]) and its restrictions (L_l n K_k, L_l) for L_l <= H_h;
-      0 for any other pair.
-    conjugates[k*n + h], for a proper pair, built on first use: its
-      conjugates (c[k], c[h]) in L.conjugate order with repeats dropped.
-      They are the tuples L.pair_orbits holds, so a listing adds only its
-      references.
     below[h]: the l with L_l <= H_h, ascending, so (L_l n K_k, L_l) for l in
       below[h] are the restrictions of (k, h).
     orbit_of[k*n + h]: the index in L.pair_orbits of a proper pair, else -1.
-    orbits: per pair orbit, the packed bit of its first pair and the nonzero
+
+    The rest is keyed by a proper pair or an orbit index and built on first
+    use, since one mask is an n^2-bit int and a large lattice has many:
+    demand[k*n + h]: the packed pairs that the conjugation and restriction
+      axioms ask of a system holding (k, h), its conjugates (c[k], c[h]) and
+      its restrictions (L_l n K_k, L_l) for L_l <= H_h.
+    conjugates[k*n + h]: the conjugates (c[k], c[h]) in L.conjugate order
+      with repeats dropped.  They are the tuples L.pair_orbits holds, so a
+      listing adds only its references.
+    orbits[j]: the packed bit of orbit j's first pair and the nonzero
       (row, bits) of its members' demands together, which is what the orbit
       adds under conjugation, then restriction: every pair of an orbit
       closes to the same system, and a system holds a whole orbit or none.
-    generated[j], built on first use: the packed system orbit j generates.
+    extension[j]: what `_systems` tests to add orbit j to a system: the
+      packed orbit, its members' demands outside the orbit and the diagonal,
+      and the orbit's pairs.
+    generated[j]: the packed system orbit j generates.
     """
 
-    __slots__ = ("lattice", "incl", "maximum", "demand", "conjugates", "below", "orbit_of",
-                 "orbits", "generated")
+    __slots__ = ("lattice", "incl", "maximum", "below", "orbit_of", "demand", "conjugates",
+                 "orbits", "extension", "generated")
 
     def __init__(self, L: SubgroupLattice):
         n = L.n
@@ -152,27 +156,47 @@ class _Tables:
         self.incl = [sum(1 << h for h in range(n) if L.includes[k][h]) for k in range(n)]
         self.maximum = sum(r << k * n for k, r in enumerate(self.incl))
         self.below = [tuple(l for l in range(n) if L.includes[l][h]) for h in range(n)]
-        self.demand, self.orbit_of, self.orbits = [0] * (n * n), [-1] * (n * n), []
+        self.orbit_of = [-1] * (n * n)
         for j, orbit in enumerate(L.pair_orbits):
-            conjugates = sum(1 << k * n + h for k, h in orbit)
-            union = 0
             for k, h in orbit:
-                need = conjugates
-                for l in self.below[h]:
-                    need |= 1 << L.intersect[l][k] * n + l
-                self.demand[k * n + h], self.orbit_of[k * n + h] = need, j
-                union |= need
-            k, h = orbit[0]
-            self.orbits.append((1 << k * n + h,
-                                [(i, r) for i, r in enumerate(_unpack(union, n)) if r]))
+                self.orbit_of[k * n + h] = j
+        self.demand = _Lazy(self._demand)
         self.conjugates = _Lazy(self._conjugates)
+        self.orbits = _Lazy(self._orbit)
+        self.extension = _Lazy(self._extension)
         self.generated = _Lazy(self._generated)
+
+    def _demand(self, p: int) -> int:
+        L, n = self.lattice, self.lattice.n
+        k, h = divmod(p, n)
+        need = sum(1 << a * n + b for a, b in L.pair_orbits[self.orbit_of[p]])
+        for l in self.below[h]:
+            need |= 1 << L.intersect[l][k] * n + l
+        return need
 
     def _conjugates(self, p: int) -> tuple[tuple[int, int], ...]:
         L, n = self.lattice, self.lattice.n
         k, h = divmod(p, n)
         orbit = {pair: pair for pair in L.pair_orbits[self.orbit_of[p]]}
         return tuple(orbit[q] for q in dict.fromkeys((c[k], c[h]) for c in L.conjugate))
+
+    def _union(self, j: int) -> int:
+        n = self.lattice.n
+        union = 0
+        for k, h in self.lattice.pair_orbits[j]:
+            union |= self.demand[k * n + h]
+        return union
+
+    def _orbit(self, j: int) -> tuple[int, list[tuple[int, int]]]:
+        n = self.lattice.n
+        k, h = self.lattice.pair_orbits[j][0]
+        return 1 << k * n + h, [(i, r) for i, r in enumerate(_unpack(self._union(j), n)) if r]
+
+    def _extension(self, j: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+        n = self.lattice.n
+        orbit = self.lattice.pair_orbits[j]
+        packed = sum(1 << k * n + h for k, h in orbit)
+        return packed, self._union(j) & ~packed & ~_packing(n)[0], orbit
 
     def _generated(self, j: int) -> int:
         n = self.lattice.n
@@ -411,44 +435,56 @@ SEARCH_BOUND = 24
 
 
 def _systems(L: SubgroupLattice, bound: int):
-    """Yield each transfer system over L once, packed, by Fast Close-by-One.
+    """Yield each transfer system over L once, packed, by Close-by-One.
 
     Tr(G) is closed under meets, so it is a closure system on the pair
-    orbits, taken in L.pair_orbits order.  A system T found by adding orbit
-    j - 1 is extended by each orbit j' >= j it lacks; the child U = T joined
-    with orbit j' is canonical, and kept, iff it holds no orbit below j'
-    that T lacks, so each system has exactly one parent.  A non-canonical U
-    is remembered as failed[j'] and handed down: a descendant that still
-    lacks one of the orbits below j' that U holds would fail at j' too, and
-    skips that closure.
+    orbits, taken in L.pair_orbits order: by least pair, with subgroups by
+    order.  In that order, closing a system with orbit j adds no orbit
+    after j.  A restriction (L_l n K_k, L_l) of (k, h) comes at or before
+    (k, h), since L_l n K_k is K_k or smaller, and if it is K_k then
+    L_l <= H_h.  A composite (a, c) of (a, b) and (b, c) comes before
+    (b, c)'s orbit, since A is smaller than B.
+
+    So every system T the walk reaches by adding orbit j - 1 holds no orbit
+    from j on.  For an orbit j' >= j, T closed with j' is a canonical child
+    (it holds no orbit before j' that T lacks) iff it is V = T | orbit j',
+    that is iff V is already closed.  Each system has one parent, and the
+    walk closes nothing.
+
+    T is closed, so V is closed iff two things hold.  First, orbit j' asks
+    nothing of T: its restrictions outside itself and the diagonal lie in
+    T.  Second, V is transitive.  Two pairs of j' never compose, because
+    conjugates have the same source order and the same target order, and a
+    proper pair's target is larger.  A pair (h, y) of T never follows a
+    pair (k, h) of j', because every orbit whose sources have H's order
+    comes after j'.  What is left: for each (k, h) in j', column k of T
+    lies in column h of V, so every x -> k in T reaches h.
     """
     if len(L.pair_orbits) > bound:
         raise SearchBoundExceeded(
             f"{L.group.name} has {len(L.pair_orbits)} inclusion-pair orbits, "
             f"above the search bound {bound}")
     n = L.n
-    masks = _tables(L).orbits
-    low, below = [], 0  # low[j]: the first-pair bits of the orbits before j
-    for bit, _ in masks:
-        low.append(below)
-        below |= bit
-    diagonal = _packing(n)[0]
+    tables = _tables(L)
+    steps = [tables.extension[j] for j in range(len(L.pair_orbits))]
+    diagonal, colbase = _packing(n)
     yield diagonal
-    stack = [(diagonal, 0, [0] * len(masks))]
+    stack = [(diagonal, 0)]
     while stack:
-        T, start, failed = stack.pop()
-        failed = failed.copy()
+        T, start = stack.pop()
+        absent = ~T
         children = []
-        for j in range(start, len(masks)):
-            bit, edges = masks[j]
-            if T & bit or failed[j] & low[j] & ~T:
+        for j in range(start, len(steps)):
+            packed, outside, pairs = steps[j]
+            if outside & absent:
                 continue
-            U = _close(T, edges, n)
-            if U & ~T & low[j]:
-                failed[j] = U
+            V = T | packed
+            for k, h in pairs:
+                if T >> k & ~(V >> h) & colbase:
+                    break
             else:
-                yield U
-                children.append((U, j + 1, failed))
+                yield V
+                children.append((V, j + 1))
         stack += children
 
 
@@ -472,11 +508,14 @@ def in_key_order(systems) -> list[TransferSystem]:
 def enumerate_all(L: SubgroupLattice, bound: int = SEARCH_BOUND) -> list[TransferSystem]:
     """Every transfer system over L, in TransferSystem.key order.
 
-    Lists each system once by Fast Close-by-One (Outrata and Vychodil,
-    "Fast algorithm for computing fixpoints of Galois connections induced by
+    Lists each system once by Close-by-One (Outrata and Vychodil, "Fast
+    algorithm for computing fixpoints of Galois connections induced by
     object-attribute relational data", Inf. Sci. 185, 2012) over the pair
-    orbits, and sorts them by `in_key_order`'s byte key.  Refuses, before
-    any closure, if the number of inclusion-pair orbits exceeds `bound`.
+    orbits, and sorts them by `in_key_order`'s byte key.  In L.pair_orbits
+    order a closure with orbit j adds no later orbit, so each canonical
+    child is its parent plus one orbit, kept iff that union is closed, and
+    the walk closes nothing (see `_systems`).  Refuses, before any work on
+    the orbits, if the number of inclusion-pair orbits exceeds `bound`.
     The result depends on the arguments alone; no environment variable is
     read.
     """
@@ -498,7 +537,7 @@ def hasse_diagram(L: SubgroupLattice, bound: int = SEARCH_BOUND
     """
     systems = enumerate_all(L, bound)
     tables = _tables(L)
-    masks = [(bit, edges, tables.generated[j]) for j, (bit, edges) in enumerate(tables.orbits)]
+    masks = [tables.orbits[j] + (tables.generated[j],) for j in range(len(L.pair_orbits))]
     index = {T.bits: i for i, T in enumerate(systems)}
     covers = []
     for i, T in enumerate(systems):

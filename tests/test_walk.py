@@ -1,0 +1,88 @@
+"""The Tr(G) walk, `transfer._systems`, against the closure-based walk it
+replaced, and the order fact that makes it exact: in L.pair_orbits order,
+the system an orbit generates holds no later orbit."""
+
+import pytest
+
+from trlat.groups import make_group
+from trlat.lattice import subgroup_lattice
+from trlat.transfer import _close, _packing, _systems, _tables
+
+from tables import ORDER_24_BUILTINS, dihedral, relabeled
+
+LADDER = {"Q8": make_group("Q8"), "C16": make_group("C16"), "D8": dihedral(4),
+          "C24": make_group("C24"), "C2xC6": make_group("C2xC6"), "D12": dihedral(6),
+          "Sym4": make_group("Sym4")}
+RELABELED = {f"{name}-{seed}": relabeled(G, seed)
+             for name, G in LADDER.items() for seed in (1, 2)}
+INVARIANT_RELABELED = {f"{name}-{seed}": relabeled(G, seed)
+                       for name, G in (("Sym4", LADDER["Sym4"]), ("D12", LADDER["D12"]),
+                                       ("Q8", LADDER["Q8"]), ("C2xC2xC6", make_group("C2xC2xC6")))
+                       for seed in (1, 2)}
+
+
+def closure_walk(L):
+    """Fast Close-by-One over the pair orbits with a closure per candidate
+    (Outrata and Vychodil, Inf. Sci. 185, 2012): the child of T at orbit j
+    is T closed with j's edges, kept iff it adds no orbit below j; a failed
+    closure is handed down, and a descendant that still lacks one of the
+    orbits below j it holds skips j."""
+    n = L.n
+    tables = _tables(L)
+    masks = [tables.orbits[j] for j in range(len(L.pair_orbits))]
+    low, below = [], 0  # low[j]: the first-pair bits of the orbits before j
+    for bit, _ in masks:
+        low.append(below)
+        below |= bit
+    diagonal = _packing(n)[0]
+    yield diagonal
+    stack = [(diagonal, 0, [0] * len(masks))]
+    while stack:
+        T, start, failed = stack.pop()
+        failed = failed.copy()
+        children = []
+        for j in range(start, len(masks)):
+            bit, edges = masks[j]
+            if T & bit or failed[j] & low[j] & ~T:
+                continue
+            U = _close(T, edges, n)
+            if U & ~T & low[j]:
+                failed[j] = U
+            else:
+                yield U
+                children.append((U, j + 1, failed))
+        stack += children
+
+
+@pytest.mark.parametrize("G", list(LADDER.values()) + list(RELABELED.values()),
+                         ids=list(LADDER) + list(RELABELED))
+def test_walk_equals_closure_walk(G):
+    """The same packed systems in the same order, so every listing, export
+    and orbit partition built on the walk is unchanged."""
+    L = subgroup_lattice(G)
+    assert list(_systems(L, 34)) == list(closure_walk(L))
+
+
+@pytest.mark.parametrize("G", [make_group(name) for name in ORDER_24_BUILTINS]
+                         + list(INVARIANT_RELABELED.values()),
+                         ids=list(ORDER_24_BUILTINS) + list(INVARIANT_RELABELED))
+def test_generated_systems_hold_no_later_orbit(G):
+    """The walk's union test is exact only because closing with orbit j adds
+    no orbit after j; the system orbit j generates is that closure over the
+    diagonal."""
+    L = subgroup_lattice(G)
+    n = L.n
+    orbit_index = {k * n + h: j for j, orbit in enumerate(L.pair_orbits) for k, h in orbit}
+    tables = _tables(L)
+    for j in range(len(L.pair_orbits)):
+        P = tables.generated[j] & ~_packing(n)[0]
+        held = {orbit_index[p] for p in range(n * n) if P >> p & 1}
+        assert max(held) == j
+
+
+def test_tr_c4xc4_count_by_streaming():
+    """|Tr(C4xC4)| = 610,108 over 54 pair orbits, counted without holding
+    the systems."""
+    L = subgroup_lattice(make_group("C4xC4"))
+    assert len(L.pair_orbits) == 54
+    assert sum(1 for _ in _systems(L, 54)) == 610108
