@@ -7,6 +7,7 @@ relation K_k -> H_h holds (canonical lattice indices).
 from __future__ import annotations
 
 import functools
+from operator import itemgetter
 from typing import NamedTuple
 from .lattice import SearchBoundExceeded, SubgroupLattice
 
@@ -82,7 +83,8 @@ class TransferSystem:
 
     @property
     def key(self) -> str:
-        """Bit string, bit k*n + h first to last; the deduplication and sort key."""
+        """Bit string, bit k*n + h first to last: the order of `enumerate_all`
+        and `in_key_order`, and the node names of a DOT export."""
         n = self.lattice.n
         return format(self.bits, f"0{n * n}b")[::-1]
 
@@ -105,20 +107,6 @@ class TransferSystem:
 
 # -- validation ---------------------------------------------------------------
 
-class _Lazy(dict):
-    """A dict that fills a missing key with build(key), once."""
-
-    __slots__ = ("build",)
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
 class _Tables:
     """What validation and closure need of a lattice over n subgroups; pairs
     are indexed k*n + h, their bit in a packed system.
@@ -129,8 +117,10 @@ class _Tables:
       below[h] are the restrictions of (k, h).
     orbit_of[k*n + h]: the index in L.pair_orbits of a proper pair, else -1.
 
-    The rest is keyed by a proper pair or an orbit index and built on first
-    use, since one mask is an n^2-bit int and a large lattice has many:
+    The rest is built on first use, since one mask is an n^2-bit int and a
+    large lattice has many.  Each is a list indexed by a proper pair or an
+    orbit, read as `demand[p] or self._demand(p)` and so on: an entry is
+    falsy until built, and its builder stores it.
     demand[k*n + h]: the packed pairs that the conjugation and restriction
       axioms ask of a system holding (k, h), its conjugates (c[k], c[h]) and
       its restrictions (L_l n K_k, L_l) for L_l <= H_h.
@@ -145,10 +135,15 @@ class _Tables:
       packed orbit, its members' demands outside the orbit and the diagonal,
       and the orbit's pairs.
     generated[j]: the packed system orbit j generates.
+    orbit_reader: for `aut_orbits`, an itemgetter of the bytes holding a
+      first pair, and per such byte a table from its value to the bits j of
+      the orbits whose first pairs it holds.  Only a group with an outer
+      action needs it; that group is not cyclic, so it has 5 subgroups or
+      more, and (1, H) and (K, G), K > 1, put first pairs in two bytes.
     """
 
     __slots__ = ("lattice", "incl", "maximum", "below", "orbit_of", "demand", "conjugates",
-                 "orbits", "extension", "generated")
+                 "orbits", "extension", "generated", "orbit_reader")
 
     def __init__(self, L: SubgroupLattice):
         n = L.n
@@ -160,11 +155,10 @@ class _Tables:
         for j, orbit in enumerate(L.pair_orbits):
             for k, h in orbit:
                 self.orbit_of[k * n + h] = j
-        self.demand = _Lazy(self._demand)
-        self.conjugates = _Lazy(self._conjugates)
-        self.orbits = _Lazy(self._orbit)
-        self.extension = _Lazy(self._extension)
-        self.generated = _Lazy(self._generated)
+        m = len(L.pair_orbits)
+        self.demand, self.conjugates = [0] * (n * n), [()] * (n * n)
+        self.orbits, self.extension, self.generated = [()] * m, [()] * m, [0] * m
+        self.orbit_reader = None
 
     def _demand(self, p: int) -> int:
         L, n = self.lattice, self.lattice.n
@@ -172,35 +166,52 @@ class _Tables:
         need = sum(1 << a * n + b for a, b in L.pair_orbits[self.orbit_of[p]])
         for l in self.below[h]:
             need |= 1 << L.intersect[l][k] * n + l
+        self.demand[p] = need
         return need
 
     def _conjugates(self, p: int) -> tuple[tuple[int, int], ...]:
         L, n = self.lattice, self.lattice.n
         k, h = divmod(p, n)
         orbit = {pair: pair for pair in L.pair_orbits[self.orbit_of[p]]}
-        return tuple(orbit[q] for q in dict.fromkeys((c[k], c[h]) for c in L.conjugate))
+        pairs = self.conjugates[p] = tuple(
+            orbit[q] for q in dict.fromkeys((c[k], c[h]) for c in L.conjugate))
+        return pairs
 
     def _union(self, j: int) -> int:
         n = self.lattice.n
         union = 0
         for k, h in self.lattice.pair_orbits[j]:
-            union |= self.demand[k * n + h]
+            union |= self.demand[k * n + h] or self._demand(k * n + h)
         return union
 
     def _orbit(self, j: int) -> tuple[int, list[tuple[int, int]]]:
         n = self.lattice.n
         k, h = self.lattice.pair_orbits[j][0]
-        return 1 << k * n + h, [(i, r) for i, r in enumerate(_unpack(self._union(j), n)) if r]
+        rows = [(i, r) for i, r in enumerate(_unpack(self._union(j), n)) if r]
+        value = self.orbits[j] = (1 << k * n + h, rows)
+        return value
 
     def _extension(self, j: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
         n = self.lattice.n
         orbit = self.lattice.pair_orbits[j]
         packed = sum(1 << k * n + h for k, h in orbit)
-        return packed, self._union(j) & ~packed & ~_packing(n)[0], orbit
+        value = self.extension[j] = (packed, self._union(j) & ~packed & ~_packing(n)[0], orbit)
+        return value
 
     def _generated(self, j: int) -> int:
         n = self.lattice.n
-        return _close(_packing(n)[0], self.orbits[j][1], n)
+        P = self.generated[j] = _close(_packing(n)[0], (self.orbits[j] or self._orbit(j))[1], n)
+        return P
+
+    def _orbit_reader(self) -> tuple[itemgetter, list[list[int]]]:
+        n = self.lattice.n
+        first = {orbit[0][0] * n + orbit[0][1]: 1 << j
+                 for j, orbit in enumerate(self.lattice.pair_orbits)}
+        live = sorted({p >> 3 for p in first})
+        reader = self.orbit_reader = (
+            itemgetter(*live),
+            [_byte_table([first.get(8 * at + b, 0) for b in range(8)]) for at in live])
+        return reader
 
 
 def _tables(L: SubgroupLattice) -> _Tables:
@@ -272,9 +283,9 @@ def _violations(L: SubgroupLattice, P: int) -> list[Violation]:
             low = held & -held
             held ^= low
             h = low.bit_length() - 1
-            forced = (k, h)
-            if demand[k * n + h] & absent:
-                for pair in conjugates[k * n + h]:
+            forced, p = (k, h), k * n + h
+            if (demand[p] or tables._demand(p)) & absent:
+                for pair in conjugates[p] or tables._conjugates(p):
                     a, b = pair
                     if not conjugated[a] >> b & 1:
                         conjugated[a] |= 1 << b
@@ -374,9 +385,9 @@ def generate(L: SubgroupLattice, relation) -> TransferSystem:
     if not seeds:
         return TransferSystem(L, _packing(n)[0])
     seeds = sorted(seeds, reverse=True)
-    P = tables.generated[seeds[0]]
+    P = tables.generated[seeds[0]] or tables._generated(seeds[0])
     for j in seeds[1:]:
-        bit, edges = tables.orbits[j]
+        bit, edges = tables.orbits[j] or tables._orbit(j)
         if not P & bit:
             P = _close(P, edges, n)
     return TransferSystem(L, P)
@@ -435,7 +446,8 @@ SEARCH_BOUND = 24
 
 
 def _systems(L: SubgroupLattice, bound: int):
-    """Yield each transfer system over L once, packed, by Close-by-One.
+    """Yield each transfer system over L once, packed, by Close-by-One, in
+    TransferSystem.key order.
 
     Tr(G) is closed under meets, so it is a closure system on the pair
     orbits, taken in L.pair_orbits order: by least pair, with subgroups by
@@ -459,6 +471,14 @@ def _systems(L: SubgroupLattice, bound: int):
     pair (k, h) of j', because every orbit whose sources have H's order
     comes after j'.  What is left: for each (k, h) in j', column k of T
     lies in column h of V, so every x -> k in T reaches h.
+
+    Yielding T when it is popped, its children pushed by ascending orbit,
+    is a preorder taking later orbits first, which is key order: orbits are
+    listed by least packed pair and a system is the diagonal plus whole
+    orbits, so key order compares orbit membership from orbit 0 on, absent
+    first.  T's descendants share its orbits before its start and it holds
+    none after, so T is the least of them; for j1 < j2, every system below
+    T | orbit j2 lacks j1 and every one below T | orbit j1 holds it.
     """
     if len(L.pair_orbits) > bound:
         raise SearchBoundExceeded(
@@ -466,14 +486,13 @@ def _systems(L: SubgroupLattice, bound: int):
             f"above the search bound {bound}")
     n = L.n
     tables = _tables(L)
-    steps = [tables.extension[j] for j in range(len(L.pair_orbits))]
+    steps = [tables.extension[j] or tables._extension(j) for j in range(len(L.pair_orbits))]
     diagonal, colbase = _packing(n)
-    yield diagonal
     stack = [(diagonal, 0)]
     while stack:
         T, start = stack.pop()
+        yield T
         absent = ~T
-        children = []
         for j in range(start, len(steps)):
             packed, outside, pairs = steps[j]
             if outside & absent:
@@ -483,16 +502,15 @@ def _systems(L: SubgroupLattice, bound: int):
                 if T >> k & ~(V >> h) & colbase:
                     break
             else:
-                yield V
-                children.append((V, j + 1))
-        stack += children
+                stack.append((V, j + 1))
 
 
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # byte b, bits reversed
 
 
 def in_key_order(systems) -> list[TransferSystem]:
-    """Systems over one lattice, sorted as by TransferSystem.key, but by the
+    """Systems over one lattice, sorted as by TransferSystem.key, for lists
+    not listed by the walk, which is already in that order.  Sorts by the
     bytes of the packed int, little-endian and bit-reversed: byte 0 compares
     first, and bit 0 is the most significant within a byte.  Every key has
     the same length, so the zero padding decides nothing."""
@@ -511,15 +529,15 @@ def enumerate_all(L: SubgroupLattice, bound: int = SEARCH_BOUND) -> list[Transfe
     Lists each system once by Close-by-One (Outrata and Vychodil, "Fast
     algorithm for computing fixpoints of Galois connections induced by
     object-attribute relational data", Inf. Sci. 185, 2012) over the pair
-    orbits, and sorts them by `in_key_order`'s byte key.  In L.pair_orbits
-    order a closure with orbit j adds no later orbit, so each canonical
-    child is its parent plus one orbit, kept iff that union is closed, and
-    the walk closes nothing (see `_systems`).  Refuses, before any work on
-    the orbits, if the number of inclusion-pair orbits exceeds `bound`.
-    The result depends on the arguments alone; no environment variable is
-    read.
+    orbits.  In L.pair_orbits order a closure with orbit j adds no later
+    orbit, so each canonical child is its parent plus one orbit, kept iff
+    that union is closed, and the walk closes nothing.  It is a preorder
+    taking later orbits first, which lists the systems in key order, so
+    nothing is sorted (see `_systems`).  Refuses, before any work on the
+    orbits, if the number of inclusion-pair orbits exceeds `bound`.  The
+    result depends on the arguments alone; no environment variable is read.
     """
-    return in_key_order(TransferSystem(L, P) for P in _systems(L, bound))
+    return [TransferSystem(L, P) for P in _systems(L, bound)]
 
 
 def hasse_diagram(L: SubgroupLattice, bound: int = SEARCH_BOUND
@@ -537,7 +555,8 @@ def hasse_diagram(L: SubgroupLattice, bound: int = SEARCH_BOUND
     """
     systems = enumerate_all(L, bound)
     tables = _tables(L)
-    masks = [tables.orbits[j] + (tables.generated[j],) for j in range(len(L.pair_orbits))]
+    masks = [(tables.orbits[j] or tables._orbit(j)) + (tables.generated[j] or tables._generated(j),)
+             for j in range(len(L.pair_orbits))]
     index = {T.bits: i for i, T in enumerate(systems)}
     covers = []
     for i, T in enumerate(systems):
@@ -551,18 +570,12 @@ def hasse_diagram(L: SubgroupLattice, bound: int = SEARCH_BOUND
     return systems, covers
 
 
-def _pair_images(n: int, p: tuple[int, ...], key: int) -> int:
-    """The action of a subgroup permutation p on packed systems over n
-    subgroups, read 8 bits at a time: for key = i << 8 | c, the packed
-    images (p[k], p[h]) of the pairs (k, h) = 8i + b for the bits b of c."""
-    out, q, chunk = 0, key >> 8 << 3, key & 255
-    while chunk:
-        if chunk & 1:
-            k, h = divmod(q, n)
-            out |= 1 << p[k] * n + p[h]
-        chunk >>= 1
-        q += 1
-    return out
+def _byte_table(values) -> list[int]:
+    """The 256 ORs of subsets of 8 ints: entry c ORs values[b] for the bits b of c."""
+    table = [0]
+    for v in values:
+        table += [t | v for t in table]
+    return table
 
 
 def aut_orbits(systems, automorphism_perms):
@@ -575,22 +588,31 @@ def aut_orbits(systems, automorphism_perms):
 
     Inner automorphisms (subgroup permutations L.conjugate[g]) fix every
     conjugation-closed system, so only one subgroup permutation per coset
-    of Inn(G) other than Inn(G) itself relabels.  It maps the diagonal to
-    itself and distinct proper pairs to distinct proper pairs, so a
-    relabeling is the diagonal plus the disjoint images of the nonzero
-    bytes of the representative's proper pairs (see `_pair_images`, whose
-    values each action keeps).
+    of Inn(G) other than Inn(G) itself relabels; with none, as for every
+    cyclic group, each system is its own orbit.  A system is the diagonal
+    plus whole pair orbits, and a permutation sends each orbit onto one
+    orbit, so each representative's held orbits are read once, from the
+    bytes holding a first pair (`_Tables.orbit_reader`), as a mask with bit
+    j for orbit j.  Each relabeling maps that mask a byte at a time, through
+    a table of the packed images of the 8 orbits the byte stands for.
     """
     if not systems:
         return [], []
     L = systems[0].lattice
+    n = L.n
     inner = set(L.conjugate)
     actions, covered = [], set(inner)
     for p in {L.subgroup_perm(sigma) for sigma in automorphism_perms}:
         if p not in covered:
-            actions.append(_Lazy(functools.partial(_pair_images, L.n, p)))
             covered |= {tuple(p[s] for s in c) for c in inner}
-    diagonal, size = _packing(L.n)[0], -(-L.n * L.n // 8)
+            images = [sum(1 << p[k] * n + p[h] for k, h in orbit) for orbit in L.pair_orbits]
+            actions.append([_byte_table(images[at:at + 8]) for at in range(0, len(images), 8)])
+    if not actions:  # a repeated system is one orbit, as with the index below
+        orbits = [[T] for T in {T.bits: T for T in systems}.values()]
+        return orbits, [(1, len(orbits))]
+    tables = _tables(L)
+    pick, reads = tables.orbit_reader or tables._orbit_reader()
+    diagonal, size, width = _packing(n)[0], -(-n * n // 8), -(-len(L.pair_orbits) // 8)
     index = {T.bits: i for i, T in enumerate(systems)}
     placed = [False] * len(systems)
     orbits = []
@@ -598,15 +620,14 @@ def aut_orbits(systems, automorphism_perms):
         if placed[i]:
             continue
         members = {index[T.bits]}
-        if actions:
-            proper = (T.bits & ~diagonal).to_bytes(size, "little")
-            chunks = [at << 8 | c for at, c in enumerate(proper) if c]
-            for images in actions:
-                try:
-                    members.add(index[sum(map(images.__getitem__, chunks), diagonal)])
-                except KeyError:
-                    raise ValueError(
-                        "system list is not closed under the automorphism action") from None
+        mask = sum(map(list.__getitem__, reads, pick(T.bits.to_bytes(size, "little"))))
+        held = mask.to_bytes(width, "little")
+        for images in actions:
+            try:
+                members.add(index[sum(map(list.__getitem__, images, held), diagonal)])
+            except KeyError:
+                raise ValueError(
+                    "system list is not closed under the automorphism action") from None
         members = sorted(members)
         for m in members:
             placed[m] = True

@@ -7,7 +7,7 @@ import pytest
 from trlat.groups import abelian_group, cyclic_group, make_group
 from trlat.lattice import automorphisms, subgroup_lattice
 from trlat.transfer import (SearchBoundExceeded, TransferSystem,
-                            TransferSystemError, aut_orbits,
+                            TransferSystemError, _tables, aut_orbits,
                             closed_form_normal_source, closed_form_normal_target,
                             enumerate_all, generate, hasse_diagram, in_key_order,
                             irreducible_pairs, is_saturated, join, meet, validate)
@@ -377,29 +377,91 @@ def test_k4_orbit_count():
     assert len(orbits) == 9
 
 
+def _oracle_lattice(name):
+    if name.endswith("-relabeled"):
+        return subgroup_lattice(relabeled(dihedral(int(name[1:name.index("-")]) // 2), 5))
+    return L_(name)
+
+
+def _relabeling_orbits(L, systems):
+    """The orbits of systems by relabeling every system's pairs under every
+    automorphism, inner ones included, each a set of pair sets."""
+    images = [tuple(L.index_of[frozenset(sigma[x] for x in s)] for s in L.subgroups)
+              for sigma in automorphisms(L.group)]
+    return {frozenset(frozenset((img[k], img[h]) for k, h in T.pairs()) for img in images)
+            for T in systems}
+
+
 @pytest.mark.parametrize("name,profile", [("Sym3", [(1, 9)]), ("D10", None), ("Q8", None),
                                           ("C2xC4", None), ("C2xC6", None),
                                           ("D8-relabeled", None), ("D12-relabeled", None),
-                                          ("C1", [(1, 1)])])
+                                          ("C1", [(1, 1)]), ("C2", [(1, 2)]),
+                                          ("K4", [(3, 5), (1, 4)]),
+                                          ("C16", [(1, 42)]), ("C24", [(1, 544)]),
+                                          ("Sym4", [(1, 600)])])
 def test_orbits_match_brute_force_relabeling(name, profile):
-    """Relabel every system's pairs under every automorphism, inner ones
-    included.  D12's 16 subgroups span 32 bytes of pairs; C1 has no proper
-    pair and no action."""
-    if name.endswith("-relabeled"):
-        L = subgroup_lattice(relabeled(dihedral(int(name[1:name.index("-")]) // 2), 5))
-    else:
-        L = L_(name)
-    systems = enumerate_all(L, bound=26)
+    """D12's 16 subgroups span 32 bytes of pairs; C1 has no proper pair and
+    no action.  Every automorphism of C2, C16, C24 and Sym4 acts on the
+    subgroups as an inner one does, so each system is its own orbit; K4,
+    the smallest group with an outer action, has its orbits' first pairs
+    in three bytes.  Any part of Sym4's 8691 systems is closed under its
+    automorphisms, all inner, and 600 keep the relabeling quick."""
+    L = _oracle_lattice(name)
+    systems = enumerate_all(L, bound=len(L.pair_orbits))
+    if name == "Sym4":
+        systems = random.Random(1).sample(systems, 600)
     orbits, got_profile = aut_orbits(systems, automorphisms(L.group))
-    images = [tuple(L.index_of[frozenset(sigma[x] for x in s)] for s in L.subgroups)
-              for sigma in automorphisms(L.group)]
-    expected = {frozenset(frozenset((img[k], img[h]) for k, h in T.pairs()) for img in images)
-                for T in systems}
+    expected = _relabeling_orbits(L, systems)
     assert {frozenset(frozenset(T.pairs()) for T in orbit) for orbit in orbits} == expected
     sizes = sorted((len(o) for o in expected), reverse=True)
     assert got_profile == sorted({(z, sizes.count(z)) for z in sizes}, reverse=True)
     if profile is not None:
         assert got_profile == profile
+
+
+@pytest.mark.parametrize("name", ["Q8", "C2xC6", "D8-relabeled", "K4", "C24"])
+def test_orbits_of_a_shuffled_list_follow_its_order(name):
+    """The orbits are listed by their first member in the list, and each
+    lists its members in the list's order."""
+    L = _oracle_lattice(name)
+    systems = enumerate_all(L, bound=len(L.pair_orbits))
+    random.Random(11).shuffle(systems)
+    orbits, _ = aut_orbits(systems, automorphisms(L.group))
+    assert {frozenset(frozenset(T.pairs()) for T in orbit) for orbit in orbits} \
+        == _relabeling_orbits(L, systems)
+    at = {T: i for i, T in enumerate(systems)}
+    positions = [[at[T] for T in orbit] for orbit in orbits]
+    assert all(p == sorted(p) for p in positions)
+    assert [p[0] for p in positions] == sorted(p[0] for p in positions)
+    assert sorted(i for p in positions for i in p) == list(range(len(systems)))
+
+
+@pytest.mark.parametrize("name", ["Q8", "C2xC6", "D12-relabeled"])
+def test_orbits_of_a_union_of_whole_orbits(name):
+    """A list holding some whole orbits, shuffled, splits into just those."""
+    L = _oracle_lattice(name)
+    systems = enumerate_all(L, bound=len(L.pair_orbits))
+    orbits, _ = aut_orbits(systems, automorphisms(L.group))
+    rng = random.Random(3)
+    kept = [T for orbit in orbits if rng.random() < 0.5 for T in orbit]
+    rng.shuffle(kept)
+    got, profile = aut_orbits(kept, automorphisms(L.group))
+    assert {frozenset(frozenset(T.pairs()) for T in orbit) for orbit in got} \
+        == _relabeling_orbits(L, kept)
+    assert sum(z * c for z, c in profile) == len(kept)
+
+
+@pytest.mark.parametrize("name", ["K4", "Q8", "C2xC6", "D8-relabeled", "D12-relabeled"])
+def test_orbit_reader_reads_the_held_orbits(name):
+    """The reader `aut_orbits` uses gives bit j for each orbit j a system
+    holds; K4's first pairs lie in three bytes."""
+    L = _oracle_lattice(name)
+    n = L.n
+    pick, reads = _tables(L)._orbit_reader()
+    for T in enumerate_all(L, bound=len(L.pair_orbits)):
+        held = sum(1 << j for j, orbit in enumerate(L.pair_orbits) if T.contains(*orbit[0]))
+        data = T.bits.to_bytes(-(-n * n // 8), "little")
+        assert sum(map(list.__getitem__, reads, pick(data))) == held
 
 
 def test_orbits_of_no_systems():

@@ -1,6 +1,7 @@
 """The Tr(G) walk, `transfer._systems`, against the closure-based walk it
 replaced, and the order fact that makes it exact: in L.pair_orbits order,
-the system an orbit generates holds no later orbit."""
+the system an orbit generates holds no later orbit.  The walk lists Tr(G)
+in TransferSystem.key order, which the closure walk does not."""
 
 import pytest
 
@@ -29,7 +30,7 @@ def closure_walk(L):
     orbits below j it holds skips j."""
     n = L.n
     tables = _tables(L)
-    masks = [tables.orbits[j] for j in range(len(L.pair_orbits))]
+    masks = [tables.orbits[j] or tables._orbit(j) for j in range(len(L.pair_orbits))]
     low, below = [], 0  # low[j]: the first-pair bits of the orbits before j
     for bit, _ in masks:
         low.append(below)
@@ -57,10 +58,12 @@ def closure_walk(L):
 @pytest.mark.parametrize("G", list(LADDER.values()) + list(RELABELED.values()),
                          ids=list(LADDER) + list(RELABELED))
 def test_walk_equals_closure_walk(G):
-    """The same packed systems in the same order, so every listing, export
-    and orbit partition built on the walk is unchanged."""
+    """The same packed systems, and the walk's own order is the bit-string
+    key order, so every listing, export and orbit partition built on the
+    walk needs no sort."""
     L = subgroup_lattice(G)
-    assert list(_systems(L, 34)) == list(closure_walk(L))
+    key = f"0{L.n * L.n}b"
+    assert list(_systems(L, 34)) == sorted(closure_walk(L), key=lambda P: format(P, key)[::-1])
 
 
 @pytest.mark.parametrize("G", [make_group(name) for name in ORDER_24_BUILTINS]
@@ -75,7 +78,7 @@ def test_generated_systems_hold_no_later_orbit(G):
     orbit_index = {k * n + h: j for j, orbit in enumerate(L.pair_orbits) for k, h in orbit}
     tables = _tables(L)
     for j in range(len(L.pair_orbits)):
-        P = tables.generated[j] & ~_packing(n)[0]
+        P = (tables.generated[j] or tables._generated(j)) & ~_packing(n)[0]
         held = {orbit_index[p] for p in range(n * n) if P >> p & 1}
         assert max(held) == j
 
