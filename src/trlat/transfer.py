@@ -131,9 +131,12 @@ class _Tables:
       (row, bits) of its members' demands together, which is what the orbit
       adds under conjugation, then restriction: every pair of an orbit
       closes to the same system, and a system holds a whole orbit or none.
-    extension[j]: what `_systems` tests to add orbit j to a system: the
-      packed orbit, its members' demands outside the orbit and the diagonal,
-      and the orbit's pairs.
+    extension[j]: what `_systems` tests to add orbit j to a system, orbits
+      read as bits of an orbit mask, bit i for orbit i: (packed, need,
+      implied).  packed is the packed orbit, need the orbits of its members'
+      demands outside the orbit and the diagonal.  implied holds one
+      (1 << b, a) per orbit b of a pair (x, h) with (k, h) in orbit j,
+      x != k and K_x <= K_k; a has the orbit bits of those (x, k).
     generated[j]: the packed system orbit j generates.
     orbit_reader: for `aut_orbits`, an itemgetter of the bytes holding a
       first pair, and per such byte a table from its value to the bits j of
@@ -192,10 +195,21 @@ class _Tables:
         return value
 
     def _extension(self, j: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-        n = self.lattice.n
+        n, orbit_of = self.lattice.n, self.orbit_of
         orbit = self.lattice.pair_orbits[j]
         packed = sum(1 << k * n + h for k, h in orbit)
-        value = self.extension[j] = (packed, self._union(j) & ~packed & ~_packing(n)[0], orbit)
+        outside, need = self._union(j) & ~packed & ~_packing(n)[0], 0
+        while outside:
+            low = outside & -outside
+            outside ^= low
+            need |= 1 << orbit_of[low.bit_length() - 1]
+        implied: dict[int, int] = {}
+        for k, h in orbit:
+            for x in self.below[k]:
+                if x != k:
+                    b = 1 << orbit_of[x * n + h]
+                    implied[b] = implied.get(b, 0) | 1 << orbit_of[x * n + k]
+        value = self.extension[j] = (packed, need, tuple(implied.items()))
         return value
 
     def _generated(self, j: int) -> int:
@@ -410,9 +424,13 @@ def meet(T1: TransferSystem, T2: TransferSystem) -> TransferSystem:
 
 def join(T1: TransferSystem, T2: TransferSystem) -> TransferSystem:
     """Smallest transfer system containing both: the transitive closure of
-    their union, which is closed under conjugation and restriction."""
+    their union, which is closed under conjugation and restriction.  Only
+    the rows where T2 adds pairs are closed: the closure P holds T1
+    throughout, so T2's pairs already in T1 are in P."""
     _require_same_lattice(T1, T2)
-    return TransferSystem(T1.lattice, _close(T1.bits, enumerate(T2.rows), T1.lattice.n))
+    n = T1.lattice.n
+    added = [(k, r) for k, r in enumerate(_unpack(T2.bits & ~T1.bits, n)) if r]
+    return TransferSystem(T1.lattice, _close(T1.bits, added, n))
 
 
 def is_saturated(T: TransferSystem) -> bool:
@@ -469,8 +487,16 @@ def _systems(L: SubgroupLattice, bound: int):
     conjugates have the same source order and the same target order, and a
     proper pair's target is larger.  A pair (h, y) of T never follows a
     pair (k, h) of j', because every orbit whose sources have H's order
-    comes after j'.  What is left: for each (k, h) in j', column k of T
-    lies in column h of V, so every x -> k in T reaches h.
+    comes after j'.  What is left: for each (k, h) in j', every x -> k in
+    T reaches h, that is (x, h) lies in V.
+
+    Both tests run on T's orbit mask M, bit i set iff T holds orbit i,
+    which the stack carries beside T (`_Tables.extension`).  T holds a
+    proper pair iff it holds that pair's orbit, so the demands lie in T
+    iff their orbits lie in M.  For x != k, (x, k) lies in T iff its
+    orbit a is in M.  Then (x, h) is a proper pair outside orbit j',
+    because conjugates keep the source order and K_x is smaller than K_k,
+    so (x, h) lies in V iff its orbit b is in M.
 
     Yielding T when it is popped, its children pushed by ascending orbit,
     is a preorder taking later orbits first, which is key order: orbits are
@@ -484,25 +510,22 @@ def _systems(L: SubgroupLattice, bound: int):
         raise SearchBoundExceeded(
             f"{L.group.name} has {len(L.pair_orbits)} inclusion-pair orbits, "
             f"above the search bound {bound}")
-    n = L.n
     tables = _tables(L)
     steps = [tables.extension[j] or tables._extension(j) for j in range(len(L.pair_orbits))]
-    diagonal, colbase = _packing(n)
-    stack = [(diagonal, 0)]
+    stack = [(_packing(L.n)[0], 0, 0)]
     while stack:
-        T, start = stack.pop()
+        T, M, start = stack.pop()
         yield T
-        absent = ~T
+        absent = ~M
         for j in range(start, len(steps)):
-            packed, outside, pairs = steps[j]
-            if outside & absent:
+            packed, need, implied = steps[j]
+            if need & absent:
                 continue
-            V = T | packed
-            for k, h in pairs:
-                if T >> k & ~(V >> h) & colbase:
+            for b, a in implied:
+                if M & a and b & absent:
                     break
             else:
-                stack.append((V, j + 1))
+                stack.append((T | packed, M | 1 << j, j + 1))
 
 
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # byte b, bits reversed
@@ -531,11 +554,12 @@ def enumerate_all(L: SubgroupLattice, bound: int = SEARCH_BOUND) -> list[Transfe
     object-attribute relational data", Inf. Sci. 185, 2012) over the pair
     orbits.  In L.pair_orbits order a closure with orbit j adds no later
     orbit, so each canonical child is its parent plus one orbit, kept iff
-    that union is closed, and the walk closes nothing.  It is a preorder
-    taking later orbits first, which lists the systems in key order, so
-    nothing is sorted (see `_systems`).  Refuses, before any work on the
-    orbits, if the number of inclusion-pair orbits exceeds `bound`.  The
-    result depends on the arguments alone; no environment variable is read.
+    that union is closed, and the walk closes nothing: two tests on masks
+    with one bit per orbit decide it.  It is a preorder taking later orbits
+    first, which lists the systems in key order, so nothing is sorted (see
+    `_systems`).  Refuses, before any work on the orbits, if the number of
+    inclusion-pair orbits exceeds `bound`.  The result depends on the
+    arguments alone; no environment variable is read.
     """
     return [TransferSystem(L, P) for P in _systems(L, bound)]
 

@@ -1,7 +1,8 @@
 """The Tr(G) walk, `transfer._systems`, against the closure-based walk it
 replaced, and the order fact that makes it exact: in L.pair_orbits order,
 the system an orbit generates holds no later orbit.  The walk lists Tr(G)
-in TransferSystem.key order, which the closure walk does not."""
+in TransferSystem.key order, which the closure walk does not.  Its tests
+run on orbit masks, from tables checked here against the axioms."""
 
 import pytest
 
@@ -81,6 +82,45 @@ def test_generated_systems_hold_no_later_orbit(G):
         P = (tables.generated[j] or tables._generated(j)) & ~_packing(n)[0]
         held = {orbit_index[p] for p in range(n * n) if P >> p & 1}
         assert max(held) == j
+
+
+def orbit_masks_by_brute_force(L, j):
+    """What adding orbit j asks of a system, as orbit indices, straight from
+    the axioms: the orbits of the restrictions (M n K, M), M <= H, of its
+    pairs (K, H) outside the orbit and the diagonal; and, for transitivity,
+    per orbit b of a pair (X, H) with (K, H) in the orbit and X < K, the
+    orbits of those (X, K)."""
+    orbit_index = {pair: i for i, orbit in enumerate(L.pair_orbits) for pair in orbit}
+    orbit = L.pair_orbits[j]
+    need, implied = set(), {}
+    for k, h in orbit:
+        for x in range(L.n):
+            if L.includes[x][h]:
+                a = L.intersect[x][k]
+                if a != x and (a, x) not in orbit:
+                    need.add(orbit_index[a, x])
+            if x != k and L.includes[x][k]:
+                implied.setdefault(orbit_index[x, h], set()).add(orbit_index[x, k])
+    return need, implied
+
+
+@pytest.mark.parametrize("G", [make_group(name) for name in ORDER_24_BUILTINS]
+                         + list(INVARIANT_RELABELED.values()),
+                         ids=list(ORDER_24_BUILTINS) + list(INVARIANT_RELABELED))
+def test_orbit_mask_tables_match_brute_force(G):
+    """`_Tables.extension`, which the walk's two tests read, against the
+    axioms applied pair by pair: the packed orbit, the orbits it needs, and
+    one implied entry per target orbit."""
+    L = subgroup_lattice(G)
+    n = L.n
+    tables = _tables(L)
+    for j, orbit in enumerate(L.pair_orbits):
+        packed, need, implied = tables.extension[j] or tables._extension(j)
+        want_need, want_implied = orbit_masks_by_brute_force(L, j)
+        assert packed == sum(1 << k * n + h for k, h in orbit)
+        assert need == sum(1 << i for i in want_need)
+        assert len(dict(implied)) == len(implied)
+        assert dict(implied) == {1 << b: sum(1 << i for i in a) for b, a in want_implied.items()}
 
 
 def test_tr_c4xc4_count_by_streaming():
