@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .lattice import SubgroupLattice
-from .transfer import TransferSystem, _bits_of
+from .transfer import TransferSystem
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,8 @@ def maximal_chain(L: SubgroupLattice) -> MaximalChain:
     class_of = L.class_of
     ordered = sorted(L.pair_orbits, key=lambda o: (class_of[o[0][1]], class_of[o[0][0]]))
 
+    n = L.n
     systems = [TransferSystem.diagonal(L)]
     for orbit in ordered:
-        systems.append(TransferSystem(L, systems[-1].bits | _bits_of(L, orbit)))
+        systems.append(TransferSystem(L, systems[-1].bits | sum(1 << k * n + h for k, h in orbit)))
     return MaximalChain(tuple(systems), L.class_reps, tuple(ordered))

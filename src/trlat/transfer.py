@@ -108,8 +108,8 @@ class TransferSystem:
 # -- validation ---------------------------------------------------------------
 
 class _Tables:
-    """What validation and closure need of a lattice over n subgroups; pairs
-    are indexed k*n + h, their bit in a packed system.
+    """What validation, closure and the Tr(G) walk need of a lattice over n
+    subgroups; pairs are indexed k*n + h, their bit in a packed system.
 
     incl[k]: the bits h with K_k <= H_h.
     maximum: the packed inclusion relation, every pair (k, h) with K_k <= H_h.
@@ -118,25 +118,21 @@ class _Tables:
     orbit_of[k*n + h]: the index in L.pair_orbits of a proper pair, else -1.
 
     The rest is built on first use, since one mask is an n^2-bit int and a
-    large lattice has many.  Each is a list indexed by a proper pair or an
-    orbit, read as `demand[p] or self._demand(p)` and so on: an entry is
-    falsy until built, and its builder stores it.
-    demand[k*n + h]: the packed pairs that the conjugation and restriction
-      axioms ask of a system holding (k, h), its conjugates (c[k], c[h]) and
-      its restrictions (L_l n K_k, L_l) for L_l <= H_h.
-    conjugates[k*n + h]: the conjugates (c[k], c[h]) in L.conjugate order
-      with repeats dropped.  They are the tuples L.pair_orbits holds, so a
-      listing adds only its references.
-    orbits[j]: the packed bit of orbit j's first pair and the nonzero
-      (row, bits) of its members' demands together, which is what the orbit
-      adds under conjugation, then restriction: every pair of an orbit
-      closes to the same system, and a system holds a whole orbit or none.
-    extension[j]: what `_systems` tests to add orbit j to a system, orbits
-      read as bits of an orbit mask, bit i for orbit i: (packed, need,
-      implied).  packed is the packed orbit, need the orbits of its members'
-      demands outside the orbit and the diagonal.  implied holds one
+    large lattice has many orbits; an entry is falsy until built, read as
+    `orbits[j] or self._orbit(j)` and so on, and its builder stores it.
+    orbits[j]: (packed, demand, edges, need, implied).  packed holds orbit
+      j's pairs, demand those the conjugation and restriction axioms ask of
+      a system holding them: the restrictions (L_l n K_k, L_l), L_l <= H_h,
+      of its members (k, h), which hold orbit j itself (l = h).
+      edges are demand's nonzero (row, bits), which `_close` takes; every
+      pair of an orbit closes to the same system.  need and implied are
+      what `_systems` tests on orbit masks, bit i for orbit i: need has the
+      orbits of demand outside orbit j and the diagonal; implied holds one
       (1 << b, a) per orbit b of a pair (x, h) with (k, h) in orbit j,
-      x != k and K_x <= K_k; a has the orbit bits of those (x, k).
+      x != k and K_x <= K_k, a the orbit bits of those (x, k).
+    conjugates[k*n + h]: for a pair `_violations` lists, its conjugates
+      (c[k], c[h]) in L.conjugate order with repeats dropped: the tuples
+      L.pair_orbits holds, so a listing adds only references.
     generated[j]: the packed system orbit j generates.
     orbit_reader: for `aut_orbits`, an itemgetter of the bytes holding a
       first pair, and per such byte a table from its value to the bits j of
@@ -145,8 +141,8 @@ class _Tables:
       more, and (1, H) and (K, G), K > 1, put first pairs in two bytes.
     """
 
-    __slots__ = ("lattice", "incl", "maximum", "below", "orbit_of", "demand", "conjugates",
-                 "orbits", "extension", "generated", "orbit_reader")
+    __slots__ = ("lattice", "incl", "maximum", "below", "orbit_of", "orbits", "conjugates",
+                 "generated", "orbit_reader")
 
     def __init__(self, L: SubgroupLattice):
         n = L.n
@@ -159,18 +155,30 @@ class _Tables:
             for k, h in orbit:
                 self.orbit_of[k * n + h] = j
         m = len(L.pair_orbits)
-        self.demand, self.conjugates = [0] * (n * n), [()] * (n * n)
-        self.orbits, self.extension, self.generated = [()] * m, [()] * m, [0] * m
+        self.orbits, self.generated = [()] * m, [0] * m
+        self.conjugates: dict[int, tuple[tuple[int, int], ...]] = {}
         self.orbit_reader = None
 
-    def _demand(self, p: int) -> int:
-        L, n = self.lattice, self.lattice.n
-        k, h = divmod(p, n)
-        need = sum(1 << a * n + b for a, b in L.pair_orbits[self.orbit_of[p]])
-        for l in self.below[h]:
-            need |= 1 << L.intersect[l][k] * n + l
-        self.demand[p] = need
-        return need
+    def _orbit(self, j: int) -> tuple:
+        L, n, orbit_of = self.lattice, self.lattice.n, self.orbit_of
+        orbit = L.pair_orbits[j]
+        packed = sum(1 << k * n + h for k, h in orbit)
+        demand, implied = 0, {}
+        for k, h in orbit:
+            for l in self.below[h]:
+                demand |= 1 << L.intersect[l][k] * n + l
+            for x in self.below[k]:
+                if x != k:
+                    b = 1 << orbit_of[x * n + h]
+                    implied[b] = implied.get(b, 0) | 1 << orbit_of[x * n + k]
+        outside, need = demand & ~packed & ~_packing(n)[0], 0
+        while outside:
+            low = outside & -outside
+            outside ^= low
+            need |= 1 << orbit_of[low.bit_length() - 1]
+        edges = [(i, r) for i, r in enumerate(_unpack(demand, n)) if r]
+        value = self.orbits[j] = (packed, demand, edges, need, tuple(implied.items()))
+        return value
 
     def _conjugates(self, p: int) -> tuple[tuple[int, int], ...]:
         L, n = self.lattice, self.lattice.n
@@ -180,41 +188,9 @@ class _Tables:
             orbit[q] for q in dict.fromkeys((c[k], c[h]) for c in L.conjugate))
         return pairs
 
-    def _union(self, j: int) -> int:
-        n = self.lattice.n
-        union = 0
-        for k, h in self.lattice.pair_orbits[j]:
-            union |= self.demand[k * n + h] or self._demand(k * n + h)
-        return union
-
-    def _orbit(self, j: int) -> tuple[int, list[tuple[int, int]]]:
-        n = self.lattice.n
-        k, h = self.lattice.pair_orbits[j][0]
-        rows = [(i, r) for i, r in enumerate(_unpack(self._union(j), n)) if r]
-        value = self.orbits[j] = (1 << k * n + h, rows)
-        return value
-
-    def _extension(self, j: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-        n, orbit_of = self.lattice.n, self.orbit_of
-        orbit = self.lattice.pair_orbits[j]
-        packed = sum(1 << k * n + h for k, h in orbit)
-        outside, need = self._union(j) & ~packed & ~_packing(n)[0], 0
-        while outside:
-            low = outside & -outside
-            outside ^= low
-            need |= 1 << orbit_of[low.bit_length() - 1]
-        implied: dict[int, int] = {}
-        for k, h in orbit:
-            for x in self.below[k]:
-                if x != k:
-                    b = 1 << orbit_of[x * n + h]
-                    implied[b] = implied.get(b, 0) | 1 << orbit_of[x * n + k]
-        value = self.extension[j] = (packed, need, tuple(implied.items()))
-        return value
-
     def _generated(self, j: int) -> int:
         n = self.lattice.n
-        P = self.generated[j] = _close(_packing(n)[0], (self.orbits[j] or self._orbit(j))[1], n)
+        P = self.generated[j] = _close(_packing(n)[0], (self.orbits[j] or self._orbit(j))[2], n)
         return P
 
     def _orbit_reader(self) -> tuple[itemgetter, list[list[int]]]:
@@ -238,6 +214,8 @@ def _tables(L: SubgroupLattice) -> _Tables:
 
 
 def _check_indices(L: SubgroupLattice, k, h) -> None:
+    if type(k) is not int or type(h) is not int:
+        raise TransferSystemError(f"pair ({k!r}, {h!r}) must hold integer subgroup indices")
     if not (0 <= k < L.n and 0 <= h < L.n):
         raise TransferSystemError(
             f"pair ({k}, {h}) is out of range: {L.group.name} has {L.n} subgroups, "
@@ -265,16 +243,18 @@ def _violations(L: SubgroupLattice, P: int) -> list[Violation]:
     Exact with few tests.  The first loop runs only if P lacks a reflexive
     pair or holds one outside inclusion.  A held pair's listing, its
     distinct conjugates (`_Tables.conjugates`) and then its restrictions
-    (one per l in `_Tables.below[h]`), holds the pairs of its demand mask
-    in the order above, so a pair whose mask lies inside P lists nothing
-    and is not walked; its transitive steps are the bits of rows[h] that
-    row k lacks.  A pair already listed for an axiom is not listed again:
-    each axiom keeps its own copy of the rows, P plus the pairs listed for
-    it so far, and a pair is listed iff that copy lacks it.
+    (one per l in `_Tables.below[h]`), lists only pairs P lacks, and they
+    lie in its orbit's demand mask, so a pair whose orbit's mask lies
+    inside P lists nothing and is not walked; its transitive steps are the
+    bits of rows[h] that row k lacks.  A pair already listed for an axiom
+    is not listed again: each axiom keeps its own copy of the rows, P plus
+    the pairs listed for it so far, and a pair is listed iff that copy
+    lacks it.
     """
     n = L.n
     tables = _tables(L)
-    incl, demand, conjugates, below = tables.incl, tables.demand, tables.conjugates, tables.below
+    incl, orbit_of, orbits, below = tables.incl, tables.orbit_of, tables.orbits, tables.below
+    conjugates = tables.conjugates
     rows = _unpack(P, n)
     # tuple.__new__ skips the NamedTuple's generated __new__, the larger cost here
     new = tuple.__new__
@@ -298,8 +278,9 @@ def _violations(L: SubgroupLattice, P: int) -> list[Violation]:
             held ^= low
             h = low.bit_length() - 1
             forced, p = (k, h), k * n + h
-            if (demand[p] or tables._demand(p)) & absent:
-                for pair in conjugates[p] or tables._conjugates(p):
+            j = orbit_of[p]
+            if (orbits[j] or tables._orbit(j))[1] & absent:
+                for pair in conjugates.get(p) or tables._conjugates(p):
                     a, b = pair
                     if not conjugated[a] >> b & 1:
                         conjugated[a] |= 1 << b
@@ -378,12 +359,12 @@ def generate(L: SubgroupLattice, relation) -> TransferSystem:
     The seeds are the indices in L.pair_orbits of the orbits the relation
     meets.  The system the largest seed generates is kept on
     `_Tables.generated`; the other seeds, in descending order, close it
-    further with their edges.  A seed whose first pair is already held is
-    skipped, which is exact: the system so far is a transfer system, and
-    one holding a pair of an orbit holds the whole orbit and everything
-    the orbit demands.  Closing a transfer system with an orbit's edges
-    gives the join of the two, so the order of the seeds changes only how
-    many are skipped.
+    further with their edges.  A seed the system so far meets is skipped,
+    which is exact: that system is a transfer system, and one holding a
+    pair of an orbit holds the whole orbit and everything the orbit
+    demands.  Closing a transfer system with an orbit's edges gives the
+    join of the two, so the order of the seeds changes only how many are
+    skipped.
     """
     n = L.n
     tables = _tables(L)
@@ -401,8 +382,8 @@ def generate(L: SubgroupLattice, relation) -> TransferSystem:
     seeds = sorted(seeds, reverse=True)
     P = tables.generated[seeds[0]] or tables._generated(seeds[0])
     for j in seeds[1:]:
-        bit, edges = tables.orbits[j] or tables._orbit(j)
-        if not P & bit:
+        packed, _, edges, _, _ = tables.orbits[j] or tables._orbit(j)
+        if not P & packed:
             P = _close(P, edges, n)
     return TransferSystem(L, P)
 
@@ -491,7 +472,7 @@ def _systems(L: SubgroupLattice, bound: int):
     T reaches h, that is (x, h) lies in V.
 
     Both tests run on T's orbit mask M, bit i set iff T holds orbit i,
-    which the stack carries beside T (`_Tables.extension`).  T holds a
+    which the stack carries beside T (`_Tables.orbits`).  T holds a
     proper pair iff it holds that pair's orbit, so the demands lie in T
     iff their orbits lie in M.  For x != k, (x, k) lies in T iff its
     orbit a is in M.  Then (x, h) is a proper pair outside orbit j',
@@ -511,14 +492,14 @@ def _systems(L: SubgroupLattice, bound: int):
             f"{L.group.name} has {len(L.pair_orbits)} inclusion-pair orbits, "
             f"above the search bound {bound}")
     tables = _tables(L)
-    steps = [tables.extension[j] or tables._extension(j) for j in range(len(L.pair_orbits))]
+    steps = [tables.orbits[j] or tables._orbit(j) for j in range(len(L.pair_orbits))]
     stack = [(_packing(L.n)[0], 0, 0)]
     while stack:
         T, M, start = stack.pop()
         yield T
         absent = ~M
         for j in range(start, len(steps)):
-            packed, need, implied = steps[j]
+            packed, _, _, need, implied = steps[j]
             if need & absent:
                 continue
             for b, a in implied:
@@ -579,16 +560,19 @@ def hasse_diagram(L: SubgroupLattice, bound: int = SEARCH_BOUND
     """
     systems = enumerate_all(L, bound)
     tables = _tables(L)
-    masks = [(tables.orbits[j] or tables._orbit(j)) + (tables.generated[j] or tables._generated(j),)
-             for j in range(len(L.pair_orbits))]
+    masks = []
+    for j in range(len(L.pair_orbits)):
+        packed, _, edges, _, _ = tables.orbits[j] or tables._orbit(j)
+        masks.append((packed, edges, tables.generated[j] or tables._generated(j)))
     index = {T.bits: i for i, T in enumerate(systems)}
     covers = []
     for i, T in enumerate(systems):
         P = T.bits
-        lacking = sum(bit for bit, _, _ in masks if not P & bit)
-        succ = [(bit, _close(P, edges, L.n)) for bit, edges, g in masks if g & lacking == bit]
+        lacking = sum(packed for packed, _, _ in masks if not P & packed)
+        succ = [(packed, _close(P, edges, L.n)) for packed, edges, g in masks
+                if g & lacking == packed]
         for S in {N for _, N in succ}:
-            if all(N == S for bit, N in succ if S & bit):
+            if all(N == S for packed, N in succ if S & packed):
                 covers.append((i, index[S]))
     covers.sort()
     return systems, covers
@@ -605,10 +589,11 @@ def _byte_table(values) -> list[int]:
 def aut_orbits(systems, automorphism_perms):
     """Orbit partition of systems under relabeling by group automorphisms.
 
-    Returns (orbits, profile): orbits as lists of systems, each in the order
-    of `systems` (key order for `enumerate_all`'s list), and profile as
-    (orbit size, count) sorted by size descending.  Raises ValueError if
-    the list is not closed under the action.
+    The systems must be distinct.  Returns (orbits, profile): orbits as
+    lists of systems, each in the order of `systems` (key order for
+    `enumerate_all`'s list), and profile as (orbit size, count) sorted by
+    size descending.  Raises ValueError if the list is not closed under the
+    action.
 
     Inner automorphisms (subgroup permutations L.conjugate[g]) fix every
     conjugation-closed system, so only one subgroup permutation per coset
@@ -631,9 +616,8 @@ def aut_orbits(systems, automorphism_perms):
             covered |= {tuple(p[s] for s in c) for c in inner}
             images = [sum(1 << p[k] * n + p[h] for k, h in orbit) for orbit in L.pair_orbits]
             actions.append([_byte_table(images[at:at + 8]) for at in range(0, len(images), 8)])
-    if not actions:  # a repeated system is one orbit, as with the index below
-        orbits = [[T] for T in {T.bits: T for T in systems}.values()]
-        return orbits, [(1, len(orbits))]
+    if not actions:
+        return [[T] for T in systems], [(1, len(systems))]
     tables = _tables(L)
     pick, reads = tables.orbit_reader or tables._orbit_reader()
     diagonal, size, width = _packing(n)[0], -(-n * n // 8), -(-len(L.pair_orbits) // 8)

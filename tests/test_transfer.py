@@ -1,10 +1,11 @@
 """Relation closure, validation, lattice operations, and enumeration of Tr(G)."""
 
 import random
+import tracemalloc
 
 import pytest
 
-from trlat.groups import abelian_group, cyclic_group, make_group
+from trlat.groups import FiniteGroup, abelian_group, cyclic_group, make_group
 from trlat.lattice import automorphisms, subgroup_lattice
 from trlat.transfer import (SearchBoundExceeded, TransferSystem,
                             TransferSystemError, _tables, aut_orbits,
@@ -97,6 +98,23 @@ def test_generate_sym3_transposition_to_top():
     # conjugation closure puts the other transpositions' transfers in too
     t13 = L.resolve_name("<(13)>")
     assert T.contains(t13, L.full)
+
+
+def test_tables_of_a_large_lattice_stay_small():
+    """C2xC2xC2xC2xC6 has 748 subgroups, so 559,504 (k, h) slots, and 16,559
+    pair orbits.  Generating and validating one orbit's system keeps one
+    list of n^2 slots and the records of the orbits it touches, under 9 MB
+    traced.  The table is fresh, with no lattice or tables cached."""
+    L = subgroup_lattice(FiniteGroup(make_group("C2xC2xC2xC2xC6")._table))
+    tracemalloc.start()
+    try:
+        assert generate(L, []).pair_count() == 0
+        assert len(validate(L, [(0, L.full)])) == 746
+        assert generate(L, [(1, L.full)]).pair_count() == 746
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2 ** 20
 
 
 def test_generate_monotone_and_idempotent():

@@ -9,6 +9,7 @@ pair by pair, and closes it by Warshall's algorithm on the rows.
 """
 
 import random
+import re
 
 import pytest
 
@@ -177,5 +178,11 @@ def test_pair_indices_outside_the_lattice_rejected():
             validate(L, [pair])
         with pytest.raises(TransferSystemError, match="out of range"):
             generate(L, [pair])
+    # an index that is not an int is refused, not read as one (True as 1)
+    for pair in ((0.0, 1), (True, 1), ("0", 1)):
+        message = rf"^pair \({re.escape(repr(pair[0]))}, 1\) must hold integer subgroup indices$"
+        for check in (validate, generate, TransferSystem.from_pairs):
+            with pytest.raises(TransferSystemError, match=message):
+                check(L, [(0, 1), pair])
     assert system_from_json({**doc, "pairs": [[0, 1], [0, 2], [1, 2]]}).rows \
         == TransferSystem.maximum(L).rows

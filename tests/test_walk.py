@@ -31,11 +31,12 @@ def closure_walk(L):
     orbits below j it holds skips j."""
     n = L.n
     tables = _tables(L)
-    masks = [tables.orbits[j] or tables._orbit(j) for j in range(len(L.pair_orbits))]
-    low, below = [], 0  # low[j]: the first-pair bits of the orbits before j
-    for bit, _ in masks:
+    masks = [(tables.orbits[j] or tables._orbit(j))[0:3:2]  # (packed, edges)
+             for j in range(len(L.pair_orbits))]
+    low, below = [], 0  # low[j]: the packed orbits before j
+    for packed, _ in masks:
         low.append(below)
-        below |= bit
+        below |= packed
     diagonal = _packing(n)[0]
     yield diagonal
     stack = [(diagonal, 0, [0] * len(masks))]
@@ -44,8 +45,8 @@ def closure_walk(L):
         failed = failed.copy()
         children = []
         for j in range(start, len(masks)):
-            bit, edges = masks[j]
-            if T & bit or failed[j] & low[j] & ~T:
+            packed, edges = masks[j]
+            if T & packed or failed[j] & low[j] & ~T:
                 continue
             U = _close(T, edges, n)
             if U & ~T & low[j]:
@@ -85,39 +86,48 @@ def test_generated_systems_hold_no_later_orbit(G):
 
 
 def orbit_masks_by_brute_force(L, j):
-    """What adding orbit j asks of a system, as orbit indices, straight from
-    the axioms: the orbits of the restrictions (M n K, M), M <= H, of its
-    pairs (K, H) outside the orbit and the diagonal; and, for transitivity,
+    """What adding orbit j asks of a system, straight from the axioms: the
+    conjugates (C K C^-1, C H C^-1) and restrictions (M n K, M), M <= H, of
+    its pairs (K, H), as (source, target) pairs; the orbits of those
+    restrictions outside the orbit and the diagonal; and, for transitivity,
     per orbit b of a pair (X, H) with (K, H) in the orbit and X < K, the
     orbits of those (X, K)."""
     orbit_index = {pair: i for i, orbit in enumerate(L.pair_orbits) for pair in orbit}
     orbit = L.pair_orbits[j]
-    need, implied = set(), {}
+    demand, need, implied = set(), set(), {}
     for k, h in orbit:
+        demand |= {(c[k], c[h]) for c in L.conjugate}
         for x in range(L.n):
             if L.includes[x][h]:
                 a = L.intersect[x][k]
+                demand.add((a, x))
                 if a != x and (a, x) not in orbit:
                     need.add(orbit_index[a, x])
             if x != k and L.includes[x][k]:
                 implied.setdefault(orbit_index[x, h], set()).add(orbit_index[x, k])
-    return need, implied
+    return demand, need, implied
 
 
 @pytest.mark.parametrize("G", [make_group(name) for name in ORDER_24_BUILTINS]
                          + list(INVARIANT_RELABELED.values()),
                          ids=list(ORDER_24_BUILTINS) + list(INVARIANT_RELABELED))
 def test_orbit_mask_tables_match_brute_force(G):
-    """`_Tables.extension`, which the walk's two tests read, against the
-    axioms applied pair by pair: the packed orbit, the orbits it needs, and
-    one implied entry per target orbit."""
+    """`_Tables.orbits`, which closure, validation and the walk read,
+    against the axioms applied pair by pair: the packed orbit, its demand
+    and that demand's nonzero rows, the orbits it needs, and one implied
+    entry per target orbit."""
     L = subgroup_lattice(G)
     n = L.n
     tables = _tables(L)
     for j, orbit in enumerate(L.pair_orbits):
-        packed, need, implied = tables.extension[j] or tables._extension(j)
-        want_need, want_implied = orbit_masks_by_brute_force(L, j)
+        packed, demand, edges, need, implied = tables.orbits[j] or tables._orbit(j)
+        want_demand, want_need, want_implied = orbit_masks_by_brute_force(L, j)
         assert packed == sum(1 << k * n + h for k, h in orbit)
+        assert demand == sum(1 << k * n + h for k, h in want_demand)
+        rows = {}
+        for k, h in want_demand:
+            rows[k] = rows.get(k, 0) | 1 << h
+        assert edges == sorted(rows.items())
         assert need == sum(1 << i for i in want_need)
         assert len(dict(implied)) == len(implied)
         assert dict(implied) == {1 << b: sum(1 << i for i in a) for b, a in want_implied.items()}
