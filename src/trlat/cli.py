@@ -360,8 +360,7 @@ def run(argv: list[str], out=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (SearchBoundExceeded, TransferSystemError, GroupValidationError,
-            ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
 

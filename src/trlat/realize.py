@@ -26,8 +26,8 @@ from importlib import resources
 
 from .groups import MAX_ORDER, FiniteGroup, check_order, cyclic_group, is_prime
 from .lattice import SubgroupLattice, subgroup_lattice
-from .transfer import (SearchBoundExceeded, TransferSystem, generate, in_key_order,
-                       is_saturated, irreducible_pairs, join)
+from .transfer import (SearchBoundExceeded, TransferSystem, generate, is_saturated,
+                       irreducible_pairs, join)
 
 # 2^(n // 2) universes over C_n: the scan reaches every n <= 43
 UNIVERSE_SCAN_LIMIT = 1 << 21
@@ -204,7 +204,7 @@ def steiner_image(L: SubgroupLattice) -> list[TransferSystem]:
     for summand in summands:
         g = generate(L, summand)
         values |= {join(T, g) for T in values}
-    return in_key_order(values)
+    return sorted(values, key=operator.attrgetter("key"))
 
 
 # -- the isometries map --------------------------------------------------------
@@ -271,7 +271,8 @@ def linisom_image_cyclic(n: int) -> list[TransferSystem]:
                 if a != C:
                     refined.append((a ^ C, pairs))
             cells = refined
-    return in_key_order({TransferSystem.from_pairs(L, pairs) for _, pairs in cells})
+    return sorted({TransferSystem.from_pairs(L, pairs) for _, pairs in cells},
+                  key=operator.attrgetter("key"))
 
 
 def linisom_image(L: SubgroupLattice) -> tuple[list[TransferSystem], int]:
@@ -282,7 +283,7 @@ def linisom_image(L: SubgroupLattice) -> tuple[list[TransferSystem], int]:
     if G.kind == "cyclic":
         return linisom_image_cyclic(G.order), 1 << G.order // 2
     rows = linisom_fixture(L)
-    return in_key_order({row.system for row in rows}), len(rows)
+    return sorted({row.system for row in rows}, key=operator.attrgetter("key")), len(rows)
 
 
 # -- constructing realizing universes ------------------------------------------

@@ -7,6 +7,7 @@ relation K_k -> H_h holds (canonical lattice indices).
 from __future__ import annotations
 
 import functools
+from array import array
 from operator import itemgetter
 from typing import NamedTuple
 from .lattice import SearchBoundExceeded, SubgroupLattice
@@ -83,8 +84,8 @@ class TransferSystem:
 
     @property
     def key(self) -> str:
-        """Bit string, bit k*n + h first to last: the order of `enumerate_all`
-        and `in_key_order`, and the node names of a DOT export."""
+        """Bit string, bit k*n + h first to last: the order of every list of
+        systems the library returns, and the node names of a DOT export."""
         n = self.lattice.n
         return format(self.bits, f"0{n * n}b")[::-1]
 
@@ -115,7 +116,8 @@ class _Tables:
     maximum: the packed inclusion relation, every pair (k, h) with K_k <= H_h.
     below[h]: the l with L_l <= H_h, ascending, so (L_l n K_k, L_l) for l in
       below[h] are the restrictions of (k, h).
-    orbit_of[k*n + h]: the index in L.pair_orbits of a proper pair, else -1.
+    orbit_of[k*n + h]: the index in L.pair_orbits of a proper pair, else -1;
+      an array of C ints, 4 bytes a slot.
 
     The rest is built on first use, since one mask is an n^2-bit int and a
     large lattice has many orbits; an entry is falsy until built, read as
@@ -150,7 +152,7 @@ class _Tables:
         self.incl = [sum(1 << h for h in range(n) if L.includes[k][h]) for k in range(n)]
         self.maximum = sum(r << k * n for k, r in enumerate(self.incl))
         self.below = [tuple(l for l in range(n) if L.includes[l][h]) for h in range(n)]
-        self.orbit_of = [-1] * (n * n)
+        self.orbit_of = array("i", [-1]) * (n * n)
         for j, orbit in enumerate(L.pair_orbits):
             for k, h in orbit:
                 self.orbit_of[k * n + h] = j
@@ -507,24 +509,6 @@ def _systems(L: SubgroupLattice, bound: int):
                     break
             else:
                 stack.append((T | packed, M | 1 << j, j + 1))
-
-
-_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # byte b, bits reversed
-
-
-def in_key_order(systems) -> list[TransferSystem]:
-    """Systems over one lattice, sorted as by TransferSystem.key, for lists
-    not listed by the walk, which is already in that order.  Sorts by the
-    bytes of the packed int, little-endian and bit-reversed: byte 0 compares
-    first, and bit 0 is the most significant within a byte.  Every key has
-    the same length, so the zero padding decides nothing."""
-    systems = list(systems)
-    if not systems:
-        return []
-    n = systems[0].lattice.n
-    size = -(-n * n // 8)
-    return sorted(systems,
-                  key=lambda T: T.bits.to_bytes(size, "little").translate(_BIT_REVERSED))
 
 
 def enumerate_all(L: SubgroupLattice, bound: int = SEARCH_BOUND) -> list[TransferSystem]:

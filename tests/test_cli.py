@@ -248,15 +248,34 @@ def test_search_bound_environment_is_ignored(monkeypatch, capsys):
     assert "above the search bound 24" in capsys.readouterr().err
 
 
-def test_module_entry_point():
-    """`python -m trlat.cli` runs the CLI."""
+def _module_env():
+    """The environment for a child `python -m trlat.cli` that imports this trlat."""
     env = dict(os.environ)
     src = str(Path(trlat.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point():
+    """`python -m trlat.cli` runs the CLI."""
     proc = subprocess.run([sys.executable, "-m", "trlat.cli", "group", "info", "--group", "Q8"],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_module_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["subgroup_count"] == 6
+
+
+def test_a_reader_that_stops_early_ends_the_run_quietly():
+    """A closed stdout, as `| head -c 10` leaves it, exits 0 with nothing on stderr."""
+    proc = subprocess.Popen([sys.executable, "-m", "trlat.cli", "ts", "enumerate",
+                             "--group", "Sym4", "--bound", "34"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env())
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_image_linisom_c6():
@@ -354,6 +373,12 @@ def test_realize_refuses_an_over_long_numeral_without_echoing_it(argv, capsys):
     err = capsys.readouterr().err
     assert err.splitlines()[-1].endswith(f"{flag}: numeral is too long: 5000 characters")
     assert len(err) < 300
+
+
+def test_realize_refuses_a_word_for_a_numeral(capsys):
+    assert invoke("realize", "cpn", "--p", "two", "--n", "3") == (2, "")
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "argument --p: invalid int value: 'two'")
 
 
 def test_realize_refuses_a_negative_exponent(capsys):
@@ -476,6 +501,23 @@ def test_export_to_a_path_that_cannot_be_opened(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith(f"usage error: --out {target}: ") and err.count("\n") == 1, err
     assert not target.parent.exists()
+
+
+def test_export_reports_an_open_that_fails_after_the_checks(tmp_path, monkeypatch, capsys):
+    """The checks before any work passed, but the open itself fails."""
+    target = tmp_path / "x.dot"
+    opened = open
+
+    def refusing(file, *args, **kwargs):
+        if file == str(target):
+            raise OSError(28, "No space left on device")
+        return opened(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", refusing)
+    assert invoke("export", "--format", "dot", "--group", "C4", "--out", str(target)) == (2, "")
+    assert capsys.readouterr().err == \
+        f"usage error: --out {target}: [Errno 28] No space left on device\n"
+    assert not target.exists()
 
 
 def test_export_refuses_an_unwritable_out_before_any_work(tmp_path, monkeypatch, capsys):

@@ -10,8 +10,9 @@ from trlat.lattice import automorphisms, subgroup_lattice
 from trlat.transfer import (SearchBoundExceeded, TransferSystem,
                             TransferSystemError, _tables, aut_orbits,
                             closed_form_normal_source, closed_form_normal_target,
-                            enumerate_all, generate, hasse_diagram, in_key_order,
+                            enumerate_all, generate, hasse_diagram,
                             irreducible_pairs, is_saturated, join, meet, validate)
+from trlat.realize import linisom_image, linisom_image_cyclic, steiner_image
 
 from tables import dihedral, relabeled
 
@@ -103,8 +104,8 @@ def test_generate_sym3_transposition_to_top():
 def test_tables_of_a_large_lattice_stay_small():
     """C2xC2xC2xC2xC6 has 748 subgroups, so 559,504 (k, h) slots, and 16,559
     pair orbits.  Generating and validating one orbit's system keeps one
-    list of n^2 slots and the records of the orbits it touches, under 9 MB
-    traced.  The table is fresh, with no lattice or tables cached."""
+    array of n^2 4-byte slots and the records of the orbits it touches,
+    under 5 MB traced.  The table is fresh, with no lattice or tables cached."""
     L = subgroup_lattice(FiniteGroup(make_group("C2xC2xC2xC2xC6")._table))
     tracemalloc.start()
     try:
@@ -114,7 +115,7 @@ def test_tables_of_a_large_lattice_stay_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9 * 2 ** 20
+    assert peak < 5 * 2 ** 20
 
 
 def test_generate_monotone_and_idempotent():
@@ -325,10 +326,31 @@ def test_rank_two_formula():
 @pytest.mark.parametrize("name,bound", [("C16", None), ("Q8", None), ("C2xC6", 26),
                                         ("Sym4", 34)])
 def test_enumeration_in_key_order(name, bound):
-    """The byte sort key orders as the bit-string key does, over 25 to 900 bits."""
+    """The walk lists Tr(G) as sorting by the bit-string key does, over 25 to 900 bits."""
     systems = enumerate_all(L_(name), **({} if bound is None else {"bound": bound}))
-    assert systems == sorted(systems, key=lambda T: T.key)
-    assert in_key_order(reversed(systems)) == systems
+    assert systems == sorted(reversed(systems), key=lambda T: T.key)
+
+
+def test_every_returned_list_is_sorted_by_key():
+    """Tr(G), its Hasse diagram's systems and both images: each list the
+    library returns is strictly increasing in TransferSystem.key."""
+    def increasing(systems):
+        keys = [T.key for T in systems]
+        return all(a < b for a, b in zip(keys, keys[1:]))
+
+    for G in (make_group("Q8"), make_group("C16"), dihedral(4), make_group("C24"),
+              make_group("C2xC6"), dihedral(6), make_group("Sym4")):
+        L = subgroup_lattice(G)
+        bound = len(L.pair_orbits)
+        assert increasing(enumerate_all(L, bound)), G.name
+        assert increasing(hasse_diagram(L, bound)[0]), G.name
+    for name in ("K4", "Q8", "Sym3", "C2xC4", "C2xC6", "C3xC3", "C2xC2xC2", "C2xC2xC6",
+                 "C2xC2xC2xC2"):
+        assert increasing(steiner_image(L_(name))), name
+    for n in range(1, 43):
+        assert increasing(linisom_image_cyclic(n)), n
+    for name in ("K4", "Q8", "Sym3"):
+        assert increasing(linisom_image(L_(name))[0]), name
 
 
 def test_enumeration_sorted_unique_closed():
@@ -539,6 +561,11 @@ def test_closed_form_precondition_errors():
         closed_form_normal_target(L, [t12], L.full)
     with pytest.raises(ValueError, match="not contained"):
         closed_form_normal_source(L, L.resolve_name("<(123)>"), [t12])
+    with pytest.raises(ValueError, match=r"^target <\(12\)> is not normal$"):
+        closed_form_normal_target(L, [0], t12)
+    with pytest.raises(ValueError,
+                       match=r"^source <\(12\)> is not contained in <\(123\)>$"):
+        closed_form_normal_target(L, [t12], L.resolve_name("<(123)>"))
 
 
 def test_closed_forms_on_random_normal_families():
