@@ -182,8 +182,13 @@ def automorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
     a bijection with phi(x g) = phi(x) phi(g) for every element x and
     generator g.  That makes phi a homomorphism, since every element is a
     product of generators.  Refused, before any candidate is tried, above
-    STEP_LIMIT candidate image tuples times the group order.
+    STEP_LIMIT candidate image tuples times the group order.  Computed once
+    and kept on G, as `subgroup_lattice` keeps its lattice; each call
+    returns a fresh list.
     """
+    cached = getattr(G, "_automorphisms", None)
+    if cached is not None:
+        return list(cached)
     gens = G.generators
     orders = [G.element_order(x) for x in range(G.order)]
     candidates = [[y for y in range(G.order) if orders[y] == orders[g]] for g in gens]
@@ -211,4 +216,5 @@ def automorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
                 phi[xg] == G.compose(phi[x], img)
                 for col, img in zip(right, images) for x, xg in enumerate(col)):
             out.append(tuple(phi))
-    return sorted(out)
+    G._automorphisms = tuple(sorted(out))
+    return list(G._automorphisms)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 from array import array
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 from .lattice import SearchBoundExceeded, SubgroupLattice
 
 
@@ -35,7 +35,7 @@ class TransferSystem:
     """An immutable transfer system over a subgroup lattice of n subgroups,
     held as one int: bit k*n + h stands for the pair (k, h)."""
 
-    __slots__ = ("lattice", "bits")
+    __slots__ = ("lattice", "bits", "_mask")
 
     def __init__(self, lattice: SubgroupLattice, bits: int):
         self.lattice = lattice
@@ -89,6 +89,18 @@ class TransferSystem:
         n = self.lattice.n
         return format(self.bits, f"0{n * n}b")[::-1]
 
+    @property
+    def orbit_mask(self) -> int:
+        """Bit j set iff the system holds orbit j of L.pair_orbits.  Systems
+        from `enumerate_all` carry the mask the walk built; any other reads
+        it from bits on first use (`_Tables.orbit_reader`) and keeps it."""
+        try:
+            return self._mask
+        except AttributeError:
+            tables = _tables(self.lattice)
+            mask = self._mask = (tables.orbit_reader or tables._orbit_reader())(self.bits)
+            return mask
+
     def refines(self, other: "TransferSystem") -> bool:
         return self.bits & ~other.bits == 0
 
@@ -136,15 +148,19 @@ class _Tables:
       (c[k], c[h]) in L.conjugate order with repeats dropped: the tuples
       L.pair_orbits holds, so a listing adds only references.
     generated[j]: the packed system orbit j generates.
-    orbit_reader: for `aut_orbits`, an itemgetter of the bytes holding a
-      first pair, and per such byte a table from its value to the bits j of
-      the orbits whose first pairs it holds.  Only a group with an outer
-      action needs it; that group is not cyclic, so it has 5 subgroups or
-      more, and (1, H) and (K, G), K > 1, put first pairs in two bytes.
+    orbit_reader: a function from a packed system to its orbit mask, bit j
+      for each orbit j it holds, for `TransferSystem.orbit_mask` on a system
+      the walk did not build.  It reads only the bytes holding a first
+      pair, each through a table from the byte's value to the bits of the
+      orbits whose first pairs it holds.
+    spans[a][b]: the OR of blocks[a:b], blocks[i] holding the orbits whose
+      need holds orbit i, from which `_systems` takes the candidates that
+      pass its first test.  It is built from every orbit's entry, so only
+      by the walk, once its bound check has passed.
     """
 
     __slots__ = ("lattice", "incl", "maximum", "below", "orbit_of", "orbits", "conjugates",
-                 "generated", "orbit_reader")
+                 "generated", "orbit_reader", "spans")
 
     def __init__(self, L: SubgroupLattice):
         n = L.n
@@ -159,7 +175,7 @@ class _Tables:
         m = len(L.pair_orbits)
         self.orbits, self.generated = [()] * m, [0] * m
         self.conjugates: dict[int, tuple[tuple[int, int], ...]] = {}
-        self.orbit_reader = None
+        self.orbit_reader = self.spans = None
 
     def _orbit(self, j: int) -> tuple:
         L, n, orbit_of = self.lattice, self.lattice.n, self.orbit_of
@@ -195,15 +211,38 @@ class _Tables:
         P = self.generated[j] = _close(_packing(n)[0], (self.orbits[j] or self._orbit(j))[2], n)
         return P
 
-    def _orbit_reader(self) -> tuple[itemgetter, list[list[int]]]:
+    def _orbit_reader(self) -> Callable[[int], int]:
         n = self.lattice.n
+        size = -(-n * n // 8)
         first = {orbit[0][0] * n + orbit[0][1]: 1 << j
                  for j, orbit in enumerate(self.lattice.pair_orbits)}
         live = sorted({p >> 3 for p in first})
-        reader = self.orbit_reader = (
-            itemgetter(*live),
-            [_byte_table([first.get(8 * at + b, 0) for b in range(8)]) for at in live])
-        return reader
+        reads = [_byte_table([first.get(8 * at + b, 0) for b in range(8)]) for at in live]
+        # itemgetter of one index returns the bare item, and of none raises
+        pick = itemgetter(*live) if len(live) > 1 else lambda data: [data[at] for at in live]
+
+        def read(bits: int) -> int:
+            return sum(map(list.__getitem__, reads, pick(bits.to_bytes(size, "little"))))
+
+        self.orbit_reader = read
+        return read
+
+    def _spans(self) -> list[list[int]]:
+        m = len(self.lattice.pair_orbits)
+        blocks = [0] * m
+        for j in range(m):
+            need = (self.orbits[j] or self._orbit(j))[3]
+            while need:
+                low = need & -need
+                need ^= low
+                blocks[low.bit_length() - 1] |= 1 << j
+        spans = self.spans = []
+        for a in range(m + 1):
+            row = [0] * (m + 1)
+            for b in range(a, m):
+                row[b + 1] = row[b] | blocks[b]
+            spans.append(row)
+        return spans
 
 
 def _tables(L: SubgroupLattice) -> _Tables:
@@ -447,8 +486,9 @@ SEARCH_BOUND = 24
 
 
 def _systems(L: SubgroupLattice, bound: int):
-    """Yield each transfer system over L once, packed, by Close-by-One, in
-    TransferSystem.key order.
+    """Yield each transfer system over L once, as (packed, mask), by
+    Close-by-One, in TransferSystem.key order; bit j of mask is set iff the
+    system holds orbit j of L.pair_orbits.
 
     Tr(G) is closed under meets, so it is a closure system on the pair
     orbits, taken in L.pair_orbits order: by least pair, with subgroups by
@@ -481,6 +521,19 @@ def _systems(L: SubgroupLattice, bound: int):
     because conjugates keep the source order and K_x is smaller than K_k,
     so (x, h) lies in V iff its orbit b is in M.
 
+    The first test is made on all candidates at once.  blocks[i] holds the
+    orbits whose need holds orbit i, and they all come after i, since a
+    restriction comes at or before its pair; spans[a][b] ORs blocks[a:b]
+    (`_Tables.spans`).  Orbit j' fails the first test iff some orbit i in
+    its need is absent from M.  M holds no orbit from start on, so each
+    i >= start is absent, and for j' >= start such an i is in [start, j')
+    iff j' lies in spans[start][m]: blocks[i] for i >= j' holds only orbits
+    after j'.  Each stack entry also carries blocked, the OR of blocks over
+    the orbits below start that M lacks; a child at j' lacks those and
+    [start, j'), so it carries blocked | spans[start][j'].  So the orbits
+    from start on that pass the first test are those outside
+    blocked | spans[start][m], and only the second is made one by one.
+
     Yielding T when it is popped, its children pushed by ascending orbit,
     is a preorder taking later orbits first, which is key order: orbits are
     listed by least packed pair and a system is the diagonal plus whole
@@ -494,21 +547,27 @@ def _systems(L: SubgroupLattice, bound: int):
             f"{L.group.name} has {len(L.pair_orbits)} inclusion-pair orbits, "
             f"above the search bound {bound}")
     tables = _tables(L)
-    steps = [tables.orbits[j] or tables._orbit(j) for j in range(len(L.pair_orbits))]
-    stack = [(_packing(L.n)[0], 0, 0)]
+    m = len(L.pair_orbits)
+    steps = [(tables.orbits[j] or tables._orbit(j))[0:5:4] for j in range(m)]  # (packed, implied)
+    spans = tables.spans or tables._spans()
+    full = (1 << m) - 1
+    stack = [(_packing(L.n)[0], 0, 0, 0)]
     while stack:
-        T, M, start = stack.pop()
-        yield T
+        T, M, start, blocked = stack.pop()
+        yield T, M
+        span = spans[start]
+        free = full >> start << start & ~(blocked | span[m])
         absent = ~M
-        for j in range(start, len(steps)):
-            packed, _, _, need, implied = steps[j]
-            if need & absent:
-                continue
+        while free:
+            low = free & -free
+            free ^= low
+            j = low.bit_length() - 1
+            packed, implied = steps[j]
             for b, a in implied:
                 if M & a and b & absent:
                     break
             else:
-                stack.append((T | packed, M | 1 << j, j + 1))
+                stack.append((T | packed, M | low, j + 1, blocked | span[j]))
 
 
 def enumerate_all(L: SubgroupLattice, bound: int = SEARCH_BOUND) -> list[TransferSystem]:
@@ -520,13 +579,20 @@ def enumerate_all(L: SubgroupLattice, bound: int = SEARCH_BOUND) -> list[Transfe
     orbits.  In L.pair_orbits order a closure with orbit j adds no later
     orbit, so each canonical child is its parent plus one orbit, kept iff
     that union is closed, and the walk closes nothing: two tests on masks
-    with one bit per orbit decide it.  It is a preorder taking later orbits
-    first, which lists the systems in key order, so nothing is sorted (see
-    `_systems`).  Refuses, before any work on the orbits, if the number of
-    inclusion-pair orbits exceeds `bound`.  The result depends on the
-    arguments alone; no environment variable is read.
+    with one bit per orbit decide it, the first for all candidates at once.
+    It is a preorder taking later orbits first, which lists the systems in
+    key order, so nothing is sorted (see `_systems`).  Each system keeps
+    the walk's orbit mask, which `aut_orbits` reads (`orbit_mask`).
+    Refuses, before any work on the orbits, if the number of inclusion-pair
+    orbits exceeds `bound`.  The result depends on the arguments alone; no
+    environment variable is read.
     """
-    return [TransferSystem(L, P) for P in _systems(L, bound)]
+    systems = []
+    for P, M in _systems(L, bound):
+        T = TransferSystem(L, P)
+        T._mask = M
+        systems.append(T)
+    return systems
 
 
 def hasse_diagram(L: SubgroupLattice, bound: int = SEARCH_BOUND
@@ -583,46 +649,48 @@ def aut_orbits(systems, automorphism_perms):
     conjugation-closed system, so only one subgroup permutation per coset
     of Inn(G) other than Inn(G) itself relabels; with none, as for every
     cyclic group, each system is its own orbit.  A system is the diagonal
-    plus whole pair orbits, and a permutation sends each orbit onto one
-    orbit, so each representative's held orbits are read once, from the
-    bytes holding a first pair (`_Tables.orbit_reader`), as a mask with bit
-    j for orbit j.  Each relabeling maps that mask a byte at a time, through
-    a table of the packed images of the 8 orbits the byte stands for.
+    plus whole pair orbits, so its orbit mask, bit j for orbit j
+    (`TransferSystem.orbit_mask`), stands for it, and the work is done on
+    masks alone.  A permutation p sends orbit j onto the orbit of
+    (p[k], p[h]), (k, h) its first pair.  Each relabeling maps a mask a
+    byte at a time, through a table of the image bits of the 8 orbits the
+    byte stands for.
     """
     if not systems:
         return [], []
     L = systems[0].lattice
-    n = L.n
+    n, orbit_of = L.n, _tables(L).orbit_of
     inner = set(L.conjugate)
     actions, covered = [], set(inner)
     for p in {L.subgroup_perm(sigma) for sigma in automorphism_perms}:
         if p not in covered:
             covered |= {tuple(p[s] for s in c) for c in inner}
-            images = [sum(1 << p[k] * n + p[h] for k, h in orbit) for orbit in L.pair_orbits]
+            images = [1 << orbit_of[p[k] * n + p[h]] for (k, h), *_ in L.pair_orbits]
             actions.append([_byte_table(images[at:at + 8]) for at in range(0, len(images), 8)])
     if not actions:
         return [[T] for T in systems], [(1, len(systems))]
-    tables = _tables(L)
-    pick, reads = tables.orbit_reader or tables._orbit_reader()
-    diagonal, size, width = _packing(n)[0], -(-n * n // 8), -(-len(L.pair_orbits) // 8)
-    index = {T.bits: i for i, T in enumerate(systems)}
-    placed = [False] * len(systems)
+    width = -(-len(L.pair_orbits) // 8)
+    try:
+        masks = [T._mask for T in systems]
+    except AttributeError:  # some system was not built by the walk
+        masks = [T.orbit_mask for T in systems]
+    index = {M: i for i, M in enumerate(masks)}
+    placed = bytearray(len(systems))
     orbits = []
-    for i, T in enumerate(systems):
+    for i, M in enumerate(masks):
         if placed[i]:
             continue
-        members = {index[T.bits]}
-        mask = sum(map(list.__getitem__, reads, pick(T.bits.to_bytes(size, "little"))))
-        held = mask.to_bytes(width, "little")
+        members = {index[M]}
+        held = M.to_bytes(width, "little")
         for images in actions:
             try:
-                members.add(index[sum(map(list.__getitem__, images, held), diagonal)])
+                members.add(index[sum(map(list.__getitem__, images, held))])
             except KeyError:
                 raise ValueError(
                     "system list is not closed under the automorphism action") from None
         members = sorted(members)
         for m in members:
-            placed[m] = True
+            placed[m] = 1
         orbits.append([systems[m] for m in members])
     sizes: dict[int, int] = {}
     for orbit in orbits:

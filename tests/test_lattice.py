@@ -226,6 +226,19 @@ def test_automorphism_counts():
     assert len(automorphisms(quaternion_group())) == 24
 
 
+def test_automorphisms_are_kept_on_the_group_and_handed_out_fresh():
+    """The search runs once per group; a caller that edits the list it got
+    does not change what the next call returns."""
+    G = quaternion_group()
+    got = automorphisms(G)
+    want = list(got)
+    got.append(got[0])
+    got.reverse()
+    assert automorphisms(G) == want
+    assert automorphisms(G) is not automorphisms(G)
+    assert G._automorphisms == tuple(want)
+
+
 def test_q8_aut_acts_through_order_6_quotient():
     G = quaternion_group()
     L = subgroup_lattice(G)

@@ -491,17 +491,40 @@ def test_orbits_of_a_union_of_whole_orbits(name):
     assert sum(z * c for z, c in profile) == len(kept)
 
 
-@pytest.mark.parametrize("name", ["K4", "Q8", "C2xC6", "D8-relabeled", "D12-relabeled"])
+@pytest.mark.parametrize("name", ["K4", "Q8", "C2xC6", "D8-relabeled", "D12-relabeled",
+                                  "C1", "C2", "C4"])
 def test_orbit_reader_reads_the_held_orbits(name):
-    """The reader `aut_orbits` uses gives bit j for each orbit j a system
-    holds; K4's first pairs lie in three bytes."""
+    """The reader behind `orbit_mask` gives bit j for each orbit j a system
+    holds.  K4's first pairs lie in three bytes, C2's and C4's in one, and
+    C1 has none."""
     L = _oracle_lattice(name)
-    n = L.n
-    pick, reads = _tables(L)._orbit_reader()
+    read = _tables(L)._orbit_reader()
     for T in enumerate_all(L, bound=len(L.pair_orbits)):
-        held = sum(1 << j for j, orbit in enumerate(L.pair_orbits) if T.contains(*orbit[0]))
-        data = T.bits.to_bytes(-(-n * n // 8), "little")
-        assert sum(map(list.__getitem__, reads, pick(data))) == held
+        held = 0
+        for j, orbit in enumerate(L.pair_orbits):
+            if T.contains(*orbit[0]):
+                held |= 1 << j
+        assert read(T.bits) == held
+
+
+@pytest.mark.parametrize("name,seed", [(name, seed) for name in ("Sym4", "K4", "C2xC4", "D12")
+                                       for seed in (None, 1, 2)])
+def test_orbits_of_mask_less_copies(name, seed):
+    """Systems built outside the walk carry no orbit mask and have it read
+    from their bits; a list of them, and one mixing them with the walk's
+    systems, splits into the same orbits with the same profile."""
+    G = dihedral(6) if name == "D12" else make_group(name)
+    L = subgroup_lattice(G if seed is None else relabeled(G, seed))
+    auts = automorphisms(L.group)
+    systems = enumerate_all(L, bound=len(L.pair_orbits))
+    want = aut_orbits(systems, auts)
+    for n_copied in (len(systems), len(systems) // 2):
+        listed = [TransferSystem(L, T.bits) for T in systems[:n_copied]] + systems[n_copied:]
+        assert not any(hasattr(T, "_mask") for T in listed[:n_copied])
+        orbits, profile = aut_orbits(listed, auts)
+        assert profile == want[1]
+        assert [[T.bits for T in orbit] for orbit in orbits] \
+            == [[T.bits for T in orbit] for orbit in want[0]]
 
 
 def test_orbits_of_no_systems():

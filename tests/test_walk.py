@@ -2,13 +2,14 @@
 replaced, and the order fact that makes it exact: in L.pair_orbits order,
 the system an orbit generates holds no later orbit.  The walk lists Tr(G)
 in TransferSystem.key order, which the closure walk does not.  Its tests
-run on orbit masks, from tables checked here against the axioms."""
+run on orbit masks, from tables checked here against the axioms, and it
+yields each system's mask beside its packed int."""
 
 import pytest
 
 from trlat.groups import make_group
 from trlat.lattice import subgroup_lattice
-from trlat.transfer import _close, _packing, _systems, _tables
+from trlat.transfer import _close, _packing, _systems, _tables, enumerate_all
 
 from tables import ORDER_24_BUILTINS, dihedral, relabeled
 
@@ -65,7 +66,22 @@ def test_walk_equals_closure_walk(G):
     walk needs no sort."""
     L = subgroup_lattice(G)
     key = f"0{L.n * L.n}b"
-    assert list(_systems(L, 34)) == sorted(closure_walk(L), key=lambda P: format(P, key)[::-1])
+    walked = [P for P, _ in _systems(L, 34)]
+    assert walked == sorted(closure_walk(L), key=lambda P: format(P, key)[::-1])
+
+
+@pytest.mark.parametrize("G", list(LADDER.values()) + list(RELABELED.values()),
+                         ids=list(LADDER) + list(RELABELED))
+def test_enumerated_systems_carry_their_orbit_masks(G):
+    """Each system `enumerate_all` returns keeps the walk's orbit mask, bit
+    j set iff it holds orbit j's first pair, for `aut_orbits` to read."""
+    L = subgroup_lattice(G)
+    for T in enumerate_all(L, bound=34):
+        held = 0
+        for j, orbit in enumerate(L.pair_orbits):
+            if T.contains(*orbit[0]):
+                held |= 1 << j
+        assert T._mask == held
 
 
 @pytest.mark.parametrize("G", [make_group(name) for name in ORDER_24_BUILTINS]
