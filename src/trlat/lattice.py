@@ -113,9 +113,17 @@ class SubgroupLattice:
         return len(self.subgroups[s])
 
     def subgroup_perm(self, sigma: tuple[int, ...]) -> tuple[int, ...]:
-        """Permutation of subgroup indices induced by an element permutation."""
-        bit = [1 << y for y in sigma]
-        return tuple(self._index_of_mask[sum(map(bit.__getitem__, s))] for s in self.subgroups)
+        """Permutation of subgroup indices induced by an element permutation;
+        raises ValueError unless sigma has one entry per element of G and
+        sends each subgroup onto a subgroup, as an automorphism of G does."""
+        G, bit = self.group, [1 << y for y in sigma]
+        if len(bit) == G.order:
+            try:
+                return tuple(self._index_of_mask[sum(map(bit.__getitem__, s))]
+                             for s in self.subgroups)
+            except KeyError:
+                pass
+        raise ValueError(f"a permutation of {len(bit)} elements is not an automorphism of {G.name}")
 
     @property
     def fingerprint(self) -> tuple:

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import functools
 from array import array
-from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 from .lattice import SearchBoundExceeded, SubgroupLattice
 
 
@@ -33,7 +32,8 @@ class Violation(NamedTuple):
 
 class TransferSystem:
     """An immutable transfer system over a subgroup lattice of n subgroups,
-    held as one int: bit k*n + h stands for the pair (k, h)."""
+    held as one int: bit k*n + h stands for the pair (k, h).  `_mask`, set
+    by `enumerate_all` alone, is the walk's orbit mask, for `aut_orbits`."""
 
     __slots__ = ("lattice", "bits", "_mask")
 
@@ -89,18 +89,6 @@ class TransferSystem:
         n = self.lattice.n
         return format(self.bits, f"0{n * n}b")[::-1]
 
-    @property
-    def orbit_mask(self) -> int:
-        """Bit j set iff the system holds orbit j of L.pair_orbits.  Systems
-        from `enumerate_all` carry the mask the walk built; any other reads
-        it from bits on first use (`_Tables.orbit_reader`) and keeps it."""
-        try:
-            return self._mask
-        except AttributeError:
-            tables = _tables(self.lattice)
-            mask = self._mask = (tables.orbit_reader or tables._orbit_reader())(self.bits)
-            return mask
-
     def refines(self, other: "TransferSystem") -> bool:
         return self.bits & ~other.bits == 0
 
@@ -148,11 +136,6 @@ class _Tables:
       (c[k], c[h]) in L.conjugate order with repeats dropped: the tuples
       L.pair_orbits holds, so a listing adds only references.
     generated[j]: the packed system orbit j generates.
-    orbit_reader: a function from a packed system to its orbit mask, bit j
-      for each orbit j it holds, for `TransferSystem.orbit_mask` on a system
-      the walk did not build.  It reads only the bytes holding a first
-      pair, each through a table from the byte's value to the bits of the
-      orbits whose first pairs it holds.
     spans[a][b]: the OR of blocks[a:b], blocks[i] holding the orbits whose
       need holds orbit i, from which `_systems` takes the candidates that
       pass its first test.  It is built from every orbit's entry, so only
@@ -160,7 +143,7 @@ class _Tables:
     """
 
     __slots__ = ("lattice", "incl", "maximum", "below", "orbit_of", "orbits", "conjugates",
-                 "generated", "orbit_reader", "spans")
+                 "generated", "spans")
 
     def __init__(self, L: SubgroupLattice):
         n = L.n
@@ -175,7 +158,7 @@ class _Tables:
         m = len(L.pair_orbits)
         self.orbits, self.generated = [()] * m, [0] * m
         self.conjugates: dict[int, tuple[tuple[int, int], ...]] = {}
-        self.orbit_reader = self.spans = None
+        self.spans = None
 
     def _orbit(self, j: int) -> tuple:
         L, n, orbit_of = self.lattice, self.lattice.n, self.orbit_of
@@ -210,22 +193,6 @@ class _Tables:
         n = self.lattice.n
         P = self.generated[j] = _close(_packing(n)[0], (self.orbits[j] or self._orbit(j))[2], n)
         return P
-
-    def _orbit_reader(self) -> Callable[[int], int]:
-        n = self.lattice.n
-        size = -(-n * n // 8)
-        first = {orbit[0][0] * n + orbit[0][1]: 1 << j
-                 for j, orbit in enumerate(self.lattice.pair_orbits)}
-        live = sorted({p >> 3 for p in first})
-        reads = [_byte_table([first.get(8 * at + b, 0) for b in range(8)]) for at in live]
-        # itemgetter of one index returns the bare item, and of none raises
-        pick = itemgetter(*live) if len(live) > 1 else lambda data: [data[at] for at in live]
-
-        def read(bits: int) -> int:
-            return sum(map(list.__getitem__, reads, pick(bits.to_bytes(size, "little"))))
-
-        self.orbit_reader = read
-        return read
 
     def _spans(self) -> list[list[int]]:
         m = len(self.lattice.pair_orbits)
@@ -582,7 +549,7 @@ def enumerate_all(L: SubgroupLattice, bound: int = SEARCH_BOUND) -> list[Transfe
     with one bit per orbit decide it, the first for all candidates at once.
     It is a preorder taking later orbits first, which lists the systems in
     key order, so nothing is sorted (see `_systems`).  Each system keeps
-    the walk's orbit mask, which `aut_orbits` reads (`orbit_mask`).
+    the walk's orbit mask in `_mask`, for `aut_orbits` to read.
     Refuses, before any work on the orbits, if the number of inclusion-pair
     orbits exceeds `bound`.  The result depends on the arguments alone; no
     environment variable is read.
@@ -639,22 +606,24 @@ def _byte_table(values) -> list[int]:
 def aut_orbits(systems, automorphism_perms):
     """Orbit partition of systems under relabeling by group automorphisms.
 
-    The systems must be distinct.  Returns (orbits, profile): orbits as
-    lists of systems, each in the order of `systems` (key order for
-    `enumerate_all`'s list), and profile as (orbit size, count) sorted by
-    size descending.  Raises ValueError if the list is not closed under the
-    action.
+    Returns (orbits, profile): orbits as lists of systems, each in the
+    order of `systems` (key order for `enumerate_all`'s list), and profile
+    as (orbit size, count) sorted by size descending.  Raises ValueError if
+    a permutation is not an automorphism of the systems' group, or, when
+    some automorphism is outer, if the list repeats a system or is not
+    closed under the action.
 
     Inner automorphisms (subgroup permutations L.conjugate[g]) fix every
     conjugation-closed system, so only one subgroup permutation per coset
     of Inn(G) other than Inn(G) itself relabels; with none, as for every
     cyclic group, each system is its own orbit.  A system is the diagonal
-    plus whole pair orbits, so its orbit mask, bit j for orbit j
-    (`TransferSystem.orbit_mask`), stands for it, and the work is done on
-    masks alone.  A permutation p sends orbit j onto the orbit of
-    (p[k], p[h]), (k, h) its first pair.  Each relabeling maps a mask a
-    byte at a time, through a table of the image bits of the 8 orbits the
-    byte stands for.
+    plus whole pair orbits, so its orbit mask, bit j for orbit j, stands
+    for it, and the work is done on masks alone.  Systems from
+    `enumerate_all` carry the walk's masks; if any system lacks one, every
+    mask is read from bits at each orbit's first pair.  A permutation p
+    sends orbit j onto the orbit of (p[k], p[h]), (k, h) its first pair.
+    Each relabeling maps a mask a byte at a time, through a table of the
+    image bits of the 8 orbits the byte stands for.
     """
     if not systems:
         return [], []
@@ -673,14 +642,17 @@ def aut_orbits(systems, automorphism_perms):
     try:
         masks = [T._mask for T in systems]
     except AttributeError:  # some system was not built by the walk
-        masks = [T.orbit_mask for T in systems]
+        firsts = [(1 << k * n + h, 1 << j) for j, ((k, h), *_) in enumerate(L.pair_orbits)]
+        masks = [sum(bit for pair, bit in firsts if T.bits & pair) for T in systems]
     index = {M: i for i, M in enumerate(masks)}
+    if len(index) < len(systems):
+        raise ValueError("system list repeats a system")
     placed = bytearray(len(systems))
     orbits = []
     for i, M in enumerate(masks):
         if placed[i]:
             continue
-        members = {index[M]}
+        members = {i}
         held = M.to_bytes(width, "little")
         for images in actions:
             try:

@@ -8,7 +8,7 @@ import pytest
 from trlat.groups import FiniteGroup, abelian_group, cyclic_group, make_group
 from trlat.lattice import automorphisms, subgroup_lattice
 from trlat.transfer import (SearchBoundExceeded, TransferSystem,
-                            TransferSystemError, _tables, aut_orbits,
+                            TransferSystemError, aut_orbits,
                             closed_form_normal_source, closed_form_normal_target,
                             enumerate_all, generate, hasse_diagram,
                             irreducible_pairs, is_saturated, join, meet, validate)
@@ -426,10 +426,11 @@ def _oracle_lattice(name):
 def _relabeling_orbits(L, systems):
     """The orbits of systems by relabeling every system's pairs under every
     automorphism, inner ones included, each a set of pair sets."""
-    images = [tuple(L.index_of[frozenset(sigma[x] for x in s)] for s in L.subgroups)
-              for sigma in automorphisms(L.group)]
-    return {frozenset(frozenset((img[k], img[h]) for k, h in T.pairs()) for img in images)
-            for T in systems}
+    images = {tuple(L.index_of[frozenset(sigma[x] for x in s)] for s in L.subgroups)
+              for sigma in automorphisms(L.group)}
+    moves = [{(k, h): (img[k], img[h]) for k, h in L.proper_pairs} for img in images]
+    return {frozenset(frozenset(map(move.__getitem__, pairs)) for move in moves)
+            for pairs in map(TransferSystem.pairs, systems)}
 
 
 @pytest.mark.parametrize("name,profile", [("Sym3", [(1, 9)]), ("D10", None), ("Q8", None),
@@ -491,33 +492,24 @@ def test_orbits_of_a_union_of_whole_orbits(name):
     assert sum(z * c for z, c in profile) == len(kept)
 
 
-@pytest.mark.parametrize("name", ["K4", "Q8", "C2xC6", "D8-relabeled", "D12-relabeled",
-                                  "C1", "C2", "C4"])
-def test_orbit_reader_reads_the_held_orbits(name):
-    """The reader behind `orbit_mask` gives bit j for each orbit j a system
-    holds.  K4's first pairs lie in three bytes, C2's and C4's in one, and
-    C1 has none."""
-    L = _oracle_lattice(name)
-    read = _tables(L)._orbit_reader()
-    for T in enumerate_all(L, bound=len(L.pair_orbits)):
-        held = 0
-        for j, orbit in enumerate(L.pair_orbits):
-            if T.contains(*orbit[0]):
-                held |= 1 << j
-        assert read(T.bits) == held
-
-
 @pytest.mark.parametrize("name,seed", [(name, seed) for name in ("Sym4", "K4", "C2xC4", "D12")
-                                       for seed in (None, 1, 2)])
+                                       for seed in (None, 1, 2)]
+                         + [(name, None) for name in ("C1", "C2", "C4", "Q8", "C2xC6",
+                                                      "D8-relabeled", "D12-relabeled")])
 def test_orbits_of_mask_less_copies(name, seed):
-    """Systems built outside the walk carry no orbit mask and have it read
-    from their bits; a list of them, and one mixing them with the walk's
-    systems, splits into the same orbits with the same profile."""
-    G = dihedral(6) if name == "D12" else make_group(name)
-    L = subgroup_lattice(G if seed is None else relabeled(G, seed))
+    """Systems built outside the walk carry no orbit mask, and `aut_orbits`
+    reads every mask from bits; a list of them, and one mixing them with
+    the walk's systems, splits into the walk's orbits with its profile,
+    which are those found by relabeling pairs.  K4's orbits have their
+    first pairs in three bytes, C2's and C4's in one, and C1 has none."""
+    L = subgroup_lattice(dihedral(6)) if name == "D12" else _oracle_lattice(name)
+    if seed is not None:
+        L = subgroup_lattice(relabeled(L.group, seed))
     auts = automorphisms(L.group)
     systems = enumerate_all(L, bound=len(L.pair_orbits))
     want = aut_orbits(systems, auts)
+    assert {frozenset(frozenset(T.pairs()) for T in orbit) for orbit in want[0]} \
+        == _relabeling_orbits(L, systems)
     for n_copied in (len(systems), len(systems) // 2):
         listed = [TransferSystem(L, T.bits) for T in systems[:n_copied]] + systems[n_copied:]
         assert not any(hasattr(T, "_mask") for T in listed[:n_copied])
@@ -538,6 +530,27 @@ def test_orbits_refuse_a_list_not_closed_under_automorphisms():
     for member in next(o for o in orbits if len(o) == 3):
         with pytest.raises(ValueError, match="not closed under the automorphism action"):
             aut_orbits([T for T in systems if T != member], automorphisms(L.group))
+
+
+@pytest.mark.parametrize("repeat", ["listed twice", "mask-less copy"])
+def test_orbits_refuse_repeated_systems(repeat):
+    """A repeat would be counted as a member again: Q8's list plus three
+    repeats would give a profile with 18 orbits of size 3, not 17."""
+    L = L_("Q8")
+    systems = enumerate_all(L)
+    extra = systems[:3] if repeat == "listed twice" else [TransferSystem(L, systems[5].bits)]
+    with pytest.raises(ValueError, match="^system list repeats a system$"):
+        aut_orbits(systems + extra, automorphisms(L.group))
+
+
+@pytest.mark.parametrize("name,other", [("K4", "Q8"), ("K4", "C2"), ("C4", "K4")])
+def test_orbits_refuse_automorphisms_of_another_group(name, other):
+    """A permutation of the wrong length, or one sending a subgroup onto a
+    set that is not a subgroup, is refused in one line naming the group."""
+    L = L_(name)
+    with pytest.raises(ValueError, match=rf"^a permutation of \d+ elements is not an "
+                                         rf"automorphism of {name}$"):
+        aut_orbits(enumerate_all(L), automorphisms(make_group(other)))
 
 
 def test_diagonal_is_a_fixed_point():
