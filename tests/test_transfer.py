@@ -492,6 +492,21 @@ def test_orbits_of_a_union_of_whole_orbits(name):
     assert sum(z * c for z, c in profile) == len(kept)
 
 
+@pytest.mark.parametrize("name", ["K4", "Q8", "C2xC6", "D8-relabeled", "D12-relabeled",
+                                  "C1", "C2", "C4"])
+def test_orbit_reader_reads_the_held_orbits(name):
+    """The orbit mask `aut_orbits` reads from each system the walk lists has
+    bit j for each orbit j the system holds.  K4's first pairs lie in three
+    bytes, C2's and C4's in one, and C1 has none."""
+    L = _oracle_lattice(name)
+    for T in enumerate_all(L, bound=len(L.pair_orbits)):
+        held = 0
+        for j, orbit in enumerate(L.pair_orbits):
+            if T.contains(*orbit[0]):
+                held |= 1 << j
+        assert T._mask == held
+
+
 @pytest.mark.parametrize("name,seed", [(name, seed) for name in ("Sym4", "K4", "C2xC4", "D12")
                                        for seed in (None, 1, 2)]
                          + [(name, None) for name in ("C1", "C2", "C4", "Q8", "C2xC6",
