@@ -66,18 +66,18 @@ def _bound(text: str) -> int:
 
 
 def parse_pairs(L, text: str) -> list[tuple[int, int]]:
-    """Parse a relation given as "(1,C4),(C2,C8)" or as "1->C4; C2->C8".
+    """Parse a relation given as "(1,C4),(C2,C8)" or as "1->C4; C2 -> C8".
 
     The arrow form accepts any subgroup display name (names such as <(12)>
     or <(1,0)> contain commas and parentheses, so the tuple form is only for
-    plain names).
+    plain names) and spaces around each arrow.
     """
     text = text.strip()
     if not text:
         return []
     if "->" in text:
         tokens = []
-        for chunk in re.split(r"[;\s]+", text):
+        for chunk in re.split(r"[;\s]+", re.sub(r"\s*->\s*", "->", text)):
             if not chunk:
                 continue
             parts = chunk.split("->")
@@ -237,30 +237,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Transfer systems on finite groups: generate, enumerate, "
                     "check realizability, export diagrams.")
     sub = parser.add_subparsers(dest="command", required=True)
+    with_group = argparse.ArgumentParser(add_help=False)  # parent of every command on a group
+    with_group.add_argument("--group", required=True)
 
     group = sub.add_parser("group", help="group-level queries")
     gsub = group.add_subparsers(dest="subcommand", required=True)
-    info = gsub.add_parser("info", help="subgroup lattice summary")
-    info.add_argument("--group", required=True)
+    info = gsub.add_parser("info", parents=[with_group], help="subgroup lattice summary")
     info.set_defaults(fn=cmd_group_info)
 
     ts = sub.add_parser("ts", help="transfer-system operations")
     tsub = ts.add_subparsers(dest="subcommand", required=True)
     for name, fn, text in (("generate", cmd_ts_generate, "close a relation into a transfer system"),
                            ("check", cmd_ts_check, "validate a pair set against the axioms")):
-        pairs = tsub.add_parser(name, help=text)
-        pairs.add_argument("--group", required=True)
+        pairs = tsub.add_parser(name, parents=[with_group], help=text)
         pairs.add_argument("--pairs", default="")
         pairs.set_defaults(fn=fn)
-    enum = tsub.add_parser("enumerate", help="list every transfer system")
-    enum.add_argument("--group", required=True)
+    enum = tsub.add_parser("enumerate", parents=[with_group], help="list every transfer system")
     enum.add_argument("--orbits", action="store_true")
     enum.add_argument("--bound", type=_bound, default=SEARCH_BOUND)
     enum.set_defaults(fn=cmd_ts_enumerate)
 
-    image = sub.add_parser("image", help="realizable transfer systems")
+    image = sub.add_parser("image", parents=[with_group], help="realizable transfer systems")
     image.add_argument("which", choices=["steiner", "linisom"])
-    image.add_argument("--group", required=True)
     image.set_defaults(fn=cmd_image)
 
     realize = sub.add_parser("realize", help="find a realizing universe index set")
@@ -273,24 +271,22 @@ def build_parser() -> argparse.ArgumentParser:
         cyclic.add_argument("--pairs", default="")
         cyclic.set_defaults(fn=cmd_realize)
 
-    mu = sub.add_parser("minimal-universe", help="minimal kernel sets admitting a transfer")
-    mu.add_argument("--group", required=True)
+    mu = sub.add_parser("minimal-universe", parents=[with_group],
+                        help="minimal kernel sets admitting a transfer")
     mu.add_argument("--sub", required=True, help="source subgroup name")
     mu.add_argument("--sup", required=True, help="target subgroup name")
     mu.set_defaults(fn=cmd_minimal_universe)
 
-    chain = sub.add_parser("chain", help="maximal chain in Tr(G)")
-    chain.add_argument("--group", required=True)
+    chain = sub.add_parser("chain", parents=[with_group], help="maximal chain in Tr(G)")
     chain.set_defaults(fn=cmd_chain)
 
     verify = sub.add_parser("verify-paper", help="run the acceptance suite")
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(fn=cmd_verify_paper)
 
-    export = sub.add_parser("export", help="write DOT or JSON artifacts")
+    export = sub.add_parser("export", parents=[with_group], help="write DOT or JSON artifacts")
     export.add_argument("--what", choices=["tr", "chain"], default="tr")
     export.add_argument("--format", choices=["dot", "json"], required=True)
-    export.add_argument("--group", required=True)
     export.add_argument("--out", default=None)
     export.add_argument("--bound", type=_bound, default=SEARCH_BOUND)
     export.set_defaults(fn=cmd_export)

@@ -211,7 +211,8 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupValidationError(f"cyclic order must be >= 1, got {n}")
     check_order(n, f"C{n}")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    row = tuple(range(n))
+    table = [row[a:] + row[:a] for a in range(n)]  # n^2 entries, n int objects
     names = ["e"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
     return _built(FiniteGroup(table, names, name=f"C{n}"), kind="cyclic", n=n)
 

@@ -128,16 +128,12 @@ CHAIN_SCHEMA = {
 }
 
 
-_VALIDATORS: dict[int, tuple] = {}  # id(schema) -> (schema, validator); holding it pins the id
-
-
 def validate_document(doc: dict, schema: dict) -> None:
-    """Raise the error `jsonschema.validate` would, building each validator
-    once.  The schemas are this module's constants, which a test checks
-    against their metaschema, so they are not checked here."""
-    if id(schema) not in _VALIDATORS:
-        _VALIDATORS[id(schema)] = (schema, jsonschema.validators.validator_for(schema)(schema))
-    error = jsonschema.exceptions.best_match(_VALIDATORS[id(schema)][1].iter_errors(doc))
+    """Raise the error `jsonschema.validate` would.  The schemas are this
+    module's constants, which a test checks against their metaschema, so
+    they are not checked here."""
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
     if error is not None:
         raise error
 

@@ -610,32 +610,30 @@ def aut_orbits(systems, automorphism_perms):
     order of `systems` (key order for `enumerate_all`'s list), and profile
     as (orbit size, count) sorted by size descending.  Raises ValueError if
     a permutation is not an automorphism of the systems' group, or, when
-    some automorphism is outer, if the list repeats a system or is not
-    closed under the action.
+    some automorphism moves a pair orbit, if the list repeats a system or
+    is not closed under the action.
 
+    A system is the diagonal plus whole pair orbits, so its orbit mask,
+    bit j for orbit j, stands for it, and the work is done on masks alone.
     Inner automorphisms (subgroup permutations L.conjugate[g]) fix every
-    conjugation-closed system, so only one subgroup permutation per coset
-    of Inn(G) other than Inn(G) itself relabels; with none, as for every
-    cyclic group, each system is its own orbit.  A system is the diagonal
-    plus whole pair orbits, so its orbit mask, bit j for orbit j, stands
-    for it, and the work is done on masks alone.  Systems from
-    `enumerate_all` carry the walk's masks; if any system lacks one, every
-    mask is read from bits at each orbit's first pair.  A permutation p
-    sends orbit j onto the orbit of (p[k], p[h]), (k, h) its first pair.
-    Each relabeling maps a mask a byte at a time, through a table of the
-    image bits of the 8 orbits the byte stands for.
+    mask, so only each distinct permutation of the pair orbits induced by
+    a non-inner automorphism relabels; with none but the identity, as for
+    every cyclic group, each system is its own orbit.  A subgroup
+    permutation p sends orbit j onto the orbit of (p[k], p[h]), (k, h) its
+    first pair.  Systems from `enumerate_all` carry the walk's masks; if
+    any system lacks one, every mask is read from bits at each orbit's
+    first pair.  Each relabeling maps a mask a byte at a time, through a
+    table of the image bits of the 8 orbits the byte stands for.
     """
     if not systems:
         return [], []
     L = systems[0].lattice
     n, orbit_of = L.n, _tables(L).orbit_of
-    inner = set(L.conjugate)
-    actions, covered = [], set(inner)
-    for p in {L.subgroup_perm(sigma) for sigma in automorphism_perms}:
-        if p not in covered:
-            covered |= {tuple(p[s] for s in c) for c in inner}
-            images = [1 << orbit_of[p[k] * n + p[h]] for (k, h), *_ in L.pair_orbits]
-            actions.append([_byte_table(images[at:at + 8]) for at in range(0, len(images), 8)])
+    images = {tuple(1 << orbit_of[p[k] * n + p[h]] for (k, h), *_ in L.pair_orbits)
+              for p in {L.subgroup_perm(sigma) for sigma in automorphism_perms} - set(L.conjugate)}
+    images.discard(tuple(1 << j for j in range(len(L.pair_orbits))))
+    actions = [[_byte_table(image[at:at + 8]) for at in range(0, len(image), 8)]
+               for image in images]
     if not actions:
         return [[T] for T in systems], [(1, len(systems))]
     width = -(-len(L.pair_orbits) // 8)
@@ -654,9 +652,9 @@ def aut_orbits(systems, automorphism_perms):
             continue
         members = {i}
         held = M.to_bytes(width, "little")
-        for images in actions:
+        for tables in actions:
             try:
-                members.add(index[sum(map(list.__getitem__, images, held))])
+                members.add(index[sum(map(list.__getitem__, tables, held))])
             except KeyError:
                 raise ValueError(
                     "system list is not closed under the automorphism action") from None

@@ -106,6 +106,18 @@ def test_arrow_pair_syntax_handles_parenthesized_names():
     assert doc["results"]["pairs"] == [["1", "C2"], ["1", "C4"]]
 
 
+def test_arrow_pair_syntax_allows_spaces_around_arrows():
+    def report(group, pairs):
+        code, doc = invoke_json("ts", "check", "--group", group, "--pairs", pairs)
+        return code, doc["results"]
+    for spaced in ("1 -> C4", "1 ->C4 ; C2-> C4"):
+        assert report("C4", spaced) == report("C4", "1->C4;C2->C4")
+    code, doc = invoke_json("ts", "generate", "--group", "Sym3", "--pairs", "<(12)> -> Sym3")
+    assert (code, doc["results"]["pair_count"]) == (0, 8)
+    assert doc["results"] == invoke_json("ts", "generate", "--group", "Sym3",
+                                         "--pairs", "<(12)>->Sym3")[1]["results"]
+
+
 def test_unknown_group_is_usage_error(tmp_path, capsys):
     for token in ("E8", "C2xC1", "C2xC0"):
         code, _ = invoke("group", "info", "--group", token)

@@ -4,6 +4,7 @@ import collections
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -32,6 +33,22 @@ def test_cyclic_basic():
     assert G.order == 6
     assert G.identity == 0
     assert G.element_order(1) == 6
+
+
+def test_cyclic_table_adds_residues_and_shares_its_entries():
+    """C_n's rows are rotations of one row, so a table of n^2 entries holds
+    n int objects, and C1024's stays far below the ~40 MB that n^2 separate
+    ints would take."""
+    for n in (1, 2, 7, 12, 300):
+        G = cyclic_group.__wrapped__(n)
+        assert G._table == tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+    tracemalloc.start()
+    try:
+        cyclic_group.__wrapped__(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_trivial_group_supported():
