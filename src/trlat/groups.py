@@ -144,8 +144,9 @@ class FiniteGroup:
 
     @functools.cached_property
     def is_abelian(self) -> bool:
+        """True iff the generators commute pairwise, as they generate G."""
         t = self._table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(self.order))
+        return all(t[a][b] == t[b][a] for a, b in itertools.combinations(self.generators, 2))
 
     def closure(self, seed: Iterable[int]) -> frozenset[int]:
         """Subgroup generated by the given elements."""

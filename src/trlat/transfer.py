@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 from array import array
 from typing import NamedTuple
-from .lattice import SearchBoundExceeded, SubgroupLattice
+from .lattice import STEP_LIMIT, SearchBoundExceeded, SubgroupLattice
 
 
 class TransferSystemError(ValueError):
@@ -611,7 +611,9 @@ def aut_orbits(systems, automorphism_perms):
     as (orbit size, count) sorted by size descending.  Raises ValueError if
     a permutation is not an automorphism of the systems' group, or, when
     some automorphism moves a pair orbit, if the list repeats a system or
-    is not closed under the action.
+    is not closed under the action.  Raises SearchBoundExceeded, before any
+    table is built, above STEP_LIMIT table entries: 256 per mask byte per
+    non-inner subgroup permutation.
 
     A system is the diagonal plus whole pair orbits, so its orbit mask,
     bit j for orbit j, stands for it, and the work is done on masks alone.
@@ -622,21 +624,28 @@ def aut_orbits(systems, automorphism_perms):
     permutation p sends orbit j onto the orbit of (p[k], p[h]), (k, h) its
     first pair.  Systems from `enumerate_all` carry the walk's masks; if
     any system lacks one, every mask is read from bits at each orbit's
-    first pair.  Each relabeling maps a mask a byte at a time, through a
-    table of the image bits of the 8 orbits the byte stands for.
+    first pair.  A mask is relabeled by every relabeling at once, a byte at
+    a time, through 256-entry tables whose entries hold relabeling i's image
+    in bits [i*m, (i+1)*m), m the number of pair orbits; each image is then
+    one shift and one AND.
     """
     if not systems:
         return [], []
     L = systems[0].lattice
-    n, orbit_of = L.n, _tables(L).orbit_of
-    images = {tuple(1 << orbit_of[p[k] * n + p[h]] for (k, h), *_ in L.pair_orbits)
-              for p in {L.subgroup_perm(sigma) for sigma in automorphism_perms} - set(L.conjugate)}
-    images.discard(tuple(1 << j for j in range(len(L.pair_orbits))))
-    actions = [[_byte_table(image[at:at + 8]) for at in range(0, len(image), 8)]
-               for image in images]
-    if not actions:
+    n, orbit_of, m = L.n, _tables(L).orbit_of, len(L.pair_orbits)
+    perms = {L.subgroup_perm(sigma) for sigma in automorphism_perms} - set(L.conjugate)
+    width = -(-m // 8)
+    if width * 256 * len(perms) > STEP_LIMIT:
+        raise SearchBoundExceeded(
+            f"relabeling Tr({L.group.name}) by {len(perms)} non-inner subgroup permutations needs "
+            f"{width} x 256 table entries each: {width * 256 * len(perms)}, above the limit {STEP_LIMIT}")
+    images = {tuple(orbit_of[p[k] * n + p[h]] for (k, h), *_ in L.pair_orbits) for p in perms}
+    images.discard(tuple(range(m)))
+    if not images:
         return [[T] for T in systems], [(1, len(systems))]
-    width = -(-len(L.pair_orbits) // 8)
+    shifts, full = range(0, len(images) * m, m), (1 << m) - 1
+    orbit_images = [sum(1 << image[j] + s for image, s in zip(images, shifts)) for j in range(m)]
+    tables = [_byte_table(orbit_images[at:at + 8]) for at in range(0, m, 8)]
     try:
         masks = [T._mask for T in systems]
     except AttributeError:  # some system was not built by the walk
@@ -650,18 +659,20 @@ def aut_orbits(systems, automorphism_perms):
     for i, M in enumerate(masks):
         if placed[i]:
             continue
-        members = {i}
-        held = M.to_bytes(width, "little")
-        for tables in actions:
+        placed[i] = 1
+        members = [i]
+        all_images = sum(map(list.__getitem__, tables, M.to_bytes(width, "little")))
+        for s in shifts:
             try:
-                members.add(index[sum(map(list.__getitem__, tables, held))])
+                j = index[all_images >> s & full]
             except KeyError:
                 raise ValueError(
                     "system list is not closed under the automorphism action") from None
-        members = sorted(members)
-        for m in members:
-            placed[m] = 1
-        orbits.append([systems[m] for m in members])
+            if not placed[j]:
+                placed[j] = 1
+                members.append(j)
+        members.sort()
+        orbits.append([systems[j] for j in members])
     sizes: dict[int, int] = {}
     for orbit in orbits:
         sizes[len(orbit)] = sizes.get(len(orbit), 0) + 1

@@ -12,6 +12,8 @@ from trlat.groups import (FiniteGroup, GroupValidationError, abelian_group,
                           builtin_group, cyclic_group, dihedral_group, is_prime,
                           klein_group, make_group, symmetric_group)
 
+from tables import ORDER_24_BUILTINS, dihedral, relabeled
+
 
 def brute_isomorphism_exists(G, H):
     """Exhaustive Cayley-table bijection search (identity-fixing)."""
@@ -77,6 +79,18 @@ def test_sym3_cycle_names():
     assert not G.is_abelian
     assert G.element_order(G.element_names.index("(123)")) == 3
     assert G.compose(a, b) != G.compose(b, a)
+
+
+@pytest.mark.parametrize("name", ORDER_24_BUILTINS + ("D8", "D12", "D24"))
+def test_is_abelian_from_the_generators_matches_all_pairs(name):
+    """A group is abelian iff its generators commute pairwise; the builtin
+    and its seeded relabelings, which get other generators, agree with a
+    comparison of every pair of entries."""
+    G = dihedral(int(name[1:]) // 2) if name in ("D8", "D12", "D24") else make_group(name)
+    for H in (G, relabeled(G, 1), relabeled(G, 2)):
+        t = H._table
+        assert H.is_abelian == all(t[a][b] == t[b][a] for a in range(H.order)
+                                   for b in range(H.order))
 
 
 def test_abelian_22_isomorphic_to_k4():

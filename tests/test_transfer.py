@@ -1,5 +1,6 @@
 """Relation closure, validation, lattice operations, and enumeration of Tr(G)."""
 
+import itertools
 import random
 import tracemalloc
 
@@ -439,16 +440,27 @@ def _relabeling_orbits(L, systems):
                                           ("C1", [(1, 1)]), ("C2", [(1, 2)]),
                                           ("K4", [(3, 5), (1, 4)]),
                                           ("C16", [(1, 42)]), ("C24", [(1, 544)]),
-                                          ("Sym4", [(1, 600)])])
+                                          ("Sym4", [(1, 600)]), ("C3xC3", None),
+                                          ("C2xC2xC2", None)])
 def test_orbits_match_brute_force_relabeling(name, profile):
     """D12's 16 subgroups span 32 bytes of pairs; C1 has no proper pair and
     no action.  Every automorphism of C2, C16, C24 and Sym4 acts on the
     subgroups as an inner one does, so each system is its own orbit; K4,
     the smallest group with an outer action, has its orbits' first pairs
     in three bytes.  Any part of Sym4's 8691 systems is closed under its
-    automorphisms, all inner, and 600 keep the relabeling quick."""
+    automorphisms, all inner, and 600 keep the relabeling quick.  C3xC3
+    has 23 outer relabelings over two mask bytes.  For C2xC2xC2 the list is
+    the 918 systems generated by one or two pair orbits, closed under
+    Aut(G) since sigma<o, p> = <sigma o, sigma p>: 167 relabelings over
+    seven mask bytes, and systems without the walk's masks."""
     L = _oracle_lattice(name)
-    systems = enumerate_all(L, bound=len(L.pair_orbits))
+    if name == "C2xC2xC2":
+        firsts = [orbit[0] for orbit in L.pair_orbits]
+        systems = list(dict.fromkeys(generate(L, list(seeds)) for r in (1, 2)
+                                     for seeds in itertools.combinations(firsts, r)))
+        assert len(systems) == 918
+    else:
+        systems = enumerate_all(L, bound=len(L.pair_orbits))
     if name == "Sym4":
         systems = random.Random(1).sample(systems, 600)
     orbits, got_profile = aut_orbits(systems, automorphisms(L.group))
@@ -566,6 +578,16 @@ def test_orbits_refuse_automorphisms_of_another_group(name, other):
     with pytest.raises(ValueError, match=rf"^a permutation of \d+ elements is not an "
                                          rf"automorphism of {name}$"):
         aut_orbits(enumerate_all(L), automorphisms(make_group(other)))
+
+
+def test_orbits_refuse_relabeling_tables_that_would_not_fit():
+    """C2xC2xC2xC2 has 20,159 non-inner subgroup permutations over 56 mask
+    bytes: 289M table entries, refused before any table is built."""
+    L = L_("C2xC2xC2xC2")
+    with pytest.raises(SearchBoundExceeded, match=r"^relabeling Tr\(C2xC2xC2xC2\) by 20159 .* needs "
+                                                  r"56 x 256 table entries each: 288999424, "
+                                                  r"above the limit 4194304$"):
+        aut_orbits([TransferSystem.diagonal(L)], automorphisms(L.group))
 
 
 def test_diagonal_is_a_fixed_point():
