@@ -93,16 +93,17 @@ class FiniteGroup:
         raise GroupValidationError("no two-sided identity element")
 
     def _find_inverses(self) -> tuple[int, ...]:
+        t, e = self._table, self.identity
         inv = []
-        e = self.identity
-        for x in range(self.order):
-            for y in range(self.order):
-                if self._table[x][y] == e == self._table[y][x]:
-                    inv.append(y)
-                    break
-            else:
+        for x, row in enumerate(t):
+            try:
+                y = row.index(e)
+                while t[y][x] != e:
+                    y = row.index(e, y + 1)
+            except ValueError:
                 raise GroupValidationError(
-                    f"element {self.element_names[x]} has no two-sided inverse")
+                    f"element {self.element_names[x]} has no two-sided inverse") from None
+            inv.append(y)
         return tuple(inv)
 
     def _check_associative(self) -> None:

@@ -186,10 +186,11 @@ def automorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
 
     For each choice of images of G.generators, of matching element
     orders, phi is filled along one breadth-first tree of right
-    multiplications by the generators from the identity, and kept iff it is
-    a bijection with phi(x g) = phi(x) phi(g) for every element x and
-    generator g.  That makes phi a homomorphism, since every element is a
-    product of generators.  Refused, before any candidate is tried, above
+    multiplications by the generators from the identity, so that
+    phi(x g) = phi(x) phi(g) on the tree's edges x -> x g, and kept iff it
+    is a bijection and that holds on the edges closing a cycle too.  That
+    makes phi a homomorphism, since every element is a product of
+    generators.  Refused, before any candidate is tried, above
     STEP_LIMIT candidate image tuples times the group order.  Computed once
     and kept on G, as `subgroup_lattice` keeps its lattice; each call
     returns a fresh list.
@@ -206,23 +207,24 @@ def automorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
             f"the automorphism search on {G.name} would try {tuples} tuples of generator "
             f"images, each over {G.order} elements: {tuples * G.order} steps, above the "
             f"limit {STEP_LIMIT}")
-    right = [[G.compose(x, g) for x in range(G.order)] for g in gens]  # right[i][x] = x g_i
-    tree, seen = [], {G.identity}  # (x, i, x g_i), each element first reached
+    tree, cycles, seen = [], [], {G.identity}  # (x, i, x g_i); in tree if first reached
     frontier = [G.identity]
     for x in frontier:
-        for i, col in enumerate(right):
-            if col[x] not in seen:
-                seen.add(col[x])
-                frontier.append(col[x])
-                tree.append((x, i, col[x]))
+        for i, g in enumerate(gens):
+            xg = G.compose(x, g)
+            if xg in seen:
+                cycles.append((x, i, xg))
+            else:
+                seen.add(xg)
+                frontier.append(xg)
+                tree.append((x, i, xg))
     out: list[tuple[int, ...]] = []
     for images in itertools.product(*candidates):
         phi = [G.identity] * G.order
         for x, i, y in tree:
             phi[y] = G.compose(phi[x], images[i])
-        if len(set(phi)) == G.order and all(
-                phi[xg] == G.compose(phi[x], img)
-                for col, img in zip(right, images) for x, xg in enumerate(col)):
+        if all(phi[y] == G.compose(phi[x], images[i]) for x, i, y in cycles) \
+                and len(set(phi)) == G.order:
             out.append(tuple(phi))
     G._automorphisms = tuple(sorted(out))
     return list(G._automorphisms)

@@ -423,26 +423,20 @@ def join(T1: TransferSystem, T2: TransferSystem) -> TransferSystem:
 
 
 def is_saturated(T: TransferSystem) -> bool:
-    """Horn filling: K -> H forces K -> L -> H through every K <= L <= H."""
-    L = T.lattice
-    for k, h in T.pairs():
-        for l in range(L.n):
-            if l in (k, h) or not (L.includes[k][l] and L.includes[l][h]):
-                continue
-            if not (T.contains(k, l) and T.contains(l, h)):
-                return False
-    return True
+    """Horn filling: K -> H forces K -> L -> H through every K <= L <= H.
+    T must be a transfer system: then K -> L holds by restriction, as
+    L n K = K, so only L -> H is checked.  That is, for each proper
+    inclusion K < L, every target above L that K reaches, L reaches too."""
+    rows, incl = T.rows, _tables(T.lattice).incl
+    return not any(rows[k] & incl[l] & ~rows[l] for k, l in T.lattice.proper_pairs)
 
 
 def irreducible_pairs(T: TransferSystem) -> list[tuple[int, int]]:
-    """Related pairs (K, H) with K maximal proper in H."""
-    L = T.lattice
-    out = []
-    for k, h in T.pairs():
-        if not any(l not in (k, h) and L.includes[k][l] and L.includes[l][h]
-                   for l in range(L.n)):
-            out.append((k, h))
-    return out
+    """Related pairs (K, H) with K maximal proper in H: the interval [K, H]
+    holds only K and H."""
+    tables = _tables(T.lattice)
+    incl, below = tables.incl, tables.below
+    return [(k, h) for k, h in T.pairs() if sum(incl[k] >> l & 1 for l in below[h]) == 2]
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -609,8 +603,8 @@ def aut_orbits(systems, automorphism_perms):
     Returns (orbits, profile): orbits as lists of systems, each in the
     order of `systems` (key order for `enumerate_all`'s list), and profile
     as (orbit size, count) sorted by size descending.  Raises ValueError if
-    a permutation is not an automorphism of the systems' group, or, when
-    some automorphism moves a pair orbit, if the list repeats a system or
+    a permutation is not an automorphism of the systems' group, if the list
+    repeats a system, or, when some automorphism moves a pair orbit, if it
     is not closed under the action.  Raises SearchBoundExceeded, before any
     table is built, above STEP_LIMIT table entries: 256 per mask byte per
     non-inner subgroup permutation.
@@ -642,6 +636,8 @@ def aut_orbits(systems, automorphism_perms):
     images = {tuple(orbit_of[p[k] * n + p[h]] for (k, h), *_ in L.pair_orbits) for p in perms}
     images.discard(tuple(range(m)))
     if not images:
+        if len({T.bits for T in systems}) < len(systems):
+            raise ValueError("system list repeats a system")
         return [[T] for T in systems], [(1, len(systems))]
     shifts, full = range(0, len(images) * m, m), (1 << m) - 1
     orbit_images = [sum(1 << image[j] + s for image, s in zip(images, shifts)) for j in range(m)]

@@ -215,8 +215,15 @@ SMALL_BUILTINS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "K4", "Q8", "S
 
 
 @pytest.mark.parametrize("G", [make_group(name) for name in SMALL_BUILTINS]
-                         + [relabeled(dihedral(4), 8)], ids=lambda g: g.name)
+                         + [relabeled(dihedral(4), 8),
+                            pytest.param(relabeled(dihedral(4), 7), id="D8-relabeled-7"),
+                            pytest.param(relabeled(make_group("C2xC4"), 7), id="C2xC4-relabeled-7")],
+                         ids=lambda g: g.name)
 def test_automorphisms_match_brute_force(G):
+    """The relabeled D8 of seed 7 is generated by three involutions, and
+    C2xC4 of seed 7 by three elements: for each, some choice of generator
+    images fills a bijection along the breadth-first tree that is no
+    homomorphism, which only the edges closing a cycle refuse."""
     assert automorphisms(G) == brute_force_automorphisms(G)
 
 

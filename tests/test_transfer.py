@@ -562,12 +562,15 @@ def test_orbits_refuse_a_list_not_closed_under_automorphisms():
 @pytest.mark.parametrize("repeat", ["listed twice", "mask-less copy"])
 def test_orbits_refuse_repeated_systems(repeat):
     """A repeat would be counted as a member again: Q8's list plus three
-    repeats would give a profile with 18 orbits of size 3, not 17."""
-    L = L_("Q8")
-    systems = enumerate_all(L)
-    extra = systems[:3] if repeat == "listed twice" else [TransferSystem(L, systems[5].bits)]
-    with pytest.raises(ValueError, match="^system list repeats a system$"):
-        aut_orbits(systems + extra, automorphisms(L.group))
+    repeats would give a profile with 18 orbits of size 3, not 17.  On C4
+    and C24 no automorphism moves a pair orbit, so each system is its own
+    orbit, and C4's list plus one repeat would give [(1, 6)]."""
+    for name in ("Q8", "C4", "C24"):
+        L = L_(name)
+        systems = enumerate_all(L)
+        extra = systems[:3] if repeat == "listed twice" else [TransferSystem(L, systems[4].bits)]
+        with pytest.raises(ValueError, match="^system list repeats a system$"):
+            aut_orbits(systems + extra, automorphisms(L.group))
 
 
 @pytest.mark.parametrize("name,other", [("K4", "Q8"), ("K4", "C2"), ("C4", "K4")])
