@@ -7,7 +7,6 @@ and tests/test_acceptance.py both run this registry.
 from __future__ import annotations
 
 import functools
-import operator
 import random
 from .groups import abelian_group, cyclic_group, make_group
 from .lattice import automorphisms, subgroup_lattice
@@ -175,8 +174,8 @@ def criterion_generator_correctness() -> tuple[bool, str]:
             R = rng.sample(L.proper_pairs, k) if k else []
             T = generate(L, R)
             wanted = sum(1 << a * L.n + b for a, b in R)
-            containing = [S.bits for S in systems if S.bits & wanted == wanted]
-            if TransferSystem(L, functools.reduce(operator.and_, containing)) != T:
+            containing = [S for S in systems if S.bits & wanted == wanted]
+            if functools.reduce(meet, containing) != T:
                 return False, f"oracle mismatch on {name} with R={R}"
             got = _matching_closed_form(L, R)
             if got is not None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .lattice import SubgroupLattice
-from .transfer import TransferSystem
+from .transfer import TransferSystem, _wrap
 
 
 @dataclass(frozen=True)
@@ -43,5 +43,5 @@ def maximal_chain(L: SubgroupLattice) -> MaximalChain:
     n = L.n
     systems = [TransferSystem.diagonal(L)]
     for orbit in ordered:
-        systems.append(TransferSystem(L, systems[-1].bits | sum(1 << k * n + h for k, h in orbit)))
+        systems.append(_wrap(L, systems[-1].bits | sum(1 << k * n + h for k, h in orbit)))
     return MaximalChain(tuple(systems), L.class_reps, tuple(ordered))

@@ -136,13 +136,6 @@ class FiniteGroup:
         """g x g^-1."""
         return self._table[self._table[g][x]][self._invert[g]]
 
-    def element_order(self, a: int) -> int:
-        x, k = a, 1
-        while x != self.identity:
-            x = self._table[x][a]
-            k += 1
-        return k
-
     @functools.cached_property
     def is_abelian(self) -> bool:
         """True iff the generators commute pairwise, as they generate G."""

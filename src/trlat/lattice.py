@@ -50,17 +50,16 @@ class SubgroupLattice:
         self.intersect = tuple(tuple(self._index_of_mask[a & b] for b in masks) for a in masks)
 
         # x -> g x g^-1 depends only on the coset of g modulo the centre: one
-        # subgroup permutation per coset, shared by the coset's elements
+        # permutation per coset, each kept once, in the order of its least g
         centre = [z for z in range(group.order)
                   if all(group.compose(z, g) == group.compose(g, z) for g in group.generators)]
-        conjugate: list = [None] * group.order
+        inner, covered = {}, set()
         for g in range(group.order):
-            if conjugate[g] is None:
+            if g not in covered:
                 perm = self.subgroup_perm(tuple(group.conjugate(g, x) for x in range(group.order)))
-                for z in centre:
-                    conjugate[group.compose(g, z)] = perm
-        self.conjugate = tuple(conjugate)
-        inner = tuple(dict.fromkeys(conjugate))  # the distinct permutations
+                inner.setdefault(perm)
+                covered.update(group.compose(g, z) for z in centre)
+        self.inner = inner = tuple(inner)
         self.normal = tuple(all(c[s] == s for c in inner) for s in range(n))
         # normal H is cocyclic iff CH = G for a cyclic C (then G/H = CH/H is
         # isomorphic to C/(C n H)), that is iff |C||H| = |G||C n H|
@@ -77,11 +76,11 @@ class SubgroupLattice:
 
         self.proper_pairs = tuple((k, h) for k in range(n) for h in range(n)
                                   if k != h and self.includes[k][h])
-        self.pair_orbits = self._pair_orbit_partition(inner)
+        self.pair_orbits = self._pair_orbit_partition()
         self.names = tuple(self._display_name(H, generated[H]) for H in self.subgroups)
 
-    def _pair_orbit_partition(self, inner) -> tuple[tuple[tuple[int, int], ...], ...]:
-        orbits, seen = [], set()
+    def _pair_orbit_partition(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        orbits, seen, inner = [], set(), self.inner
         for k, h in self.proper_pairs:
             if (k, h) in seen:
                 continue
@@ -135,13 +134,28 @@ class SubgroupLattice:
         return f"SubgroupLattice({self.group.name}, {self.n} subgroups)"
 
 
+def _cyclic_walk(G: FiniteGroup) -> tuple[dict[frozenset[int], int], dict[int, int]]:
+    """Each cyclic subgroup of G with its least generator g, and each
+    element's order, from one walk g, g^2, ..., g^m = 1 per cyclic <g>: the
+    g^i with gcd(i, m) = 1 generate <g>, and each has order m."""
+    cyclic, orders = {}, {}
+    for g in range(G.order):
+        if g not in orders:
+            powers = [g]
+            while powers[-1] != G.identity:
+                powers.append(G.compose(powers[-1], g))
+            m = len(powers)
+            orders.update((x, m) for i, x in enumerate(powers, 1) if math.gcd(i, m) == 1)
+            cyclic[frozenset(powers)] = g
+    return cyclic, orders
+
+
 def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     """Enumerate all subgroups of G, each with its least generating tuple
     (shortest, then lexicographic by element index); cached on the group.
 
-    Each cyclic subgroup <g> is walked once, from its least generator g:
-    the walk g, g^2, ..., g^m = 1 marks the g^i with gcd(i, m) = 1, the
-    generators of <g>.  In that order, each cyclic <g> is joined with every
+    The cyclic subgroups come from `_cyclic_walk`, each with its least
+    generator g.  In that order, each cyclic <g> is joined with every
     subgroup H found so far not holding it; the join keeps the lesser of
     its tuple and H's tuple then g.  After k steps this holds every join of
     the first k cyclic subgroups, and each subgroup is the join of its
@@ -154,14 +168,7 @@ def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     cached = getattr(G, "_lattice", None)
     if cached is not None:
         return cached
-    cyclic, marked = {}, set()  # each cyclic subgroup: its least generator
-    for g in range(G.order):
-        if g not in marked:
-            powers = [g]  # g, g^2, ..., g^m = 1
-            while powers[-1] != G.identity:
-                powers.append(G.compose(powers[-1], g))
-            marked.update(x for i, x in enumerate(powers, 1) if math.gcd(i, len(powers)) == 1)
-            cyclic[frozenset(powers)] = g
+    cyclic = _cyclic_walk(G)[0]
     pairs = len(cyclic) ** 2 // 2
     if pairs * G.order > STEP_LIMIT:
         raise SearchBoundExceeded(
@@ -199,7 +206,7 @@ def automorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
     if cached is not None:
         return list(cached)
     gens = G.generators
-    orders = [G.element_order(x) for x in range(G.order)]
+    orders = _cyclic_walk(G)[1]
     candidates = [[y for y in range(G.order) if orders[y] == orders[g]] for g in gens]
     tuples = math.prod(map(len, candidates))
     if tuples * G.order > STEP_LIMIT:

@@ -32,33 +32,37 @@ class Violation(NamedTuple):
 
 class TransferSystem:
     """An immutable transfer system over a subgroup lattice of n subgroups,
-    held as one int: bit k*n + h stands for the pair (k, h).  `_mask`, set
-    by `enumerate_all` alone, is the walk's orbit mask, for `aut_orbits`."""
+    held as one int: bit k*n + h stands for the pair (k, h).  The constructor
+    refuses an int that is not a transfer system; the library wraps those it
+    builds by `_wrap`, unchecked.  `_mask`, set by `enumerate_all` alone, is
+    the walk's orbit mask, for `aut_orbits`."""
 
     __slots__ = ("lattice", "bits", "_mask")
 
     def __init__(self, lattice: SubgroupLattice, bits: int):
-        self.lattice = lattice
-        self.bits = bits
-
-    @classmethod
-    def diagonal(cls, lattice: SubgroupLattice) -> "TransferSystem":
-        return cls(lattice, _packing(lattice.n)[0])
-
-    @classmethod
-    def maximum(cls, lattice: SubgroupLattice) -> "TransferSystem":
-        return cls(lattice, _tables(lattice).maximum)
-
-    @classmethod
-    def from_pairs(cls, lattice: SubgroupLattice, pairs) -> "TransferSystem":
-        """Wrap an explicit pair set; raises unless it is already closed."""
-        bits = _bits_of(lattice, pairs)
+        if type(bits) is not int or bits < 0 or bits >> lattice.n ** 2:
+            raise TransferSystemError(f"bits must be an int in [0, 2^{lattice.n ** 2}), "
+                                      f"a bit per pair of {lattice.group.name}'s subgroups")
         violations = _violations(lattice, bits)
         if violations:
             raise TransferSystemError(
                 "not a transfer system: "
                 + "; ".join(v.describe(lattice) for v in violations))
-        return cls(lattice, bits)
+        self.lattice = lattice
+        self.bits = bits
+
+    @classmethod
+    def diagonal(cls, lattice: SubgroupLattice) -> "TransferSystem":
+        return _wrap(lattice, _packing(lattice.n)[0])
+
+    @classmethod
+    def maximum(cls, lattice: SubgroupLattice) -> "TransferSystem":
+        return _wrap(lattice, _tables(lattice).maximum)
+
+    @classmethod
+    def from_pairs(cls, lattice: SubgroupLattice, pairs) -> "TransferSystem":
+        """Wrap an explicit pair set; raises unless it is already closed."""
+        return cls(lattice, _bits_of(lattice, pairs))
 
     @property
     def rows(self) -> tuple[int, ...]:
@@ -106,6 +110,13 @@ class TransferSystem:
         return f"TransferSystem({self.lattice.group.name}: {' '.join(named) or 'diagonal'})"
 
 
+def _wrap(L: SubgroupLattice, bits: int) -> TransferSystem:
+    """The TransferSystem over L holding bits that the library built: unchecked."""
+    T = object.__new__(TransferSystem)
+    T.lattice, T.bits = L, bits
+    return T
+
+
 # -- validation ---------------------------------------------------------------
 
 class _Tables:
@@ -133,7 +144,7 @@ class _Tables:
       (1 << b, a) per orbit b of a pair (x, h) with (k, h) in orbit j,
       x != k and K_x <= K_k, a the orbit bits of those (x, k).
     conjugates[k*n + h]: for a pair `_violations` lists, its conjugates
-      (c[k], c[h]) in L.conjugate order with repeats dropped: the tuples
+      (c[k], c[h]) in L.inner order with repeats dropped: the tuples
       L.pair_orbits holds, so a listing adds only references.
     generated[j]: the packed system orbit j generates.
     spans[a][b]: the OR of blocks[a:b], blocks[i] holding the orbits whose
@@ -186,7 +197,7 @@ class _Tables:
         k, h = divmod(p, n)
         orbit = {pair: pair for pair in L.pair_orbits[self.orbit_of[p]]}
         pairs = self.conjugates[p] = tuple(
-            orbit[q] for q in dict.fromkeys((c[k], c[h]) for c in L.conjugate))
+            orbit[q] for q in dict.fromkeys((c[k], c[h]) for c in L.inner))
         return pairs
 
     def _generated(self, j: int) -> int:
@@ -244,7 +255,7 @@ def _violations(L: SubgroupLattice, P: int) -> list[Violation]:
     (axiom, pair) once, in the order of the listing loops over its rows:
     per row, reflexivity and then the pairs outside inclusion; then per held
     proper pair (k, h) in row-major order, the conjugates (c[k], c[h]) it
-    lacks in L.conjugate order, its restrictions (L_l n K_k, L_l) it lacks
+    lacks in L.inner order, its restrictions (L_l n K_k, L_l) it lacks
     by ascending l, and (k, h2) for each h2 that h reaches and k does not,
     ascending.
 
@@ -386,14 +397,14 @@ def generate(L: SubgroupLattice, relation) -> TransferSystem:
             raise TransferSystemError(
                 f"pair ({L.names[k]}, {L.names[h]}) does not refine inclusion")
     if not seeds:
-        return TransferSystem(L, _packing(n)[0])
+        return _wrap(L, _packing(n)[0])
     seeds = sorted(seeds, reverse=True)
     P = tables.generated[seeds[0]] or tables._generated(seeds[0])
     for j in seeds[1:]:
         packed, _, edges, _, _ = tables.orbits[j] or tables._orbit(j)
         if not P & packed:
             P = _close(P, edges, n)
-    return TransferSystem(L, P)
+    return _wrap(L, P)
 
 
 # -- lattice operations on Tr(G) ---------------------------------------------
@@ -408,7 +419,7 @@ def meet(T1: TransferSystem, T2: TransferSystem) -> TransferSystem:
     relation to be closed under a rule, and that holds for an intersection
     of closed relations."""
     _require_same_lattice(T1, T2)
-    return TransferSystem(T1.lattice, T1.bits & T2.bits)
+    return _wrap(T1.lattice, T1.bits & T2.bits)
 
 
 def join(T1: TransferSystem, T2: TransferSystem) -> TransferSystem:
@@ -419,7 +430,7 @@ def join(T1: TransferSystem, T2: TransferSystem) -> TransferSystem:
     _require_same_lattice(T1, T2)
     n = T1.lattice.n
     added = [(k, r) for k, r in enumerate(_unpack(T2.bits & ~T1.bits, n)) if r]
-    return TransferSystem(T1.lattice, _close(T1.bits, added, n))
+    return _wrap(T1.lattice, _close(T1.bits, added, n))
 
 
 def is_saturated(T: TransferSystem) -> bool:
@@ -550,7 +561,7 @@ def enumerate_all(L: SubgroupLattice, bound: int = SEARCH_BOUND) -> list[Transfe
     """
     systems = []
     for P, M in _systems(L, bound):
-        T = TransferSystem(L, P)
+        T = _wrap(L, P)
         T._mask = M
         systems.append(T)
     return systems
@@ -611,7 +622,7 @@ def aut_orbits(systems, automorphism_perms):
 
     A system is the diagonal plus whole pair orbits, so its orbit mask,
     bit j for orbit j, stands for it, and the work is done on masks alone.
-    Inner automorphisms (subgroup permutations L.conjugate[g]) fix every
+    Inner automorphisms (the subgroup permutations L.inner) fix every
     mask, so only each distinct permutation of the pair orbits induced by
     a non-inner automorphism relabels; with none but the identity, as for
     every cyclic group, each system is its own orbit.  A subgroup
@@ -627,7 +638,7 @@ def aut_orbits(systems, automorphism_perms):
         return [], []
     L = systems[0].lattice
     n, orbit_of, m = L.n, _tables(L).orbit_of, len(L.pair_orbits)
-    perms = {L.subgroup_perm(sigma) for sigma in automorphism_perms} - set(L.conjugate)
+    perms = {L.subgroup_perm(sigma) for sigma in automorphism_perms} - set(L.inner)
     width = -(-m // 8)
     if width * 256 * len(perms) > STEP_LIMIT:
         raise SearchBoundExceeded(
@@ -681,7 +692,7 @@ def aut_orbits(systems, automorphism_perms):
 def _conjugation_gap(L: SubgroupLattice, family) -> int | None:
     """A member of the family with a conjugate outside it; None if the
     family is closed under conjugation."""
-    return next((s for s in family for c in L.conjugate if c[s] not in family), None)
+    return next((s for s in family for c in L.inner if c[s] not in family), None)
 
 
 def _check_conjugation_closed(L: SubgroupLattice, family, what: str) -> None:

@@ -53,8 +53,8 @@ def test_prefixes_downward_closed_and_invariant():
                 for t in range(L.n):
                     if L.includes[t][s]:
                         assert t in prefix
-                for g in range(L.group.order):
-                    assert L.conjugate[g][s] in prefix
+                for c in L.inner:
+                    assert c[s] in prefix
             for k in prefix:
                 for h in prefix:
                     if k != h and L.includes[k][h]:
@@ -69,7 +69,7 @@ def peeled_chain_order(L):
     remaining, layers = set(range(L.n)), []
     while remaining:
         pick = min(remaining)
-        layer = sorted({L.conjugate[g][pick] for g in range(L.group.order)})
+        layer = sorted({c[pick] for c in L.inner})
         layers.append(layer)
         remaining -= set(layer)
     layer_of = {s: i for i, layer in enumerate(layers) for s in layer}

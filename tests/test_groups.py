@@ -34,7 +34,7 @@ def test_cyclic_basic():
     G = make_group({"kind": "cyclic", "n": 6})
     assert G.order == 6
     assert G.identity == 0
-    assert G.element_order(1) == 6
+    assert len(G.closure([1])) == 6
 
 
 def test_cyclic_table_adds_residues_and_shares_its_entries():
@@ -67,8 +67,8 @@ def test_q8_names_and_orders():
     j = G.element_names.index("j")
     k = G.element_names.index("k")
     assert G.compose(i, j) == k
-    assert G.element_order(i) == 4
-    assert G.element_order(G.element_names.index("-1")) == 2
+    assert len(G.closure([i])) == 4
+    assert len(G.closure([G.element_names.index("-1")])) == 2
 
 
 def test_sym3_cycle_names():
@@ -77,7 +77,7 @@ def test_sym3_cycle_names():
     a = G.element_names.index("(12)")
     b = G.element_names.index("(13)")
     assert not G.is_abelian
-    assert G.element_order(G.element_names.index("(123)")) == 3
+    assert len(G.closure([G.element_names.index("(123)")])) == 3
     assert G.compose(a, b) != G.compose(b, a)
 
 
@@ -108,8 +108,8 @@ def test_dihedral():
     assert G.order == 10
     r = G.element_names.index("r")
     s = G.element_names.index("s")
-    assert G.element_order(r) == 5
-    assert G.element_order(s) == 2
+    assert len(G.closure([r])) == 5
+    assert len(G.closure([s])) == 2
     # s r s^-1 = r^-1
     assert G.conjugate(s, r) == G.invert(r)
     for order, message in ((8, "D8 requires an odd prime p, got p=4"),
@@ -163,6 +163,19 @@ def test_bad_tables_rejected():
         FiniteGroup([[0, 1, 2], [1, 1, 1], [2, 1, 0]])
     with pytest.raises(GroupValidationError, match="square"):
         FiniteGroup([[0, 1], [1]])
+
+
+def test_inverse_found_past_an_earlier_identity_in_the_row():
+    # row x1 holds the identity at x2 and x3, but only x3 x1 is the identity;
+    # the table has two-sided inverses and fails associativity instead
+    table = [[0, 1, 2, 3], [1, 2, 0, 0], [2, 3, 1, 0], [3, 0, 0, 1]]
+    with pytest.raises(GroupValidationError,
+                       match=re.escape("non-associative table at triple (x1, x1, x1)")):
+        FiniteGroup(table)
+
+
+def test_group_repr():
+    assert repr(make_group("Q8")) == "FiniteGroup(Q8, order=8)"
 
 
 def loops(n, rng=None):

@@ -8,7 +8,7 @@ import pytest
 
 from trlat.groups import (FiniteGroup, abelian_group, cyclic_group, dihedral_group,
                           klein_group, make_group, quaternion_group, symmetric_group)
-from trlat.lattice import SearchBoundExceeded, automorphisms, subgroup_lattice
+from trlat.lattice import SearchBoundExceeded, _cyclic_walk, automorphisms, subgroup_lattice
 
 from tables import ORDER_24_BUILTINS, dihedral, relabeled
 
@@ -140,8 +140,7 @@ def test_q8_all_normal():
 def test_conjugation_preserves_inclusion():
     for G in (symmetric_group(3), quaternion_group(), symmetric_group(4)):
         L = subgroup_lattice(G)
-        for g in range(G.order):
-            perm = L.conjugate[g]
+        for perm in L.inner:
             assert sorted(perm) == list(range(L.n))
             for s in range(L.n):
                 for t in range(L.n):
@@ -407,8 +406,24 @@ def test_conjugation_data_match_the_oracle(G):
     L = subgroup_lattice(G)
     subs, conjugate, normal, cocyclic, class_of, pair_orbits = conjugation_oracle(G)
     assert L.subgroups == subs
-    assert L.conjugate == conjugate
+    assert L.inner == tuple(dict.fromkeys(conjugate))
     assert L.normal == normal
     assert L.cocyclic == cocyclic
     assert (L.class_of, len(L.class_reps)) == (class_of, max(class_of) + 1)
     assert L.pair_orbits == pair_orbits
+
+
+@pytest.mark.parametrize("G", [make_group(name) for name in ORDER_24_BUILTINS]
+                         + [make() for make in RELABELED.values()],
+                         ids=list(ORDER_24_BUILTINS) + [f"relabeled-{k}" for k in RELABELED])
+def test_cyclic_walk_matches_closures(G):
+    """Each element's order is the size of the subgroup it generates, and
+    each cyclic subgroup is listed once, with its least generator."""
+    cyclic, orders = _cyclic_walk(G)
+    closures = [G.closure([x]) for x in range(G.order)]
+    assert orders == {x: len(C) for x, C in enumerate(closures)}
+    assert cyclic == {C: closures.index(C) for C in closures}
+
+
+def test_lattice_repr():
+    assert repr(subgroup_lattice(make_group("C4"))) == "SubgroupLattice(C4, 3 subgroups)"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from trlat.groups import FiniteGroup, abelian_group, cyclic_group, make_group
 from trlat.lattice import automorphisms, subgroup_lattice
 from trlat.transfer import (SearchBoundExceeded, TransferSystem,
-                            TransferSystemError, aut_orbits,
+                            TransferSystemError, _bits_of, aut_orbits,
                             closed_form_normal_source, closed_form_normal_target,
                             enumerate_all, generate, hasse_diagram,
                             irreducible_pairs, is_saturated, join, meet, validate)
@@ -67,6 +68,22 @@ def test_system_from_orbits_reports_violations():
     L = L_("C4")
     with pytest.raises(TransferSystemError, match="restriction"):
         TransferSystem.from_pairs(L, [(0, 2)])
+
+
+def test_constructor_refuses_what_is_not_a_transfer_system():
+    L = L_("C4")
+    with pytest.raises(TransferSystemError, match=re.escape(
+            "not a transfer system: restriction violation at (1, C2) forced by (1, C4)")):
+        TransferSystem(L, _bits_of(L, [(0, 2), (1, 2)]))
+    for bad in (-1, 1 << L.n * L.n, TransferSystem.diagonal(L).bits | 1 << L.n * L.n,
+                float(TransferSystem.diagonal(L).bits), True, "273", None):
+        with pytest.raises(TransferSystemError, match=re.escape("bits must be an int in [0, 2^9)")):
+            TransferSystem(L, bad)
+    assert TransferSystem(L, TransferSystem.maximum(L).bits) == TransferSystem.maximum(L)
+
+
+def test_system_repr():
+    assert repr(generate(L_("C4"), [(0, 2)])) == "TransferSystem(C4: (1->C2) (1->C4))"
 
 
 # -- generate -------------------------------------------------------------------
@@ -654,13 +671,13 @@ def test_closed_forms_on_random_normal_families():
             ups = [h for h in range(L.n) if L.includes[k][h]]
             hs = set()
             for h in rng.sample(ups, rng.randint(1, len(ups))):
-                hs |= {L.conjugate[g][h] for g in range(G.order)}
+                hs |= {c[h] for c in L.inner}
             assert closed_form_normal_source(L, k, hs) == \
                 generate(L, [(k, h) for h in hs])
             h = rng.choice([s for s in range(L.n) if L.normal[s]])
             downs = [kk for kk in range(L.n) if L.includes[kk][h]]
             ks = set()
             for kk in rng.sample(downs, rng.randint(1, len(downs))):
-                ks |= {L.conjugate[g][kk] for g in range(G.order)}
+                ks |= {c[kk] for c in L.inner}
             assert closed_form_normal_target(L, ks, h) == \
                 generate(L, [(kk, h) for kk in ks])

@@ -37,8 +37,8 @@ def reference_violations(L, rows):
         for h in range(n):
             if k == h or not rows[k] >> h & 1 or not L.includes[k][h]:
                 continue
-            for g in range(L.group.order):
-                ck, ch = L.conjugate[g][k], L.conjugate[g][h]
+            for c in L.inner:
+                ck, ch = c[k], c[h]
                 if not rows[ck] >> ch & 1:
                     out.append(Violation("conjugation", (ck, ch), (k, h)))
             for l in range(n):
@@ -65,8 +65,8 @@ def reference_generate(L, relation):
         if not L.includes[k][h]:
             raise TransferSystemError(
                 f"pair ({L.names[k]}, {L.names[h]}) does not refine inclusion")
-        for g in range(L.group.order):
-            conj_closed.add((L.conjugate[g][k], L.conjugate[g][h]))
+        for c in L.inner:
+            conj_closed.add((c[k], c[h]))
     for k, h in conj_closed:
         rows[k] |= 1 << h
         for l in range(L.n):
@@ -80,7 +80,7 @@ def reference_generate(L, relation):
 
 
 # D24 (34 subgroups) is the largest lattice the closure benchmark queries; its
-# centre has order 2, so each subgroup permutation appears twice in L.conjugate
+# centre has order 2, so two elements induce each permutation in L.inner
 SOURCES = {"Sym4": lambda: make_group("Sym4"), "D8": lambda: dihedral(4),
            "D24": lambda: dihedral(12), "Q8": lambda: make_group("Q8"),
            "C24": lambda: make_group("C24"), "C2xC2xC2": lambda: abelian_group((2, 2, 2))}

@@ -112,7 +112,7 @@ def orbit_masks_by_brute_force(L, j):
     orbit = L.pair_orbits[j]
     demand, need, implied = set(), set(), {}
     for k, h in orbit:
-        demand |= {(c[k], c[h]) for c in L.conjugate}
+        demand |= {(c[k], c[h]) for c in L.inner}
         for x in range(L.n):
             if L.includes[x][h]:
                 a = L.intersect[x][k]
