@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from .groups import FiniteGroup
 
 # The most steps a search in this module takes on.  An automorphism search
@@ -39,14 +40,23 @@ class SubgroupLattice:
         self.group = group
         self.subgroups = tuple(sorted(generated, key=lambda s: (len(s), tuple(sorted(s)))))
         self.n = len(self.subgroups)
-        self.index_of = {s: i for i, s in enumerate(self.subgroups)}
         self.full = self.n - 1
         # each subgroup as the bitmask of its members: bit x for element x
         masks = [sum(1 << x for x in s) for s in self.subgroups]
         self._index_of_mask = {m: i for i, m in enumerate(masks)}
 
         n = self.n
-        self.includes = tuple(tuple(a & b == a for b in masks) for a in masks)
+        # incl[k]: bit h set iff K_k <= H_h; below[h]: the l with L_l <= H_h,
+        # ascending; proper_pairs: the (k, h) with K_k < H_h, row-major
+        incl, below, proper = [], [[] for _ in masks], []
+        for k, a in enumerate(masks):
+            ups = [h for h, b in enumerate(masks) if a & b == a]
+            incl.append(sum(1 << h for h in ups))
+            proper += ((k, h) for h in ups if h != k)
+            for h in ups:
+                below[h].append(k)
+        self.incl, self.below = tuple(incl), tuple(map(tuple, below))
+        self.proper_pairs = tuple(proper)
         self.intersect = tuple(tuple(self._index_of_mask[a & b] for b in masks) for a in masks)
 
         # x -> g x g^-1 depends only on the coset of g modulo the centre: one
@@ -63,7 +73,7 @@ class SubgroupLattice:
         self.normal = tuple(all(c[s] == s for c in inner) for s in range(n))
         # normal H is cocyclic iff CH = G for a cyclic C (then G/H = CH/H is
         # isomorphic to C/(C n H)), that is iff |C||H| = |G||C n H|
-        cyclic = [self.index_of[C] for C, gens in generated.items() if len(gens) <= 1]
+        cyclic = [s for s, S in enumerate(self.subgroups) if len(generated[S]) <= 1]
         self.cocyclic = tuple(self.normal[s] and any(
             self.order_of(c) * self.order_of(s) == group.order * self.order_of(self.intersect[c][s])
             for c in cyclic) for s in range(n))
@@ -74,20 +84,21 @@ class SubgroupLattice:
         rank = {s: i for i, s in enumerate(self.class_reps)}
         self.class_of = tuple(rank[s] for s in least)
 
-        self.proper_pairs = tuple((k, h) for k in range(n) for h in range(n)
-                                  if k != h and self.includes[k][h])
-        self.pair_orbits = self._pair_orbit_partition()
+        self.pair_orbits, self.orbit_of = self._pair_orbit_partition()
         self.names = tuple(self._display_name(H, generated[H]) for H in self.subgroups)
 
-    def _pair_orbit_partition(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        orbits, seen, inner = [], set(), self.inner
+    def _pair_orbit_partition(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], array]:
+        """The proper pairs' orbits under L.inner, each listed at its least pair,
+        and orbit_of: at k*n + h the orbit of (k, h), -1 off proper pairs."""
+        n, inner = self.n, self.inner
+        orbits, orbit_of = [], array("i", [-1]) * (n * n)
         for k, h in self.proper_pairs:
-            if (k, h) in seen:
-                continue
-            orbit = {(c[k], c[h]) for c in inner}
-            seen |= orbit
-            orbits.append(tuple(sorted(orbit)))
-        return tuple(orbits)  # each met first, so listed, at its least pair
+            if orbit_of[k * n + h] < 0:
+                orbit = tuple(sorted({(c[k], c[h]) for c in inner}))
+                for a, b in orbit:
+                    orbit_of[a * n + b] = len(orbits)
+                orbits.append(orbit)
+        return tuple(orbits), orbit_of
 
     def _display_name(self, H: frozenset[int], gens: tuple[int, ...]) -> str:
         G = self.group

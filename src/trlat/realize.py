@@ -381,10 +381,10 @@ def minimal_steiner_universe(L: SubgroupLattice, k: int, h: int) -> list[tuple[i
     """
     if not L.group.is_abelian:
         raise ValueError(f"{L.group.name} is not abelian")
-    if k == h or not L.includes[k][h]:
+    if k == h or not L.incl[k] >> h & 1:
         raise ValueError(f"need {L.names[k]} strictly below {L.names[h]}")
     candidates = [s for entry in catalog(L) for s, _ in entry.orb_pairs
-                  if L.includes[k][s] and not L.includes[h][s]]
+                  if L.incl[k] >> s & 1 and not L.incl[h] >> s & 1]
     if 1 << len(candidates) > STEINER_SUBSET_LIMIT:
         raise SearchBoundExceeded(
             f"{L.group.name} has {len(candidates)} candidate kernels for "

@@ -7,7 +7,6 @@ relation K_k -> H_h holds (canonical lattice indices).
 from __future__ import annotations
 
 import functools
-from array import array
 from typing import NamedTuple
 from .lattice import STEP_LIMIT, SearchBoundExceeded, SubgroupLattice
 
@@ -123,12 +122,7 @@ class _Tables:
     """What validation, closure and the Tr(G) walk need of a lattice over n
     subgroups; pairs are indexed k*n + h, their bit in a packed system.
 
-    incl[k]: the bits h with K_k <= H_h.
     maximum: the packed inclusion relation, every pair (k, h) with K_k <= H_h.
-    below[h]: the l with L_l <= H_h, ascending, so (L_l n K_k, L_l) for l in
-      below[h] are the restrictions of (k, h).
-    orbit_of[k*n + h]: the index in L.pair_orbits of a proper pair, else -1;
-      an array of C ints, 4 bytes a slot.
 
     The rest is built on first use, since one mask is an n^2-bit int and a
     large lattice has many orbits; an entry is falsy until built, read as
@@ -153,33 +147,25 @@ class _Tables:
       by the walk, once its bound check has passed.
     """
 
-    __slots__ = ("lattice", "incl", "maximum", "below", "orbit_of", "orbits", "conjugates",
-                 "generated", "spans")
+    __slots__ = ("lattice", "maximum", "orbits", "conjugates", "generated", "spans")
 
     def __init__(self, L: SubgroupLattice):
-        n = L.n
         self.lattice = L
-        self.incl = [sum(1 << h for h in range(n) if L.includes[k][h]) for k in range(n)]
-        self.maximum = sum(r << k * n for k, r in enumerate(self.incl))
-        self.below = [tuple(l for l in range(n) if L.includes[l][h]) for h in range(n)]
-        self.orbit_of = array("i", [-1]) * (n * n)
-        for j, orbit in enumerate(L.pair_orbits):
-            for k, h in orbit:
-                self.orbit_of[k * n + h] = j
+        self.maximum = sum(r << k * L.n for k, r in enumerate(L.incl))
         m = len(L.pair_orbits)
         self.orbits, self.generated = [()] * m, [0] * m
         self.conjugates: dict[int, tuple[tuple[int, int], ...]] = {}
         self.spans = None
 
     def _orbit(self, j: int) -> tuple:
-        L, n, orbit_of = self.lattice, self.lattice.n, self.orbit_of
-        orbit = L.pair_orbits[j]
+        L, n = self.lattice, self.lattice.n
+        orbit, orbit_of = L.pair_orbits[j], L.orbit_of
         packed = sum(1 << k * n + h for k, h in orbit)
         demand, implied = 0, {}
         for k, h in orbit:
-            for l in self.below[h]:
+            for l in L.below[h]:
                 demand |= 1 << L.intersect[l][k] * n + l
-            for x in self.below[k]:
+            for x in L.below[k]:
                 if x != k:
                     b = 1 << orbit_of[x * n + h]
                     implied[b] = implied.get(b, 0) | 1 << orbit_of[x * n + k]
@@ -195,7 +181,7 @@ class _Tables:
     def _conjugates(self, p: int) -> tuple[tuple[int, int], ...]:
         L, n = self.lattice, self.lattice.n
         k, h = divmod(p, n)
-        orbit = {pair: pair for pair in L.pair_orbits[self.orbit_of[p]]}
+        orbit = {pair: pair for pair in L.pair_orbits[L.orbit_of[p]]}
         pairs = self.conjugates[p] = tuple(
             orbit[q] for q in dict.fromkeys((c[k], c[h]) for c in L.inner))
         return pairs
@@ -262,7 +248,7 @@ def _violations(L: SubgroupLattice, P: int) -> list[Violation]:
     Exact with few tests.  The first loop runs only if P lacks a reflexive
     pair or holds one outside inclusion.  A held pair's listing, its
     distinct conjugates (`_Tables.conjugates`) and then its restrictions
-    (one per l in `_Tables.below[h]`), lists only pairs P lacks, and they
+    (one per l in `L.below[h]`), lists only pairs P lacks, and they
     lie in its orbit's demand mask, so a pair whose orbit's mask lies
     inside P lists nothing and is not walked; its transitive steps are the
     bits of rows[h] that row k lacks.  A pair already listed for an axiom
@@ -272,8 +258,8 @@ def _violations(L: SubgroupLattice, P: int) -> list[Violation]:
     """
     n = L.n
     tables = _tables(L)
-    incl, orbit_of, orbits, below = tables.incl, tables.orbit_of, tables.orbits, tables.below
-    conjugates = tables.conjugates
+    incl, orbit_of, below = L.incl, L.orbit_of, L.below
+    orbits, conjugates = tables.orbits, tables.conjugates
     rows = _unpack(P, n)
     # tuple.__new__ skips the NamedTuple's generated __new__, the larger cost here
     new = tuple.__new__
@@ -390,10 +376,10 @@ def generate(L: SubgroupLattice, relation) -> TransferSystem:
     seeds = set()
     for k, h in relation:
         _check_indices(L, k, h)
-        j = tables.orbit_of[k * n + h]
+        j = L.orbit_of[k * n + h]
         if j >= 0:
             seeds.add(j)
-        elif not L.includes[k][h]:
+        elif not L.incl[k] >> h & 1:
             raise TransferSystemError(
                 f"pair ({L.names[k]}, {L.names[h]}) does not refine inclusion")
     if not seeds:
@@ -409,16 +395,18 @@ def generate(L: SubgroupLattice, relation) -> TransferSystem:
 
 # -- lattice operations on Tr(G) ---------------------------------------------
 
-def _require_same_lattice(T1: TransferSystem, T2: TransferSystem) -> None:
-    if T1.lattice is not T2.lattice and T1.lattice.fingerprint != T2.lattice.fingerprint:
+def _same_lattice(L: SubgroupLattice, T: TransferSystem) -> bool:
+    """True if T lives over L or a lattice of the same group table, else raises."""
+    if T.lattice is not L and T.lattice.fingerprint != L.fingerprint:
         raise ValueError("transfer systems live over different lattices")
+    return True
 
 
 def meet(T1: TransferSystem, T2: TransferSystem) -> TransferSystem:
     """Pairwise intersection; a transfer system, because each axiom asks a
     relation to be closed under a rule, and that holds for an intersection
     of closed relations."""
-    _require_same_lattice(T1, T2)
+    _same_lattice(T1.lattice, T2)
     return _wrap(T1.lattice, T1.bits & T2.bits)
 
 
@@ -427,7 +415,7 @@ def join(T1: TransferSystem, T2: TransferSystem) -> TransferSystem:
     their union, which is closed under conjugation and restriction.  Only
     the rows where T2 adds pairs are closed: the closure P holds T1
     throughout, so T2's pairs already in T1 are in P."""
-    _require_same_lattice(T1, T2)
+    _same_lattice(T1.lattice, T2)
     n = T1.lattice.n
     added = [(k, r) for k, r in enumerate(_unpack(T2.bits & ~T1.bits, n)) if r]
     return _wrap(T1.lattice, _close(T1.bits, added, n))
@@ -438,15 +426,14 @@ def is_saturated(T: TransferSystem) -> bool:
     T must be a transfer system: then K -> L holds by restriction, as
     L n K = K, so only L -> H is checked.  That is, for each proper
     inclusion K < L, every target above L that K reaches, L reaches too."""
-    rows, incl = T.rows, _tables(T.lattice).incl
+    rows, incl = T.rows, T.lattice.incl
     return not any(rows[k] & incl[l] & ~rows[l] for k, l in T.lattice.proper_pairs)
 
 
 def irreducible_pairs(T: TransferSystem) -> list[tuple[int, int]]:
     """Related pairs (K, H) with K maximal proper in H: the interval [K, H]
     holds only K and H."""
-    tables = _tables(T.lattice)
-    incl, below = tables.incl, tables.below
+    incl, below = T.lattice.incl, T.lattice.below
     return [(k, h) for k, h in T.pairs() if sum(incl[k] >> l & 1 for l in below[h]) == 2]
 
 
@@ -614,9 +601,10 @@ def aut_orbits(systems, automorphism_perms):
     Returns (orbits, profile): orbits as lists of systems, each in the
     order of `systems` (key order for `enumerate_all`'s list), and profile
     as (orbit size, count) sorted by size descending.  Raises ValueError if
-    a permutation is not an automorphism of the systems' group, if the list
-    repeats a system, or, when some automorphism moves a pair orbit, if it
-    is not closed under the action.  Raises SearchBoundExceeded, before any
+    a permutation is not an automorphism of the systems' group, if the
+    systems live over different lattices, if the list repeats a system,
+    or, when some automorphism moves a pair orbit, if it is not closed
+    under the action.  Raises SearchBoundExceeded, before any
     table is built, above STEP_LIMIT table entries: 256 per mask byte per
     non-inner subgroup permutation.
 
@@ -637,7 +625,7 @@ def aut_orbits(systems, automorphism_perms):
     if not systems:
         return [], []
     L = systems[0].lattice
-    n, orbit_of, m = L.n, _tables(L).orbit_of, len(L.pair_orbits)
+    n, orbit_of, m = L.n, L.orbit_of, len(L.pair_orbits)
     perms = {L.subgroup_perm(sigma) for sigma in automorphism_perms} - set(L.inner)
     width = -(-m // 8)
     if width * 256 * len(perms) > STEP_LIMIT:
@@ -647,17 +635,18 @@ def aut_orbits(systems, automorphism_perms):
     images = {tuple(orbit_of[p[k] * n + p[h]] for (k, h), *_ in L.pair_orbits) for p in perms}
     images.discard(tuple(range(m)))
     if not images:
-        if len({T.bits for T in systems}) < len(systems):
+        if len({T.bits for T in systems if T.lattice is L or _same_lattice(L, T)}) < len(systems):
             raise ValueError("system list repeats a system")
         return [[T] for T in systems], [(1, len(systems))]
     shifts, full = range(0, len(images) * m, m), (1 << m) - 1
     orbit_images = [sum(1 << image[j] + s for image, s in zip(images, shifts)) for j in range(m)]
     tables = [_byte_table(orbit_images[at:at + 8]) for at in range(0, m, 8)]
     try:
-        masks = [T._mask for T in systems]
+        masks = [T._mask for T in systems if T.lattice is L or _same_lattice(L, T)]
     except AttributeError:  # some system was not built by the walk
         firsts = [(1 << k * n + h, 1 << j) for j, ((k, h), *_) in enumerate(L.pair_orbits)]
-        masks = [sum(bit for pair, bit in firsts if T.bits & pair) for T in systems]
+        masks = [sum(bit for pair, bit in firsts if T.bits & pair)
+                 for T in systems if T.lattice is L or _same_lattice(L, T)]
     index = {M: i for i, M in enumerate(masks)}
     if len(index) < len(systems):
         raise ValueError("system list repeats a system")
@@ -711,10 +700,10 @@ def closed_form_normal_source(L: SubgroupLattice, k: int, hs) -> TransferSystem:
     if not L.normal[k]:
         raise ValueError(f"source {L.names[k]} is not normal")
     for h in hs:
-        if not L.includes[k][h]:
+        if not L.incl[k] >> h & 1:
             raise ValueError(f"source {L.names[k]} is not contained in {L.names[h]}")
     _check_conjugation_closed(L, hs, "target")
-    pairs = [(L.intersect[m][k], m) for h in hs for m in range(L.n) if L.includes[m][h]]
+    pairs = [(L.intersect[m][k], m) for h in hs for m in L.below[h]]
     return TransferSystem.from_pairs(L, pairs)
 
 
@@ -728,7 +717,7 @@ def closed_form_normal_target(L: SubgroupLattice, ks, h: int) -> TransferSystem:
     if not L.normal[h]:
         raise ValueError(f"target {L.names[h]} is not normal")
     for k in ks:
-        if not L.includes[k][h]:
+        if not L.incl[k] >> h & 1:
             raise ValueError(f"source {L.names[k]} is not contained in {L.names[h]}")
     _check_conjugation_closed(L, ks, "source")
     meets = set(ks)
@@ -737,5 +726,5 @@ def closed_form_normal_target(L: SubgroupLattice, ks, h: int) -> TransferSystem:
         new = {L.intersect[a][b] for a in frontier for b in meets} - meets
         meets |= new
         frontier = new
-    pairs = [(L.intersect[m][kk], m) for m in range(L.n) if L.includes[m][h] for kk in meets]
+    pairs = [(L.intersect[m][kk], m) for m in L.below[h] for kk in meets]
     return TransferSystem.from_pairs(L, pairs)

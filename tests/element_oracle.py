@@ -13,9 +13,9 @@ sets, under those three rules:
 
 It reads the Cayley table through `G.compose` and, to translate canonical
 indices, the member sets `L.subgroups`; nothing else of the lattice
-(`includes`, `intersect`, `inner`, `pair_orbits`) or of `trlat.transfer`.
-So a wrong entry in those tables shows as a disagreement with `generate` or
-with `enumerate_all`.
+(`incl`, `below`, `intersect`, `inner`, `pair_orbits`, `orbit_of`) or of
+`trlat.transfer`.  So a wrong entry in those tables shows as a disagreement
+with `generate` or with `enumerate_all`.
 """
 
 

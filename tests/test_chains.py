@@ -51,13 +51,13 @@ def test_prefixes_downward_closed_and_invariant():
             prefix |= set(layer)
             for s in prefix:
                 for t in range(L.n):
-                    if L.includes[t][s]:
+                    if L.subgroups[t] <= L.subgroups[s]:
                         assert t in prefix
                 for c in L.inner:
                     assert c[s] in prefix
             for k in prefix:
                 for h in prefix:
-                    if k != h and L.includes[k][h]:
+                    if k != h and L.subgroups[k] <= L.subgroups[h]:
                         assert L.class_of[k] < L.class_of[h]
 
 

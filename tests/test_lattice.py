@@ -144,7 +144,8 @@ def test_conjugation_preserves_inclusion():
             assert sorted(perm) == list(range(L.n))
             for s in range(L.n):
                 for t in range(L.n):
-                    assert L.includes[s][t] == L.includes[perm[s]][perm[t]]
+                    assert (L.subgroups[s] <= L.subgroups[t]) == \
+                        (L.subgroups[perm[s]] <= L.subgroups[perm[t]])
 
 
 def test_intersection_is_the_meet():
@@ -153,7 +154,7 @@ def test_intersection_is_the_meet():
         for t in range(L.n):
             m = L.intersect[s][t]
             assert L.subgroups[m] == L.subgroups[s] & L.subgroups[t]
-            assert L.includes[m][s] and L.includes[m][t]
+            assert L.subgroups[m] <= L.subgroups[s] and L.subgroups[m] <= L.subgroups[t]
 
 
 def test_cocyclicity():
@@ -188,7 +189,7 @@ def test_sym4_double_transposition_edges():
     """Two conjugacy classes of inclusions of a double-transposition C2 in D8."""
     G = symmetric_group(4)
     L = subgroup_lattice(G)
-    dt = L.index_of[G.closure([G.element_names.index("(12)(34)")])]
+    dt = L.subgroups.index(G.closure([G.element_names.index("(12)(34)")]))
     dt_class = L.class_of[dt]
     restricted = [orbit for orbit in L.pair_orbits
                   if L.class_of[orbit[0][0]] == dt_class and L.order_of(orbit[0][1]) == 8]
@@ -411,6 +412,17 @@ def test_conjugation_data_match_the_oracle(G):
     assert L.cocyclic == cocyclic
     assert (L.class_of, len(L.class_reps)) == (class_of, max(class_of) + 1)
     assert L.pair_orbits == pair_orbits
+    # the order tables, from inclusion of the member sets
+    n = len(subs)
+    assert L.incl == tuple(sum(1 << h for h, H in enumerate(subs) if K <= H) for K in subs)
+    assert L.below == tuple(tuple(l for l, M in enumerate(subs) if M <= H) for H in subs)
+    assert L.proper_pairs == tuple((k, h) for k, K in enumerate(subs)
+                                   for h, H in enumerate(subs) if K < H)
+    orbit_of = [-1] * (n * n)
+    for j, orbit in enumerate(pair_orbits):
+        for k, h in orbit:
+            orbit_of[k * n + h] = j
+    assert L.orbit_of.tolist() == orbit_of
 
 
 @pytest.mark.parametrize("G", [make_group(name) for name in ORDER_24_BUILTINS]

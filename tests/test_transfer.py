@@ -121,19 +121,25 @@ def test_generate_sym3_transposition_to_top():
 
 def test_tables_of_a_large_lattice_stay_small():
     """C2xC2xC2xC2xC6 has 748 subgroups, so 559,504 (k, h) slots, and 16,559
-    pair orbits.  Generating and validating one orbit's system keeps one
-    array of n^2 4-byte slots and the records of the orbits it touches,
-    under 5 MB traced.  The table is fresh, with no lattice or tables cached."""
-    L = subgroup_lattice(FiniteGroup(make_group("C2xC2xC2xC2xC6")._table))
+    pair orbits.  Building its lattice, which holds the pair-orbit index as
+    one array of n^2 4-byte slots, peaks under 12 MiB traced.  Generating
+    and validating one orbit's system then adds the records of the orbits
+    it touches, under 5 MB traced.  The table is fresh, with no lattice or
+    tables cached."""
+    G = FiniteGroup(make_group("C2xC2xC2xC2xC6")._table)
     tracemalloc.start()
     try:
+        L = subgroup_lattice(G)
+        built, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         assert generate(L, []).pair_count() == 0
         assert len(validate(L, [(0, L.full)])) == 746
         assert generate(L, [(1, L.full)]).pair_count() == 746
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 2 ** 20
+    assert build_peak < 12 * 2 ** 20
+    assert peak - built < 5 * 2 ** 20
 
 
 def test_generate_monotone_and_idempotent():
@@ -169,18 +175,18 @@ def test_bound_property_normal_target():
     """Pairs aimed inside a normal subgroup stay inside it after closure."""
     L = L_("Q8")
     N = L.resolve_name("<i>")
-    inside = [(k, h) for k, h in L.proper_pairs if L.includes[h][N]]
+    inside = [(k, h) for k, h in L.proper_pairs if L.subgroups[h] <= L.subgroups[N]]
     T = generate(L, inside)
-    assert all(L.includes[h][N] for k, h in T.pairs())
+    assert all(L.subgroups[h] <= L.subgroups[N] for k, h in T.pairs())
 
 
 def test_bound_property_normal_source():
     """Pairs sourced above a normal subgroup never land inside it."""
     L = L_("Q8")
     N = L.resolve_name("<-1>")
-    above = [(k, h) for k, h in L.proper_pairs if L.includes[N][k]]
+    above = [(k, h) for k, h in L.proper_pairs if L.subgroups[N] <= L.subgroups[k]]
     T = generate(L, above)
-    assert all(not L.includes[h][N] for k, h in T.pairs())
+    assert all(not L.subgroups[h] <= L.subgroups[N] for k, h in T.pairs())
 
 
 def test_intersection_closure_of_sources():
@@ -444,7 +450,7 @@ def _oracle_lattice(name):
 def _relabeling_orbits(L, systems):
     """The orbits of systems by relabeling every system's pairs under every
     automorphism, inner ones included, each a set of pair sets."""
-    images = {tuple(L.index_of[frozenset(sigma[x] for x in s)] for s in L.subgroups)
+    images = {tuple(L.subgroups.index(frozenset(sigma[x] for x in s)) for s in L.subgroups)
               for sigma in automorphisms(L.group)}
     moves = [{(k, h): (img[k], img[h]) for k, h in L.proper_pairs} for img in images]
     return {frozenset(frozenset(map(move.__getitem__, pairs)) for move in moves)
@@ -590,6 +596,25 @@ def test_orbits_refuse_repeated_systems(repeat):
             aut_orbits(systems + extra, automorphisms(L.group))
 
 
+@pytest.mark.parametrize("name", ["C4", "K4"])
+def test_orbits_refuse_systems_over_different_lattices(name):
+    """No automorphism of C4 moves a pair orbit, so two Q8 systems added to
+    its list would be counted as orbits of their own, profile [(1, 7)].
+    K4's list is relabeled through the walk's masks, where Q8's would read
+    as not closed under the action.  Systems over another lattice of the
+    same group table are accepted."""
+    L = L_(name)
+    systems, auts = enumerate_all(L), automorphisms(L.group)
+    with pytest.raises(ValueError, match="^transfer systems live over different lattices$"):
+        aut_orbits(systems + enumerate_all(L_("Q8"))[5:7], auts)
+    twin = subgroup_lattice(FiniteGroup(L.group._table))
+    assert twin is not L
+    want = aut_orbits(systems, auts)
+    got = aut_orbits(systems[:2] + enumerate_all(twin)[2:], auts)
+    assert got[1] == want[1]
+    assert [[T.key for T in o] for o in got[0]] == [[T.key for T in o] for o in want[0]]
+
+
 @pytest.mark.parametrize("name,other", [("K4", "Q8"), ("K4", "C2"), ("C4", "K4")])
 def test_orbits_refuse_automorphisms_of_another_group(name, other):
     """A permutation of the wrong length, or one sending a subgroup onto a
@@ -668,14 +693,14 @@ def test_closed_forms_on_random_normal_families():
         L = subgroup_lattice(G)
         for _ in range(25):
             k = rng.choice([s for s in range(L.n) if L.normal[s]])
-            ups = [h for h in range(L.n) if L.includes[k][h]]
+            ups = [h for h in range(L.n) if L.subgroups[k] <= L.subgroups[h]]
             hs = set()
             for h in rng.sample(ups, rng.randint(1, len(ups))):
                 hs |= {c[h] for c in L.inner}
             assert closed_form_normal_source(L, k, hs) == \
                 generate(L, [(k, h) for h in hs])
             h = rng.choice([s for s in range(L.n) if L.normal[s]])
-            downs = [kk for kk in range(L.n) if L.includes[kk][h]]
+            downs = [kk for kk in range(L.n) if L.subgroups[kk] <= L.subgroups[h]]
             ks = set()
             for kk in rng.sample(downs, rng.randint(1, len(downs))):
                 ks |= {c[kk] for c in L.inner}

@@ -104,5 +104,5 @@ def test_kernel_matches_elementwise_kernel():
     for n in (4, 6, 8, 9, 12):
         L = subgroup_lattice(cyclic_group(n))
         for c in range(1, n // 2 + 1):
-            kernel = L.index_of[frozenset(j for j in range(n) if c * j % n == 0)]
+            kernel = L.subgroups.index(frozenset(j for j in range(n) if c * j % n == 0))
             assert steiner_cyclic(n, universe(n, [c])) == generate(L, [(kernel, L.full)])

@@ -31,18 +31,18 @@ def reference_violations(L, rows):
             out.append(Violation("reflexivity", (k, k)))
         bits = rows[k]
         for h in range(n):
-            if bits >> h & 1 and not L.includes[k][h]:
+            if bits >> h & 1 and not L.subgroups[k] <= L.subgroups[h]:
                 out.append(Violation("refines-inclusion", (k, h)))
     for k in range(n):
         for h in range(n):
-            if k == h or not rows[k] >> h & 1 or not L.includes[k][h]:
+            if k == h or not rows[k] >> h & 1 or not L.subgroups[k] <= L.subgroups[h]:
                 continue
             for c in L.inner:
                 ck, ch = c[k], c[h]
                 if not rows[ck] >> ch & 1:
                     out.append(Violation("conjugation", (ck, ch), (k, h)))
             for l in range(n):
-                if L.includes[l][h]:
+                if L.subgroups[l] <= L.subgroups[h]:
                     m = L.intersect[l][k]
                     if not rows[m] >> l & 1:
                         out.append(Violation("restriction", (m, l), (k, h)))
@@ -62,7 +62,7 @@ def reference_generate(L, relation):
     rows = [1 << k for k in range(L.n)]
     conj_closed = set()
     for k, h in relation:
-        if not L.includes[k][h]:
+        if not L.subgroups[k] <= L.subgroups[h]:
             raise TransferSystemError(
                 f"pair ({L.names[k]}, {L.names[h]}) does not refine inclusion")
         for c in L.inner:
@@ -70,7 +70,7 @@ def reference_generate(L, relation):
     for k, h in conj_closed:
         rows[k] |= 1 << h
         for l in range(L.n):
-            if L.includes[l][h]:
+            if L.subgroups[l] <= L.subgroups[h]:
                 rows[L.intersect[l][k]] |= 1 << l
     for j in range(L.n):
         for i in range(L.n):
@@ -132,7 +132,8 @@ def test_violations_match_reference(name):
 def test_generate_matches_reference(name):
     L = subgroup_lattice(relabeled(SOURCES[name](), len(name)))
     rng = random.Random(f"generate {name}")
-    nonpairs = [(k, h) for k in range(L.n) for h in range(L.n) if not L.includes[k][h]]
+    nonpairs = [(k, h) for k in range(L.n) for h in range(L.n)
+                if not L.subgroups[k] <= L.subgroups[h]]
     for _ in range(60):
         relation = rng.sample(L.proper_pairs, rng.randint(0, min(5, len(L.proper_pairs))))
         relation += [(k, k) for k in rng.sample(range(L.n), rng.randint(0, 2))]

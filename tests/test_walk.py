@@ -114,12 +114,12 @@ def orbit_masks_by_brute_force(L, j):
     for k, h in orbit:
         demand |= {(c[k], c[h]) for c in L.inner}
         for x in range(L.n):
-            if L.includes[x][h]:
+            if L.subgroups[x] <= L.subgroups[h]:
                 a = L.intersect[x][k]
                 demand.add((a, x))
                 if a != x and (a, x) not in orbit:
                     need.add(orbit_index[a, x])
-            if x != k and L.includes[x][k]:
+            if x != k and L.subgroups[x] <= L.subgroups[k]:
                 implied.setdefault(orbit_index[x, h], set()).add(orbit_index[x, k])
     return demand, need, implied
 
