@@ -4,7 +4,7 @@ from .groups import (FiniteGroup, GroupValidationError, abelian_group, builtin_g
                      cyclic_group, dihedral_group, klein_group, make_group,
                      quaternion_group, symmetric_group)
 from .lattice import SubgroupLattice, automorphisms, subgroup_lattice
-from .transfer import (SearchBoundExceeded, TransferSystem,
+from .transfer import (SearchBoundExceeded, SystemList, TransferSystem,
                        TransferSystemError, Violation, aut_orbits,
                        closed_form_normal_source, closed_form_normal_target,
                        enumerate_all, generate, hasse_diagram, irreducible_pairs,

@@ -10,7 +10,7 @@ import functools
 import random
 from .groups import abelian_group, cyclic_group, make_group
 from .lattice import automorphisms, subgroup_lattice
-from .transfer import (TransferSystem, _conjugation_gap, aut_orbits,
+from .transfer import (SystemList, TransferSystem, _conjugation_gap, aut_orbits,
                        closed_form_normal_source, closed_form_normal_target,
                        enumerate_all, generate, is_saturated, meet, validate)
 from .chains import maximal_chain
@@ -23,7 +23,7 @@ def _lattice(name: str):
     return subgroup_lattice(make_group(name))
 
 
-def _enumerated(name: str) -> list[TransferSystem]:
+def _enumerated(name: str) -> SystemList:
     return enumerate_all(_lattice(name))
 
 
@@ -70,8 +70,8 @@ def criterion_realizability_unions() -> tuple[bool, str]:
         orbits, _ = aut_orbits(unrealized, automorphisms(L.group))
         # the shipped reps' orbits are exactly the unrealized orbits
         shipped = set(unrealized_fixture(L))
-        if not (shipped <= set(unrealized)
-                and all(not shipped.isdisjoint(orbit) for orbit in orbits)):
+        if not (shipped <= set(unrealized) and all(
+                not shipped.isdisjoint({unrealized[i] for i in orbit}) for orbit in orbits)):
             ok = False
             details.append(f"{name}: unrealized orbit lists differ")
     return ok, "; ".join(details)
@@ -168,7 +168,7 @@ def criterion_generator_correctness() -> tuple[bool, str]:
     for name in ORACLE_GROUPS:
         G = make_group(name)
         L = subgroup_lattice(G)
-        systems = enumerate_all(L)
+        systems = list(enumerate_all(L))
         for _ in range(GENERATOR_SAMPLES):
             k = rng.randint(0, min(len(L.proper_pairs), 5))
             R = rng.sample(L.proper_pairs, k) if k else []

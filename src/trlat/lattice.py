@@ -43,7 +43,7 @@ class SubgroupLattice:
         self.full = self.n - 1
         # each subgroup as the bitmask of its members: bit x for element x
         masks = [sum(1 << x for x in s) for s in self.subgroups]
-        self._index_of_mask = {m: i for i, m in enumerate(masks)}
+        self._index_of_members = {m: i for i, m in enumerate(masks)}
 
         n = self.n
         # incl[k]: bit h set iff K_k <= H_h; below[h]: the l with L_l <= H_h,
@@ -57,7 +57,7 @@ class SubgroupLattice:
                 below[h].append(k)
         self.incl, self.below = tuple(incl), tuple(map(tuple, below))
         self.proper_pairs = tuple(proper)
-        self.intersect = tuple(tuple(self._index_of_mask[a & b] for b in masks) for a in masks)
+        self.intersect = tuple(tuple(self._index_of_members[a & b] for b in masks) for a in masks)
 
         # x -> g x g^-1 depends only on the coset of g modulo the centre: one
         # permutation per coset, each kept once, in the order of its least g
@@ -129,7 +129,7 @@ class SubgroupLattice:
         G, bit = self.group, [1 << y for y in sigma]
         if len(bit) == G.order:
             try:
-                return tuple(self._index_of_mask[sum(map(bit.__getitem__, s))]
+                return tuple(self._index_of_members[sum(map(bit.__getitem__, s))]
                              for s in self.subgroups)
             except KeyError:
                 pass

@@ -7,6 +7,9 @@ relation K_k -> H_h holds (canonical lattice indices).
 from __future__ import annotations
 
 import functools
+from array import array
+from collections import Counter
+from collections.abc import Sequence
 from typing import NamedTuple
 from .lattice import STEP_LIMIT, SearchBoundExceeded, SubgroupLattice
 
@@ -33,10 +36,9 @@ class TransferSystem:
     """An immutable transfer system over a subgroup lattice of n subgroups,
     held as one int: bit k*n + h stands for the pair (k, h).  The constructor
     refuses an int that is not a transfer system; the library wraps those it
-    builds by `_wrap`, unchecked.  `_mask`, set by `enumerate_all` alone, is
-    the walk's orbit mask, for `aut_orbits`."""
+    builds by `_wrap`, unchecked."""
 
-    __slots__ = ("lattice", "bits", "_mask")
+    __slots__ = ("lattice", "bits")
 
     def __init__(self, lattice: SubgroupLattice, bits: int):
         if type(bits) is not int or bits < 0 or bits >> lattice.n ** 2:
@@ -133,21 +135,23 @@ class _Tables:
       of its members (k, h), which hold orbit j itself (l = h).
       edges are demand's nonzero (row, bits), which `_close` takes; every
       pair of an orbit closes to the same system.  need and implied are
-      what `_systems` tests on orbit masks, bit i for orbit i: need has the
-      orbits of demand outside orbit j and the diagonal; implied holds one
-      (1 << b, a) per orbit b of a pair (x, h) with (k, h) in orbit j,
-      x != k and K_x <= K_k, a the orbit bits of those (x, k).
+      what `enumerate_all` tests on orbit masks, bit i for orbit i: need
+      has the orbits of demand outside orbit j and the diagonal; implied
+      holds one (1 << b, a) per orbit b of a pair (x, h) with (k, h) in
+      orbit j, x != k and K_x <= K_k, a the orbit bits of those (x, k).
     conjugates[k*n + h]: for a pair `_violations` lists, its conjugates
       (c[k], c[h]) in L.inner order with repeats dropped: the tuples
       L.pair_orbits holds, so a listing adds only references.
     generated[j]: the packed system orbit j generates.
+    packed_bytes[i]: the `_byte_table` of the packed orbits 8i to 8i + 7,
+      from which `SystemList` builds a system, one entry per mask byte.
     spans[a][b]: the OR of blocks[a:b], blocks[i] holding the orbits whose
-      need holds orbit i, from which `_systems` takes the candidates that
-      pass its first test.  It is built from every orbit's entry, so only
-      by the walk, once its bound check has passed.
+      need holds orbit i, from which `enumerate_all` takes the candidates
+      that pass its first test.  It is built from every orbit's entry, so
+      only by the walk, once its bound check has passed.
     """
 
-    __slots__ = ("lattice", "maximum", "orbits", "conjugates", "generated", "spans")
+    __slots__ = ("lattice", "maximum", "orbits", "conjugates", "generated", "spans", "packed_bytes")
 
     def __init__(self, L: SubgroupLattice):
         self.lattice = L
@@ -155,7 +159,7 @@ class _Tables:
         m = len(L.pair_orbits)
         self.orbits, self.generated = [()] * m, [0] * m
         self.conjugates: dict[int, tuple[tuple[int, int], ...]] = {}
-        self.spans = None
+        self.spans = self.packed_bytes = None
 
     def _orbit(self, j: int) -> tuple:
         L, n = self.lattice, self.lattice.n
@@ -190,6 +194,11 @@ class _Tables:
         n = self.lattice.n
         P = self.generated[j] = _close(_packing(n)[0], (self.orbits[j] or self._orbit(j))[2], n)
         return P
+
+    def _packed_bytes(self) -> list[list[int]]:
+        packed = [(self.orbits[j] or self._orbit(j))[0] for j in range(len(self.orbits))]
+        tables = self.packed_bytes = [_byte_table(packed[at:at + 8]) for at in range(0, len(packed), 8)]
+        return tables
 
     def _spans(self) -> list[list[int]]:
         m = len(self.lattice.pair_orbits)
@@ -444,10 +453,50 @@ def irreducible_pairs(T: TransferSystem) -> list[tuple[int, int]]:
 SEARCH_BOUND = 24
 
 
-def _systems(L: SubgroupLattice, bound: int):
-    """Yield each transfer system over L once, as (packed, mask), by
-    Close-by-One, in TransferSystem.key order; bit j of mask is set iff the
-    system holds orbit j of L.pair_orbits.
+class SystemList(Sequence):
+    """Tr(G) as `enumerate_all` lists it, held as the walk's orbit masks:
+    bit j of masks[i] is set iff system i holds orbit j of
+    lattice.pair_orbits.  masks is an array('Q') up to 64 orbits, else a
+    list of ints; an item is a TransferSystem built when it is read, and a
+    slice is a SystemList."""
+
+    __slots__ = ("lattice", "masks")
+
+    def __init__(self, lattice: SubgroupLattice, masks):
+        self.lattice, self.masks = lattice, masks
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SystemList(self.lattice, self.masks[i])
+        return self._system(self.masks[i])
+
+    def __iter__(self):
+        return map(self._system, self.masks)
+
+    def _system(self, M: int) -> TransferSystem:
+        """The system whose orbit mask is M: the diagonal plus its orbits."""
+        parts = _tables(self.lattice).packed_bytes or _tables(self.lattice)._packed_bytes()
+        held = sum(map(list.__getitem__, parts, M.to_bytes(len(parts), "little")))
+        return _wrap(self.lattice, _packing(self.lattice.n)[0] | held)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SystemList) and self.masks == other.masks
+                and self.lattice.fingerprint == other.lattice.fingerprint)
+
+
+def enumerate_all(L: SubgroupLattice, bound: int = SEARCH_BOUND) -> SystemList:
+    """Every transfer system over L once, in TransferSystem.key order, as a
+    `SystemList` of the walk's orbit masks.  Refuses, before any work on the
+    orbits, if L has more than `bound` inclusion-pair orbits.  The result
+    depends on the arguments alone; no environment variable is read.
+
+    Lists each system once by Close-by-One (Outrata and Vychodil, "Fast
+    algorithm for computing fixpoints of Galois connections induced by
+    object-attribute relational data", Inf. Sci. 185, 2012) over the pair
+    orbits.
 
     Tr(G) is closed under meets, so it is a closure system on the pair
     orbits, taken in L.pair_orbits order: by least pair, with subgroups by
@@ -473,7 +522,7 @@ def _systems(L: SubgroupLattice, bound: int):
     T reaches h, that is (x, h) lies in V.
 
     Both tests run on T's orbit mask M, bit i set iff T holds orbit i,
-    which the stack carries beside T (`_Tables.orbits`).  T holds a
+    which the stack carries in place of T (`_Tables.orbits`).  T holds a
     proper pair iff it holds that pair's orbit, so the demands lie in T
     iff their orbits lie in M.  For x != k, (x, k) lies in T iff its
     orbit a is in M.  Then (x, h) is a proper pair outside orbit j',
@@ -493,7 +542,7 @@ def _systems(L: SubgroupLattice, bound: int):
     from start on that pass the first test are those outside
     blocked | spans[start][m], and only the second is made one by one.
 
-    Yielding T when it is popped, its children pushed by ascending orbit,
+    Listing T when it is popped, its children pushed by ascending orbit,
     is a preorder taking later orbits first, which is key order: orbits are
     listed by least packed pair and a system is the diagonal plus whole
     orbits, so key order compares orbit membership from orbit 0 on, absent
@@ -501,19 +550,19 @@ def _systems(L: SubgroupLattice, bound: int):
     none after, so T is the least of them; for j1 < j2, every system below
     T | orbit j2 lacks j1 and every one below T | orbit j1 holds it.
     """
-    if len(L.pair_orbits) > bound:
-        raise SearchBoundExceeded(
-            f"{L.group.name} has {len(L.pair_orbits)} inclusion-pair orbits, "
-            f"above the search bound {bound}")
-    tables = _tables(L)
     m = len(L.pair_orbits)
-    steps = [(tables.orbits[j] or tables._orbit(j))[0:5:4] for j in range(m)]  # (packed, implied)
+    if m > bound:
+        raise SearchBoundExceeded(
+            f"{L.group.name} has {m} inclusion-pair orbits, above the search bound {bound}")
+    tables = _tables(L)
+    implied = [(tables.orbits[j] or tables._orbit(j))[4] for j in range(m)]
     spans = tables.spans or tables._spans()
     full = (1 << m) - 1
-    stack = [(_packing(L.n)[0], 0, 0, 0)]
+    masks = array("Q") if m <= 64 else []
+    stack = [(0, 0, 0)]
     while stack:
-        T, M, start, blocked = stack.pop()
-        yield T, M
+        M, start, blocked = stack.pop()
+        masks.append(M)
         span = spans[start]
         free = full >> start << start & ~(blocked | span[m])
         absent = ~M
@@ -521,41 +570,16 @@ def _systems(L: SubgroupLattice, bound: int):
             low = free & -free
             free ^= low
             j = low.bit_length() - 1
-            packed, implied = steps[j]
-            for b, a in implied:
+            for b, a in implied[j]:
                 if M & a and b & absent:
                     break
             else:
-                stack.append((T | packed, M | low, j + 1, blocked | span[j]))
-
-
-def enumerate_all(L: SubgroupLattice, bound: int = SEARCH_BOUND) -> list[TransferSystem]:
-    """Every transfer system over L, in TransferSystem.key order.
-
-    Lists each system once by Close-by-One (Outrata and Vychodil, "Fast
-    algorithm for computing fixpoints of Galois connections induced by
-    object-attribute relational data", Inf. Sci. 185, 2012) over the pair
-    orbits.  In L.pair_orbits order a closure with orbit j adds no later
-    orbit, so each canonical child is its parent plus one orbit, kept iff
-    that union is closed, and the walk closes nothing: two tests on masks
-    with one bit per orbit decide it, the first for all candidates at once.
-    It is a preorder taking later orbits first, which lists the systems in
-    key order, so nothing is sorted (see `_systems`).  Each system keeps
-    the walk's orbit mask in `_mask`, for `aut_orbits` to read.
-    Refuses, before any work on the orbits, if the number of inclusion-pair
-    orbits exceeds `bound`.  The result depends on the arguments alone; no
-    environment variable is read.
-    """
-    systems = []
-    for P, M in _systems(L, bound):
-        T = _wrap(L, P)
-        T._mask = M
-        systems.append(T)
-    return systems
+                stack.append((M | low, j + 1, blocked | span[j]))
+    return SystemList(L, masks)
 
 
 def hasse_diagram(L: SubgroupLattice, bound: int = SEARCH_BOUND
-                  ) -> tuple[list[TransferSystem], list[tuple[int, int]]]:
+                  ) -> tuple[SystemList, list[tuple[int, int]]]:
     """Tr(G) as `enumerate_all` lists it, and its covers: the sorted index
     pairs (i, j) with systems[i] covered by systems[j].
 
@@ -573,10 +597,10 @@ def hasse_diagram(L: SubgroupLattice, bound: int = SEARCH_BOUND
     for j in range(len(L.pair_orbits)):
         packed, _, edges, _, _ = tables.orbits[j] or tables._orbit(j)
         masks.append((packed, edges, tables.generated[j] or tables._generated(j)))
-    index = {T.bits: i for i, T in enumerate(systems)}
+    bits = [T.bits for T in systems]
+    index = dict(zip(bits, range(len(bits))))
     covers = []
-    for i, T in enumerate(systems):
-        P = T.bits
+    for i, P in enumerate(bits):
         lacking = sum(packed for packed, _, _ in masks if not P & packed)
         succ = [(packed, _close(P, edges, L.n)) for packed, edges, g in masks
                 if g & lacking == packed]
@@ -596,83 +620,88 @@ def _byte_table(values) -> list[int]:
 
 
 def aut_orbits(systems, automorphism_perms):
-    """Orbit partition of systems under relabeling by group automorphisms.
+    """Orbit partition of systems under relabeling by the group of
+    automorphisms the permutations generate.
 
-    Returns (orbits, profile): orbits as lists of systems, each in the
-    order of `systems` (key order for `enumerate_all`'s list), and profile
-    as (orbit size, count) sorted by size descending.  Raises ValueError if
-    a permutation is not an automorphism of the systems' group, if the
-    systems live over different lattices, if the list repeats a system,
-    or, when some automorphism moves a pair orbit, if it is not closed
-    under the action.  Raises SearchBoundExceeded, before any
-    table is built, above STEP_LIMIT table entries: 256 per mask byte per
-    non-inner subgroup permutation.
+    Returns (orbits, profile): each orbit an ascending list of indices into
+    systems, the orbits ordered by their least index, and profile as (orbit
+    size, count) sorted by size descending.  Raises ValueError if a
+    permutation is not an automorphism of the systems' group, if the
+    systems live over different lattices, if the list repeats a system, or,
+    when some automorphism moves a pair orbit, if it is not closed under
+    the action.  Raises SearchBoundExceeded, before any table is built,
+    above STEP_LIMIT table entries: 256 per mask byte per non-inner
+    subgroup permutation given, or per relabeling they generate.
 
     A system is the diagonal plus whole pair orbits, so its orbit mask,
-    bit j for orbit j, stands for it, and the work is done on masks alone.
-    Inner automorphisms (the subgroup permutations L.inner) fix every
-    mask, so only each distinct permutation of the pair orbits induced by
-    a non-inner automorphism relabels; with none but the identity, as for
-    every cyclic group, each system is its own orbit.  A subgroup
-    permutation p sends orbit j onto the orbit of (p[k], p[h]), (k, h) its
-    first pair.  Systems from `enumerate_all` carry the walk's masks; if
-    any system lacks one, every mask is read from bits at each orbit's
-    first pair.  A mask is relabeled by every relabeling at once, a byte at
-    a time, through 256-entry tables whose entries hold relabeling i's image
-    in bits [i*m, (i+1)*m), m the number of pair orbits; each image is then
-    one shift and one AND.
+    bit j for orbit j, stands for it, and the work is done on masks alone:
+    a `SystemList`'s own, else each read from bits at each orbit's first
+    pair.  Inner automorphisms (the subgroup permutations L.inner) fix
+    every mask, so only each distinct permutation of the pair orbits
+    induced by a non-inner automorphism relabels; with none but the
+    identity, as for every cyclic group, each system is its own orbit.  A
+    subgroup permutation p sends orbit j onto the orbit of (p[k], p[h]),
+    (k, h) its first pair.  Those images are closed under composition, an
+    image the closure lacks joining the generators, so a generating set
+    gives the partition the whole group gives.  A mask is relabeled by
+    every relabeling at once, a byte at a time, through 256-entry tables
+    whose entries hold relabeling i's image in bits [i*m, (i+1)*m), m the
+    number of pair orbits; each image is then one shift and one AND.
     """
     if not systems:
         return [], []
-    L = systems[0].lattice
+    L = systems.lattice if isinstance(systems, SystemList) else systems[0].lattice
     n, orbit_of, m = L.n, L.orbit_of, len(L.pair_orbits)
     perms = {L.subgroup_perm(sigma) for sigma in automorphism_perms} - set(L.inner)
     width = -(-m // 8)
-    if width * 256 * len(perms) > STEP_LIMIT:
-        raise SearchBoundExceeded(
-            f"relabeling Tr({L.group.name}) by {len(perms)} non-inner subgroup permutations needs "
-            f"{width} x 256 table entries each: {width * 256 * len(perms)}, above the limit {STEP_LIMIT}")
-    images = {tuple(orbit_of[p[k] * n + p[h]] for (k, h), *_ in L.pair_orbits) for p in perms}
+    def check(count: int, what: str) -> None:
+        if width * 256 * count > STEP_LIMIT:
+            raise SearchBoundExceeded(
+                f"relabeling Tr({L.group.name}) by {count} {what} needs {width} x 256 table "
+                f"entries each: {width * 256 * count}, above the limit {STEP_LIMIT}")
+    check(len(perms), "non-inner subgroup permutations")
+    images, gens = {tuple(range(m))}, []
+    for image in {tuple(orbit_of[p[k] * n + p[h]] for (k, h), *_ in L.pair_orbits) for p in perms}:
+        if image not in images:
+            gens.append(image)
+            queue = images
+            while queue:  # one breadth-first level of products at a time
+                queue = {tuple(map(x.__getitem__, g)) for x in queue for g in gens} - images
+                images |= queue
+                check(len(images) - 1, "or more generated pair-orbit relabelings")
     images.discard(tuple(range(m)))
-    if not images:
-        if len({T.bits for T in systems if T.lattice is L or _same_lattice(L, T)}) < len(systems):
-            raise ValueError("system list repeats a system")
-        return [[T] for T in systems], [(1, len(systems))]
-    shifts, full = range(0, len(images) * m, m), (1 << m) - 1
-    orbit_images = [sum(1 << image[j] + s for image, s in zip(images, shifts)) for j in range(m)]
-    tables = [_byte_table(orbit_images[at:at + 8]) for at in range(0, m, 8)]
-    try:
-        masks = [T._mask for T in systems if T.lattice is L or _same_lattice(L, T)]
-    except AttributeError:  # some system was not built by the walk
+    if isinstance(systems, SystemList):
+        masks = list(systems.masks)  # each int boxed once, not at every read
+    else:
         firsts = [(1 << k * n + h, 1 << j) for j, ((k, h), *_) in enumerate(L.pair_orbits)]
         masks = [sum(bit for pair, bit in firsts if T.bits & pair)
                  for T in systems if T.lattice is L or _same_lattice(L, T)]
-    index = {M: i for i, M in enumerate(masks)}
-    if len(index) < len(systems):
+    index = dict(zip(masks, range(len(masks))))
+    if len(index) < len(masks):
         raise ValueError("system list repeats a system")
-    placed = bytearray(len(systems))
+    if not images:
+        return [[i] for i in range(len(masks))], [(1, len(masks))]
+    shifts, full = range(0, len(images) * m, m), (1 << m) - 1
+    orbit_images = [sum(1 << image[j] + s for image, s in zip(images, shifts)) for j in range(m)]
+    tables = [_byte_table(orbit_images[at:at + 8]) for at in range(0, m, 8)]
+    placed = bytearray(len(masks))
     orbits = []
-    for i, M in enumerate(masks):
-        if placed[i]:
-            continue
-        placed[i] = 1
-        members = [i]
-        all_images = sum(map(list.__getitem__, tables, M.to_bytes(width, "little")))
-        for s in shifts:
-            try:
-                j = index[all_images >> s & full]
-            except KeyError:
-                raise ValueError(
-                    "system list is not closed under the automorphism action") from None
-            if not placed[j]:
-                placed[j] = 1
-                members.append(j)
-        members.sort()
-        orbits.append([systems[j] for j in members])
-    sizes: dict[int, int] = {}
-    for orbit in orbits:
-        sizes[len(orbit)] = sizes.get(len(orbit), 0) + 1
-    profile = sorted(sizes.items(), key=lambda sc: -sc[0])
+    try:
+        for i, M in enumerate(masks):
+            if not placed[i]:
+                placed[i] = 1
+                members = [i]
+                all_images = sum(map(list.__getitem__, tables, M.to_bytes(width, "little")))
+                for s in shifts:
+                    j = index[all_images >> s & full]
+                    if not placed[j]:
+                        placed[j] = 1
+                        members.append(j)
+                members.sort()
+                orbits.append(members)
+    except KeyError:
+        raise ValueError("system list is not closed under the automorphism action") from None
+    profile = sorted(Counter(map(len, orbits)).items(), key=lambda sc: -sc[0])
     return orbits, profile
 
 

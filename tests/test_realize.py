@@ -465,4 +465,4 @@ def test_unrealized_lists_match():
         reps = unrealized_fixture(L)
         assert len(orbits) == len(reps)
         for rep in reps:
-            assert any(rep in orbit for orbit in orbits)
+            assert any(rep in [unrealized[i] for i in orbit] for orbit in orbits)

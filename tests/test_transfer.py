@@ -1,15 +1,19 @@
 """Relation closure, validation, lattice operations, and enumeration of Tr(G)."""
 
+import gc
 import itertools
+import math
 import random
 import re
+import sys
 import tracemalloc
+from collections.abc import Sequence
 
 import pytest
 
 from trlat.groups import FiniteGroup, abelian_group, cyclic_group, make_group
 from trlat.lattice import automorphisms, subgroup_lattice
-from trlat.transfer import (SearchBoundExceeded, TransferSystem,
+from trlat.transfer import (SearchBoundExceeded, SystemList, TransferSystem,
                             TransferSystemError, _bits_of, aut_orbits,
                             closed_form_normal_source, closed_form_normal_target,
                             enumerate_all, generate, hasse_diagram,
@@ -347,11 +351,56 @@ def test_rank_two_formula():
         assert len(enumerate_all(L)) == 2 ** (p + 2) + p + 1
 
 
+def pgl2_orbits_on_point_sets(p):
+    """N(p), the number of orbits of PGL2(p) on the sets of points of the
+    projective line P^1(F_p), by Burnside's lemma over GL2(p): scalars fix
+    every point, so the average of 2^(cycles) is the same over both."""
+    points = [(1, a) for a in range(p)] + [(0, 1)]
+
+    def point(x, y):
+        x, y = x % p, y % p
+        inverse = pow(x or y, -1, p)
+        return (x * inverse % p, y * inverse % p)
+
+    total = size = 0
+    for a, b, c, d in itertools.product(range(p), repeat=4):
+        if (a * d - b * c) % p:
+            image = {(x, y): point(a * x + b * y, c * x + d * y) for x, y in points}
+            seen, cycles = set(), 0
+            for start in points:
+                cycles += start not in seen
+                while start not in seen:
+                    seen.add(start)
+                    start = image[start]
+            total += 2 ** cycles
+            size += 1
+    assert total % size == 0
+    return total // size
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_cp_x_cp_closed_forms(p):
+    """Tr(C_p x C_p) has 2^(p+2) + p + 1 systems, 2^(p+1) + p + 2 of them
+    saturated, and its Steiner image has 2^(p+1).  Aut(C_p x C_p) = GL2(p)
+    permutes the p + 1 lines as PGL2(p) permutes P^1(F_p), so the systems
+    fall into 2N(p) + 1 orbits, N(p) = 4, 5, 7, 10 for p = 2, 3, 5, 7."""
+    L = subgroup_lattice(abelian_group((p, p)))
+    assert len(L.pair_orbits) == 2 * p + 3
+    systems = enumerate_all(L, bound=2 * p + 3)
+    assert len(systems) == 2 ** (p + 2) + p + 1
+    assert sum(map(is_saturated, systems)) == 2 ** (p + 1) + p + 2
+    if p <= 7:
+        assert len(steiner_image(L)) == 2 ** (p + 1)
+        n = pgl2_orbits_on_point_sets(p)
+        assert n == {2: 4, 3: 5, 5: 7, 7: 10}[p]
+        assert len(aut_orbits(systems, automorphisms(L.group))[0]) == 2 * n + 1
+
+
 @pytest.mark.parametrize("name,bound", [("C16", None), ("Q8", None), ("C2xC6", 26),
                                         ("Sym4", 34)])
 def test_enumeration_in_key_order(name, bound):
     """The walk lists Tr(G) as sorting by the bit-string key does, over 25 to 900 bits."""
-    systems = enumerate_all(L_(name), **({} if bound is None else {"bound": bound}))
+    systems = list(enumerate_all(L_(name), **({} if bound is None else {"bound": bound})))
     assert systems == sorted(reversed(systems), key=lambda T: T.key)
 
 
@@ -426,6 +475,90 @@ def test_env_bound_override(monkeypatch):
     assert len(hasse_diagram(L_("Q8"))[0]) == 68
 
 
+# -- the list enumerate_all returns ---------------------------------------------
+
+def test_system_list_reads_as_a_sequence():
+    """Tr(Q8) against the plain list of its systems: indices, negative and
+    out of range, slices, equality, membership and random.sample."""
+    L = L_("Q8")
+    systems = enumerate_all(L)
+    plain = list(systems)
+    assert isinstance(systems, SystemList) and isinstance(systems, Sequence)
+    assert len(systems) == len(plain) == len(set(plain)) == 68
+    assert [systems[i] for i in range(-68, 68)] == plain + plain
+    for i in (68, -69, 10 ** 6):
+        with pytest.raises(IndexError):
+            systems[i]
+    for cut in (slice(5, 9), slice(None, None, -3), slice(60, 90), slice(9, 5), slice(-4, None)):
+        part = systems[cut]
+        assert isinstance(part, SystemList) and part.lattice is L
+        assert list(part) == plain[cut] and part.masks == systems.masks[cut]
+    assert systems == enumerate_all(L) and systems[2:9] == systems[2:9]
+    assert systems != systems[:67] and systems != plain and systems[3:4] != systems[4:5]
+    twin = subgroup_lattice(FiniteGroup(L.group._table))
+    assert twin is not L and enumerate_all(twin) == systems
+    assert SystemList(L_("C2xC4"), systems.masks) != systems
+    assert random.Random(2).sample(systems, 4) == random.Random(2).sample(plain, 4)
+    assert plain[7] in systems and systems.index(plain[7]) == 7
+    assert TransferSystem.diagonal(L_("K4")) not in systems
+    keys = [T.key for T in systems]
+    assert keys == sorted(keys)
+
+
+def test_system_list_above_64_orbits():
+    """C2048's 12 subgroups form a chain with 66 pair orbits, too many for
+    array('Q'), so the masks are a list of ints; |Tr(C2048)| is Catalan(12)."""
+    L = subgroup_lattice(cyclic_group(2048))
+    systems = enumerate_all(L, bound=66)
+    assert len(L.pair_orbits) == 66 and type(systems.masks) is list
+    assert len(systems) == math.comb(24, 12) // 13 == 208012
+    assert systems[0] == TransferSystem.diagonal(L)
+    assert systems[-1] == TransferSystem.maximum(L)
+    picked = sorted(random.Random(4).sample(range(len(systems)), 40))
+    keys = []
+    for i in picked:
+        T = systems[i]
+        assert TransferSystem(L, T.bits) == T
+        assert systems.masks[i] == sum(1 << j for j, orbit in enumerate(L.pair_orbits)
+                                       if T.contains(*orbit[0]))
+        keys.append(T.key)
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def retained_bytes(obj, skip):
+    """sys.getsizeof summed over obj and all it references, skip and types
+    left out."""
+    seen, stack, total = set(map(id, skip)), [obj], 0
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen and not isinstance(x, type):
+            seen.add(id(x))
+            total += sys.getsizeof(x)
+            stack += gc.get_referents(x)
+    return total
+
+
+def test_enumerated_systems_cost_one_word_each():
+    """Tr(G) is held as one 8-byte mask per system: under 16 bytes a
+    system traced for the ladder's two largest lists, whose tables are built
+    before tracing, and under 10 MiB for Tr(C4xC4)'s 610,108 systems (a
+    TransferSystem per system held 88.7 MiB)."""
+    for G in (make_group("C2xC6"), dihedral(6)):
+        L = subgroup_lattice(G)
+        enumerate_all(L, bound=26)
+        tracemalloc.start()
+        try:
+            systems = enumerate_all(L, bound=26)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 16 * len(systems), G.name
+    L = L_("C4xC4")
+    systems = enumerate_all(L, bound=54)
+    assert len(systems) == 610108
+    assert retained_bytes(systems, [L]) < 10 * 2 ** 20
+
+
 # -- orbit partitions -----------------------------------------------------------
 
 def test_q8_orbit_profile():
@@ -447,11 +580,18 @@ def _oracle_lattice(name):
     return L_(name)
 
 
-def _relabeling_orbits(L, systems):
+def _pair_sets(systems, orbits):
+    """The orbits `aut_orbits` lists as indices into systems, each a set of
+    pair sets, to compare with `_relabeling_orbits`."""
+    return {frozenset(frozenset(systems[i].pairs()) for i in orbit) for orbit in orbits}
+
+
+def _relabeling_orbits(L, systems, auts=None):
     """The orbits of systems by relabeling every system's pairs under every
-    automorphism, inner ones included, each a set of pair sets."""
+    automorphism (or each of auts), inner ones included, each a set of pair
+    sets."""
     images = {tuple(L.subgroups.index(frozenset(sigma[x] for x in s)) for s in L.subgroups)
-              for sigma in automorphisms(L.group)}
+              for sigma in (automorphisms(L.group) if auts is None else auts)}
     moves = [{(k, h): (img[k], img[h]) for k, h in L.proper_pairs} for img in images]
     return {frozenset(frozenset(map(move.__getitem__, pairs)) for move in moves)
             for pairs in map(TransferSystem.pairs, systems)}
@@ -488,7 +628,7 @@ def test_orbits_match_brute_force_relabeling(name, profile):
         systems = random.Random(1).sample(systems, 600)
     orbits, got_profile = aut_orbits(systems, automorphisms(L.group))
     expected = _relabeling_orbits(L, systems)
-    assert {frozenset(frozenset(T.pairs()) for T in orbit) for orbit in orbits} == expected
+    assert _pair_sets(systems, orbits) == expected
     sizes = sorted((len(o) for o in expected), reverse=True)
     assert got_profile == sorted({(z, sizes.count(z)) for z in sizes}, reverse=True)
     if profile is not None:
@@ -500,16 +640,13 @@ def test_orbits_of_a_shuffled_list_follow_its_order(name):
     """The orbits are listed by their first member in the list, and each
     lists its members in the list's order."""
     L = _oracle_lattice(name)
-    systems = enumerate_all(L, bound=len(L.pair_orbits))
+    systems = list(enumerate_all(L, bound=len(L.pair_orbits)))
     random.Random(11).shuffle(systems)
     orbits, _ = aut_orbits(systems, automorphisms(L.group))
-    assert {frozenset(frozenset(T.pairs()) for T in orbit) for orbit in orbits} \
-        == _relabeling_orbits(L, systems)
-    at = {T: i for i, T in enumerate(systems)}
-    positions = [[at[T] for T in orbit] for orbit in orbits]
-    assert all(p == sorted(p) for p in positions)
-    assert [p[0] for p in positions] == sorted(p[0] for p in positions)
-    assert sorted(i for p in positions for i in p) == list(range(len(systems)))
+    assert _pair_sets(systems, orbits) == _relabeling_orbits(L, systems)
+    assert all(orbit == sorted(orbit) for orbit in orbits)
+    assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits)
+    assert sorted(i for orbit in orbits for i in orbit) == list(range(len(systems)))
 
 
 @pytest.mark.parametrize("name", ["Q8", "C2xC6", "D12-relabeled"])
@@ -519,27 +656,28 @@ def test_orbits_of_a_union_of_whole_orbits(name):
     systems = enumerate_all(L, bound=len(L.pair_orbits))
     orbits, _ = aut_orbits(systems, automorphisms(L.group))
     rng = random.Random(3)
-    kept = [T for orbit in orbits if rng.random() < 0.5 for T in orbit]
+    kept = [systems[i] for orbit in orbits if rng.random() < 0.5 for i in orbit]
     rng.shuffle(kept)
     got, profile = aut_orbits(kept, automorphisms(L.group))
-    assert {frozenset(frozenset(T.pairs()) for T in orbit) for orbit in got} \
-        == _relabeling_orbits(L, kept)
+    assert _pair_sets(kept, got) == _relabeling_orbits(L, kept)
     assert sum(z * c for z, c in profile) == len(kept)
 
 
 @pytest.mark.parametrize("name", ["K4", "Q8", "C2xC6", "D8-relabeled", "D12-relabeled",
                                   "C1", "C2", "C4"])
 def test_orbit_reader_reads_the_held_orbits(name):
-    """The orbit mask `aut_orbits` reads from each system the walk lists has
+    """The orbit mask `aut_orbits` reads for each system the walk lists has
     bit j for each orbit j the system holds.  K4's first pairs lie in three
     bytes, C2's and C4's in one, and C1 has none."""
     L = _oracle_lattice(name)
-    for T in enumerate_all(L, bound=len(L.pair_orbits)):
+    systems = enumerate_all(L, bound=len(L.pair_orbits))
+    assert len(systems.masks) == len(systems)
+    for T, M in zip(systems, systems.masks):
         held = 0
         for j, orbit in enumerate(L.pair_orbits):
             if T.contains(*orbit[0]):
                 held |= 1 << j
-        assert T._mask == held
+        assert M == held
 
 
 @pytest.mark.parametrize("name,seed", [(name, seed) for name in ("Sym4", "K4", "C2xC4", "D12")
@@ -547,8 +685,8 @@ def test_orbit_reader_reads_the_held_orbits(name):
                          + [(name, None) for name in ("C1", "C2", "C4", "Q8", "C2xC6",
                                                       "D8-relabeled", "D12-relabeled")])
 def test_orbits_of_mask_less_copies(name, seed):
-    """Systems built outside the walk carry no orbit mask, and `aut_orbits`
-    reads every mask from bits; a list of them, and one mixing them with
+    """A plain list of systems carries no orbit masks, and `aut_orbits`
+    reads every mask from bits; a list of copies, and one mixing them with
     the walk's systems, splits into the walk's orbits with its profile,
     which are those found by relabeling pairs.  K4's orbits have their
     first pairs in three bytes, C2's and C4's in one, and C1 has none."""
@@ -558,15 +696,83 @@ def test_orbits_of_mask_less_copies(name, seed):
     auts = automorphisms(L.group)
     systems = enumerate_all(L, bound=len(L.pair_orbits))
     want = aut_orbits(systems, auts)
-    assert {frozenset(frozenset(T.pairs()) for T in orbit) for orbit in want[0]} \
-        == _relabeling_orbits(L, systems)
+    assert _pair_sets(systems, want[0]) == _relabeling_orbits(L, systems)
     for n_copied in (len(systems), len(systems) // 2):
-        listed = [TransferSystem(L, T.bits) for T in systems[:n_copied]] + systems[n_copied:]
-        assert not any(hasattr(T, "_mask") for T in listed[:n_copied])
+        listed = [TransferSystem(L, T.bits) for T in systems[:n_copied]] \
+            + list(systems[n_copied:])
+        assert type(listed) is list
         orbits, profile = aut_orbits(listed, auts)
         assert profile == want[1]
-        assert [[T.bits for T in orbit] for orbit in orbits] \
-            == [[T.bits for T in orbit] for orbit in want[0]]
+        assert [[listed[i].bits for i in orbit] for orbit in orbits] \
+            == [[systems[i].bits for i in orbit] for orbit in want[0]]
+
+
+def _closed(perms):
+    """The group the element permutations generate, identity included."""
+    group = {tuple(range(len(perms[0])))}
+    queue = list(group)
+    while queue:
+        x = queue.pop()
+        for g in perms:
+            y = tuple(g[i] for i in x)
+            if y not in group:
+                group.add(y)
+                queue.append(y)
+    return group
+
+
+def test_orbits_of_a_generating_set_are_those_of_its_group():
+    """C3xC3's first two automorphisms are the identity and one of order 3,
+    whose orbits have 3 or 1 members; the automorphisms 1 and 12 generate
+    all 48, and give the 11 orbits of the whole group."""
+    L = L_("C3xC3")
+    auts, systems = automorphisms(L.group), enumerate_all(L)
+    whole = aut_orbits(systems, auts)
+    assert len(whole[0]) == 11
+    assert len(_closed(auts[:2])) == 3 and len(_closed([auts[1], auts[12]])) == 48
+    orbits, profile = aut_orbits(systems, auts[:2])
+    assert profile == [(3, 9), (1, 9)]
+    assert _pair_sets(systems, orbits) == _relabeling_orbits(L, systems, _closed(auts[:2]))
+    assert aut_orbits(systems, [auts[1], auts[12]]) == whole
+
+
+@pytest.mark.parametrize("name", ["C3xC3", "Q8", "K4", "C2xC4", "D12-relabeled"])
+def test_orbits_of_random_automorphism_subsets(name):
+    """Any one to three automorphisms: the orbits of the group they
+    generate, closed here over elements, not pair orbits."""
+    L = _oracle_lattice(name)
+    auts, systems = automorphisms(L.group), enumerate_all(L, bound=len(L.pair_orbits))
+    rng = random.Random(7)
+    for size in (1, 1, 2, 2, 3):
+        picked = rng.sample(auts, size)
+        orbits, profile = aut_orbits(systems, picked)
+        expected = _relabeling_orbits(L, systems, _closed(picked))
+        assert _pair_sets(systems, orbits) == expected
+        assert sum(z * c for z, c in profile) == len(systems)
+
+
+def test_orbits_refuse_a_generated_group_too_large_to_tabulate():
+    """Two automorphisms of C2xC2xC2xC2 pass the table-size check on the
+    permutations given, but generate all 20,160: the closure is refused
+    once it outgrows the tables, above 292 relabelings over 56 mask bytes,
+    before it is complete."""
+    L = L_("C2xC2xC2xC2")
+    auts = automorphisms(L.group)
+    with pytest.raises(SearchBoundExceeded) as refused:
+        aut_orbits([TransferSystem.diagonal(L)], [auts[1], auts[5000]])
+    found = re.fullmatch(r"relabeling Tr\(C2xC2xC2xC2\) by (\d+) or more generated pair-orbit "
+                         r"relabelings needs 56 x 256 table entries each: (\d+), above the "
+                         r"limit 4194304", str(refused.value))
+    count, entries = map(int, found.groups())
+    assert 292 < count < 20159 and entries == 56 * 256 * count
+
+
+@pytest.mark.parametrize("name", ["Q8", "C4", "C24"])
+def test_orbits_refuse_a_system_list_repeating_a_mask(name):
+    L = L_(name)
+    systems = enumerate_all(L)
+    with pytest.raises(ValueError, match="^system list repeats a system$"):
+        aut_orbits(SystemList(L, systems.masks + systems.masks[-2:]), automorphisms(L.group))
 
 
 def test_orbits_of_no_systems():
@@ -579,7 +785,7 @@ def test_orbits_refuse_a_list_not_closed_under_automorphisms():
     orbits, _ = aut_orbits(systems, automorphisms(L.group))
     for member in next(o for o in orbits if len(o) == 3):
         with pytest.raises(ValueError, match="not closed under the automorphism action"):
-            aut_orbits([T for T in systems if T != member], automorphisms(L.group))
+            aut_orbits([T for T in systems if T != systems[member]], automorphisms(L.group))
 
 
 @pytest.mark.parametrize("repeat", ["listed twice", "mask-less copy"])
@@ -593,7 +799,7 @@ def test_orbits_refuse_repeated_systems(repeat):
         systems = enumerate_all(L)
         extra = systems[:3] if repeat == "listed twice" else [TransferSystem(L, systems[4].bits)]
         with pytest.raises(ValueError, match="^system list repeats a system$"):
-            aut_orbits(systems + extra, automorphisms(L.group))
+            aut_orbits(list(systems) + list(extra), automorphisms(L.group))
 
 
 @pytest.mark.parametrize("name", ["C4", "K4"])
@@ -606,13 +812,15 @@ def test_orbits_refuse_systems_over_different_lattices(name):
     L = L_(name)
     systems, auts = enumerate_all(L), automorphisms(L.group)
     with pytest.raises(ValueError, match="^transfer systems live over different lattices$"):
-        aut_orbits(systems + enumerate_all(L_("Q8"))[5:7], auts)
+        aut_orbits(list(systems) + list(enumerate_all(L_("Q8"))[5:7]), auts)
     twin = subgroup_lattice(FiniteGroup(L.group._table))
     assert twin is not L
     want = aut_orbits(systems, auts)
-    got = aut_orbits(systems[:2] + enumerate_all(twin)[2:], auts)
+    mixed = list(systems[:2]) + list(enumerate_all(twin)[2:])
+    got = aut_orbits(mixed, auts)
     assert got[1] == want[1]
-    assert [[T.key for T in o] for o in got[0]] == [[T.key for T in o] for o in want[0]]
+    assert [[mixed[i].key for i in o] for o in got[0]] \
+        == [[systems[i].key for i in o] for o in want[0]]
 
 
 @pytest.mark.parametrize("name,other", [("K4", "Q8"), ("K4", "C2"), ("C4", "K4")])
@@ -638,8 +846,10 @@ def test_orbits_refuse_relabeling_tables_that_would_not_fit():
 def test_diagonal_is_a_fixed_point():
     for name in ("K4", "Q8", "Sym3"):
         L = L_(name)
-        orbits, _ = aut_orbits(enumerate_all(L), automorphisms(L.group))
-        diag_orbit = next(o for o in orbits if TransferSystem.diagonal(L) in o)
+        systems = enumerate_all(L)
+        orbits, _ = aut_orbits(systems, automorphisms(L.group))
+        diag_orbit = next(o for o in orbits
+                          if TransferSystem.diagonal(L) in [systems[i] for i in o])
         assert len(diag_orbit) == 1
 
 

@@ -13,7 +13,7 @@ from trlat.transfer import enumerate_all, generate, join, meet
 
 @functools.cache
 def tr(name):
-    systems = enumerate_all(subgroup_lattice(make_group(name)), bound=26)
+    systems = list(enumerate_all(subgroup_lattice(make_group(name)), bound=26))
     return systems, set(systems)
 
 

@@ -1,15 +1,15 @@
-"""The Tr(G) walk, `transfer._systems`, against the closure-based walk it
-replaced, and the order fact that makes it exact: in L.pair_orbits order,
-the system an orbit generates holds no later orbit.  The walk lists Tr(G)
-in TransferSystem.key order, which the closure walk does not.  Its tests
-run on orbit masks, from tables checked here against the axioms, and it
-yields each system's mask beside its packed int."""
+"""The Tr(G) walk, `transfer.enumerate_all`, against the closure-based walk
+it replaced, and the order fact that makes it exact: in L.pair_orbits
+order, the system an orbit generates holds no later orbit.  The walk lists
+Tr(G) in TransferSystem.key order, which the closure walk does not.  Its
+tests run on orbit masks, from tables checked here against the axioms, and
+it returns each system as its orbit mask."""
 
 import pytest
 
 from trlat.groups import make_group
 from trlat.lattice import subgroup_lattice
-from trlat.transfer import _close, _packing, _systems, _tables, enumerate_all
+from trlat.transfer import _close, _packing, _tables, enumerate_all
 
 from tables import ORDER_24_BUILTINS, dihedral, relabeled
 
@@ -66,22 +66,24 @@ def test_walk_equals_closure_walk(G):
     walk needs no sort."""
     L = subgroup_lattice(G)
     key = f"0{L.n * L.n}b"
-    walked = [P for P, _ in _systems(L, 34)]
+    walked = [T.bits for T in enumerate_all(L, 34)]
     assert walked == sorted(closure_walk(L), key=lambda P: format(P, key)[::-1])
 
 
 @pytest.mark.parametrize("G", list(LADDER.values()) + list(RELABELED.values()),
                          ids=list(LADDER) + list(RELABELED))
 def test_enumerated_systems_carry_their_orbit_masks(G):
-    """Each system `enumerate_all` returns keeps the walk's orbit mask, bit
-    j set iff it holds orbit j's first pair, for `aut_orbits` to read."""
+    """`enumerate_all` holds each system as the walk's orbit mask, bit j set
+    iff the system holds orbit j's first pair, for `aut_orbits` to read."""
     L = subgroup_lattice(G)
-    for T in enumerate_all(L, bound=34):
+    systems = enumerate_all(L, bound=34)
+    assert len(systems.masks) == len(systems)
+    for T, M in zip(systems, systems.masks):
         held = 0
         for j, orbit in enumerate(L.pair_orbits):
             if T.contains(*orbit[0]):
                 held |= 1 << j
-        assert T._mask == held
+        assert M == held
 
 
 @pytest.mark.parametrize("G", [make_group(name) for name in ORDER_24_BUILTINS]
@@ -150,8 +152,8 @@ def test_orbit_mask_tables_match_brute_force(G):
 
 
 def test_tr_c4xc4_count_by_streaming():
-    """|Tr(C4xC4)| = 610,108 over 54 pair orbits, counted without holding
-    the systems."""
+    """|Tr(C4xC4)| = 610,108 over 54 pair orbits, counted from the walk's
+    orbit masks without building a TransferSystem."""
     L = subgroup_lattice(make_group("C4xC4"))
     assert len(L.pair_orbits) == 54
-    assert sum(1 for _ in _systems(L, 54)) == 610108
+    assert len(enumerate_all(L, 54).masks) == 610108
